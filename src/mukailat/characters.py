@@ -30,15 +30,8 @@ def reflection(lattice: Lattice, u) -> Isometry:
         raise ReflectionError(
             f"(u,u) = {q}; rho_u needs a +-2 vector (use general_reflection)"
         )
-    sign = -2 // q
-    n = lattice.rank
     gu = linalg.mat_vec(lattice.gram, u)
-    cols = []
-    for j in range(n):
-        basis = tuple(1 if i == j else 0 for i in range(n))
-        pairing = gu[j]
-        cols.append(tuple(sign * basis[i] + pairing * u[i] for i in range(n)))
-    return Isometry(lattice, linalg.transpose(linalg.freeze(cols)))
+    return Isometry(lattice, linalg.identity_plus_outer(-2 // q, ((u, gu),)))
 
 
 def general_reflection(lattice: Lattice, u) -> Isometry:
@@ -51,20 +44,15 @@ def general_reflection(lattice: Lattice, u) -> Isometry:
     q = lattice.square(u)
     if q == 0:
         raise ReflectionError("cannot reflect in an isotropic vector")
-    n = lattice.rank
     gu = linalg.mat_vec(lattice.gram, u)
-    cols = []
-    for j in range(n):
-        num = 2 * gu[j]
-        if num % q:
+    for j, x in enumerate(gu):
+        if 2 * x % q:
             raise ReflectionError(
                 f"reflection in u is not integral: (u,u) = {q} does not divide "
-                f"2(b_{j}, u) = {num}"
+                f"2(b_{j}, u) = {2 * x}"
             )
-        coef = num // q
-        basis = tuple(1 if i == j else 0 for i in range(n))
-        cols.append(tuple(basis[i] - coef * u[i] for i in range(n)))
-    return Isometry(lattice, linalg.transpose(linalg.freeze(cols)))
+    coefs = tuple(-2 * x // q for x in gu)
+    return Isometry(lattice, linalg.identity_plus_outer(1, ((u, coefs),)))
 
 
 @dataclass(frozen=True)

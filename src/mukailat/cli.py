@@ -62,7 +62,7 @@ def _load_json(path: str):
 
 
 def _default_radius(args) -> int:
-    if getattr(args, "radius", None):
+    if getattr(args, "radius", None) is not None:
         return args.radius
     env = os.environ.get("MUKAI_SEARCH_RADIUS")
     return int(env) if env else DEFAULT_RADIUS

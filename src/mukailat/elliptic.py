@@ -27,11 +27,8 @@ def transvection(v) -> linalg.Mat:
         raise LatticeError("transvection needs a nonzero vector")
     if gcd(r, d) != 1:
         raise LatticeError("transvection needs a primitive vector")
-    cols = []
-    for basis in ((1, 0), (0, 1)):
-        coeff = even_pairing(basis, v)
-        cols.append((basis[0] + coeff * r, basis[1] + coeff * d))
-    return linalg.transpose(linalg.freeze(cols))
+    # (w, v) = r w_1 - d w_0
+    return linalg.identity_plus_outer(1, (((r, d), (-d, r)),))
 
 
 def preserves_even_pairing(mat) -> bool:

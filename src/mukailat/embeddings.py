@@ -20,6 +20,7 @@ non-existence.
 from __future__ import annotations
 
 from . import linalg
+from .characters import reflection
 from .lattices import Isometry, Lattice, LatticeError, primitive_part
 
 DEFAULT_RADIUS = 64
@@ -48,36 +49,11 @@ def eichler_transvection(lattice: Lattice, e, a) -> Isometry:
     if asq % 2:
         raise LatticeError("transvection needs an even square")
     half = asq // 2
-    n = lattice.rank
     ge = linalg.mat_vec(lattice.gram, e)
     ga = linalg.mat_vec(lattice.gram, a)
-    cols = []
-    for j in range(n):
-        pe = ge[j]  # (e, basis_j)
-        pa = ga[j]  # (a, basis_j)
-        col = [0] * n
-        col[j] = 1
-        for i in range(n):
-            col[i] += -pa * e[i] + pe * a[i] - half * pe * e[i]
-        cols.append(tuple(col))
-    return Isometry(lattice, linalg.transpose(linalg.freeze(cols)))
-
-
-def reflection_matrix(lattice: Lattice, root) -> Isometry:
-    """The reflection x -> x - (2(x,root)/(root,root)) root for a +-2 root."""
-    sq = lattice.square(root)
-    assert sq in (2, -2)
-    n = lattice.rank
-    gu = linalg.mat_vec(lattice.gram, root)
-    cols = []
-    for j in range(n):
-        col = [0] * n
-        col[j] = 1
-        coef = -2 * gu[j] // sq
-        for i in range(n):
-            col[i] += coef * root[i]
-        cols.append(tuple(col))
-    return Isometry(lattice, linalg.transpose(linalg.freeze(cols)))
+    e_coef = tuple(-x - half * y for x, y in zip(ga, ge))
+    return Isometry(lattice,
+                    linalg.identity_plus_outer(1, ((e, e_coef), (a, ge))))
 
 
 def _u_blocks(lattice: Lattice):
@@ -252,7 +228,7 @@ class _Clearer:
                                 best = (m, root)
         if best is None or best[0] >= _measure(lat, self.v):
             return False
-        self.push(reflection_matrix(lat, best[1]))
+        self.push(reflection(lat, best[1]))
         return True
 
     def run(self, budget: int = 400):

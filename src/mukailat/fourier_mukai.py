@@ -24,7 +24,6 @@ from .lattices import (
     Isometry,
     Lattice,
     LatticeError,
-    check_isometry,
     mukai_lattice,
     orthogonal_complement,
 )
@@ -42,14 +41,13 @@ class FMTag(enum.Enum):
 
 @dataclass(frozen=True)
 class FMIsometry:
+    """A Mukai-lattice isometry tagged with the equivalence it shadows.  The
+    isometry is not re-checked: every function in this module that returns
+    one makes it from a known isometry."""
+
     isometry: Isometry
     tag: FMTag
     spherical_class: MukaiVector | None = None
-
-    def __post_init__(self):
-        if not check_isometry(self.isometry.lattice,
-                              self.isometry.matrix).is_isometry:
-            raise LatticeError("underlying matrix is not an isometry")
 
     def compose(self, other: "FMIsometry") -> "FMIsometry":
         return FMIsometry(self.isometry @ other.isometry, FMTag.COMPOSITE)

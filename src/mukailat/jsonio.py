@@ -28,10 +28,6 @@ from .lattices import (
 from .mukai import GradedSurfaceClass, MukaiVector
 
 
-def lattice_id(lattice: Lattice) -> str:
-    return lattice.name
-
-
 def resolve_lattice(identifier: str) -> Lattice:
     if identifier in ("mukai", "Mukai"):
         return mukai_lattice()
@@ -139,4 +135,4 @@ def word_from_json(model, data):
             ))
         else:
             raise LatticeError(f"unknown letter kind {item['kind']!r}")
-    return GeneratorWord(model, tuple(letters))
+    return GeneratorWord.checked(model, letters)

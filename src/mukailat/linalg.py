@@ -49,6 +49,25 @@ def mat_neg(m: Mat) -> Mat:
     return tuple(tuple(-x for x in row) for row in m)
 
 
+def identity_plus_outer(s: int, terms) -> Mat:
+    """s I + sum_k b_k c_k^T for terms ((b_1, c_1), ...).
+
+    Each b_k is a column vector and each c_k a row covector (for a lattice
+    map, a vector already multiplied by the Gram matrix), so the matrix
+    sends x to s x + sum_k c_k(x) b_k.  Reflections and transvections are
+    all of this shape."""
+    n = len(terms[0][1])
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        for b, c in terms:
+            if b[i]:
+                row = [x + b[i] * y for x, y in zip(row, c)]
+        row[i] += s
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(x + y for x, y in zip(u, v))
 

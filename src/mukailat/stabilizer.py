@@ -20,13 +20,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .characters import default_reference, orientation_char, reflection
+from .characters import (
+    ReflectionError,
+    default_reference,
+    general_reflection,
+    orientation_char,
+    reflection,
+)
 from .embeddings import DEFAULT_RADIUS, embed_rank2
 from .lattices import (
     Block,
     Isometry,
     Lattice,
     LatticeError,
+    check_isometry,
     discriminant_group,
     is_primitive,
     k3_lattice,
@@ -129,7 +136,7 @@ def vperp_model(m: int) -> VPerpModel:
     gram[n - 1][n - 1] = -2 * m
     blocks = k3.blocks + (Block(f"W{-2*m}", k3.rank, 1),)
     labels = k3.basis_labels + ("w",)
-    lattice = Lattice(linalg.freeze(gram), labels, blocks, name=f"vperp(m={m})")
+    lattice = Lattice(linalg.freeze(gram), labels, blocks, name=f"vperp:{m}")
     model = VPerpModel(m, mukai, k3, lattice, DiscForm(2 * m))
 
     # cross-checks: the discriminant group is cyclic of order 2m and the
@@ -343,27 +350,29 @@ Letter = Gamma0Letter | TauLetter
 @dataclass(frozen=True)
 class GeneratorWord:
     """A word in the Gamma_v generators; the product (in list order) is the
-    isometry the word factors."""
+    isometry the word factors.  The constructor trusts its letters; use
+    `checked` for letters from outside the library."""
 
     model: VPerpModel
     letters: tuple[Letter, ...]
 
-    def __post_init__(self):
-        for letter in self.letters:
+    @classmethod
+    def checked(cls, model: VPerpModel, letters) -> "GeneratorWord":
+        """The word, after checking that every tau class is a -2 vector of
+        v-perp and every gamma0 matrix an isometry of the K3 block."""
+        letters = tuple(letters)
+        for letter in letters:
             if isinstance(letter, TauLetter):
                 v0 = letter.v0
-                if mukai_pairing(v0, v0, self.model.k3) != -2:
+                if mukai_pairing(v0, v0, model.k3) != -2:
                     raise LatticeError("tau letter class must have square -2")
-                if v0.s != v0.r * self.model.m:
+                if v0.s != v0.r * model.m:
                     raise LatticeError("tau letter class must lie in v-perp")
-            else:
-                from .lattices import check_isometry
-
-                if not check_isometry(self.model.k3,
-                                      letter.k3_matrix).is_isometry:
-                    raise LatticeError(
-                        "gamma0 letter must be an isometry of the K3 block"
-                    )
+            elif not check_isometry(model.k3, letter.k3_matrix).is_isometry:
+                raise LatticeError(
+                    "gamma0 letter must be an isometry of the K3 block"
+                )
+        return cls(model, letters)
 
     def product(self) -> Isometry:
         out = Isometry.identity(self.model.mukai)
@@ -444,8 +453,6 @@ class GeneratorFamily:
     def gamma0_letter(self, rng: random.Random) -> Gamma0Letter:
         # true reflections: tau_u for -2 (cov 0), sigma_u for +2 (cov 1);
         # together they realize both nontrivial character pairs (-1, 0/1)
-        from .characters import general_reflection
-
         u = self.sample_pm2_vector(rng)
         return Gamma0Letter(general_reflection(self.k3, u).matrix)
 
@@ -576,7 +583,8 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False,
     word = GeneratorWord(model, tuple(letters))
     if normalize:
         word = normalize_word(word, radius=radius)
-    assert word.product().matrix == g.matrix
+    if word.product().matrix != g.matrix:
+        raise LatticeError("the factorization does not reproduce g")
     return word
 
 
@@ -681,7 +689,6 @@ def nontrivial_disc_isometry(model: VPerpModel, rng: random.Random,
     Candidates are general reflections in vectors x = a(e + t f) + j w of
     negative even square; products of those and of restricted Gamma_v words
     sweep the unit group until a unit outside {+-1} appears."""
-    from .characters import ReflectionError, general_reflection
     lat = model.lattice
     m = model.m
     two_m = 2 * m

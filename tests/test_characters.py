@@ -18,7 +18,7 @@ from mukailat.lattices import Isometry, LatticeError, build_lattice
 from mukailat.mukai import MukaiVector
 from mukailat.stabilizer import generator_family
 
-from conftest import label_vector
+from conftest import label_vector, random_vector
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +65,33 @@ class TestReflection:
         assert lat.square(u) == -6
         with pytest.raises(ReflectionError):
             general_reflection(lat, u)
+
+    def test_matrices_match_formulas(self, mukai, family, rng):
+        # rho_u(x) = (-2/(u,u)) x + (x,u) u on +-2 vectors, and the true
+        # reflection x - (2(x,u)/(u,u)) u there and on rho_delta in
+        # K3 + <2 - 2n>
+        cases = [(family.k3, family.sample_pm2_vector(rng)) for _ in range(10)]
+        cases += [(mukai, (0,) * 22 + (1, s)) for s in (1, -1)]
+        for lat, u in cases:
+            q = lat.square(u)
+            rho = reflection(lat, u)
+            for _ in range(5):
+                x = random_vector(lat, rng, bound=50, density=0.8)
+                p = lat.pair(x, u)
+                assert rho.apply(x) == tuple(
+                    -2 // q * xi + p * ui for xi, ui in zip(x, u))
+        for n in (2, 3, 5):
+            lat = build_lattice(("K3", ("diag", (2 - 2 * n,))))
+            cases.append((lat, tuple(1 if i == 22 else 0 for i in range(23))))
+        for lat, u in cases:
+            q = lat.square(u)
+            sigma = general_reflection(lat, u)
+            for _ in range(5):
+                x = random_vector(lat, rng, bound=50, density=0.8)
+                p = lat.pair(x, u)
+                assert 2 * p % q == 0
+                assert sigma.apply(x) == tuple(
+                    xi - 2 * p // q * ui for xi, ui in zip(x, u))
 
     def test_involution_on_random_pm2(self, family, rng):
         for _ in range(20):

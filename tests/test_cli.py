@@ -140,6 +140,16 @@ class TestStab:
         assert status == 3
         assert report["radius"] == 2
 
+    def test_embed_radius_zero_is_echoed(self, tmp_path):
+        path = tmp_path / "lam.json"
+        path.write_text(json.dumps([1, 0]))
+        report, status = invoke(
+            ["stab", "embed", "--lattice", "U", "--lambda1", str(path),
+             "--target", "0,0,-2", "--radius", "0"]
+        )
+        assert status == 3
+        assert report["radius"] == 0
+
 
 class TestFm:
     def test_verify_phi(self):

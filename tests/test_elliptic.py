@@ -1,5 +1,7 @@
 """The elliptic-curve analogue: antisymmetric pairing and transvections."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -52,6 +54,14 @@ class TestTransvection:
             transvection((2, 4))
         with pytest.raises(LatticeError):
             transvection((0, 0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(pairs.filter(lambda v: gcd(*v) == 1), pairs)
+    def test_matches_formula(self, v, w):
+        # t_v(w) = w + (w, v) v
+        p = even_pairing(w, v)
+        assert linalg.mat_vec(transvection(v), w) == \
+            (w[0] + p * v[0], w[1] + p * v[1])
 
     @settings(max_examples=80, deadline=None)
     @given(pairs, pairs)

@@ -13,7 +13,7 @@ from mukailat.embeddings import (
 )
 from mukailat.lattices import LatticeError, build_lattice, check_isometry
 
-from conftest import label_vector
+from conftest import label_vector, random_vector
 
 
 def random_primitive(k3, rng, bound, density=0.6):
@@ -40,6 +40,28 @@ class TestTransvection:
             t = eichler_transvection(k3, e, a)
             assert check_isometry(k3, t.matrix).is_isometry
             assert t.apply(e) == e
+
+    def test_matches_formula(self, k3, rng):
+        # t(e,a)(x) = x - (a,x) e + (e,x) a - (a,a)/2 (e,x) e; t(e,-a)
+        # is also an isometry fixing e, but differs from t(e,a) here
+        i_e1, i_f1, i_e2, i_f2 = (k3.basis_labels.index(lab)
+                                  for lab in ("e.1", "f.1", "e.2", "f.2"))
+        for k in (0, 1, -3):
+            e = label_vector(k3, **{"e.1": 1, "e.2": k})
+            for _ in range(10):
+                a = list(random_vector(k3, rng, bound=5, density=0.7))
+                a[i_f1] = -k * a[i_f2]
+                a = tuple(a)
+                half = k3.square(a) // 2
+                if half == 0:
+                    continue
+                assert k3.square(e) == 0 and k3.pair(e, a) == 0
+                t = eichler_transvection(k3, e, a)
+                x = random_vector(k3, rng, bound=50, density=0.8)
+                pa, pe = k3.pair(a, x), k3.pair(e, x)
+                assert t.apply(x) == tuple(
+                    xi - pa * ei + pe * ai - half * pe * ei
+                    for xi, ei, ai in zip(x, e, a))
 
     def test_requires_isotropic(self, k3):
         sigma = label_vector(k3, **{"e.1": 1, "f.1": 1})

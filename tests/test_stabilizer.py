@@ -292,6 +292,15 @@ class TestFactor:
         assert len(word.letters) == 1
         assert isinstance(word.letters[0], Gamma0Letter)
 
+    def test_wrong_product_raises_lattice_error(self, monkeypatch, rng):
+        # the final product check is a typed error, kept under python -O
+        model = vperp_model(3)
+        g = generator_family(3).tau_letter(rng).to_isometry(model)
+        monkeypatch.setattr(GeneratorWord, "product",
+                            lambda word: Isometry.identity(model.mukai))
+        with pytest.raises(LatticeError):
+            factor(model, g)
+
     def test_rejects_non_stabilizing(self):
         model = vperp_model(2)
         with pytest.raises(NotInGammaV):

@@ -31,7 +31,7 @@ def reflection(lattice: Lattice, u) -> Isometry:
             f"(u,u) = {q}; rho_u needs a +-2 vector (use general_reflection)"
         )
     gu = linalg.mat_vec(lattice.gram, u)
-    return Isometry(lattice, linalg.identity_plus_outer(-2 // q, ((u, gu),)))
+    return Isometry.from_outer(lattice, -2 // q, ((u, gu),))
 
 
 def general_reflection(lattice: Lattice, u) -> Isometry:
@@ -52,7 +52,7 @@ def general_reflection(lattice: Lattice, u) -> Isometry:
                 f"2(b_{j}, u) = {2 * x}"
             )
     coefs = tuple(-2 * x // q for x in gu)
-    return Isometry(lattice, linalg.identity_plus_outer(1, ((u, coefs),)))
+    return Isometry.from_outer(lattice, 1, ((u, coefs),))
 
 
 @dataclass(frozen=True)

@@ -52,8 +52,7 @@ def eichler_transvection(lattice: Lattice, e, a) -> Isometry:
     ge = linalg.mat_vec(lattice.gram, e)
     ga = linalg.mat_vec(lattice.gram, a)
     e_coef = tuple(-x - half * y for x, y in zip(ga, ge))
-    return Isometry(lattice,
-                    linalg.identity_plus_outer(1, ((e, e_coef), (a, ge))))
+    return Isometry.from_outer(lattice, 1, ((e, e_coef), (a, ge)))
 
 
 def _u_blocks(lattice: Lattice):
@@ -365,7 +364,7 @@ def embed_rank2(lattice: Lattice, lam1, target, radius: int = DEFAULT_RADIUS):
         free = _free_u_block(lattice, image)
         lam2_img = _free_plane_witness(lattice, image, b, d, free)
         if lam2_img is not None:
-            lam2 = h.inverse().apply(lam2_img)
+            lam2 = h.preimage(lam2_img)
             if verify_embedding(lattice, lam1, lam2, two_a, b, two_d):
                 return lam2
 

@@ -13,7 +13,7 @@ form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -103,13 +103,26 @@ class Lattice:
     def blocks_named(self, name: str) -> tuple[Block, ...]:
         return tuple(b for b in self.blocks if b.name == name)
 
-    def gram_inverse(self):
+    def gram_inverse(self) -> tuple[Mat, int]:
+        """(A, d) with G^{-1} = A / d, A integral and d = |det G|."""
         return _gram_inverse(self.gram)
 
 
 @lru_cache(maxsize=None)
-def _gram_inverse(gram: Mat):
-    return linalg.mat_inv_q(gram)
+def _gram_inverse(gram: Mat) -> tuple[Mat, int]:
+    d = abs(linalg.det(gram))
+    a = freeze([int(x * d) for x in row] for row in linalg.mat_inv_q(gram))
+    return a, d
+
+
+def _divide_exact(v: Vec, d: int) -> Vec:
+    """v / d, which must be integral: it is for the G^{-1} M^T G of an
+    isometry M."""
+    if d == 1:
+        return v
+    if any(x % d for x in v):
+        raise LatticeError("matrix is not an isometry; inverse not integral")
+    return tuple(x // d for x in v)
 
 
 def _u_gram() -> Mat:
@@ -214,16 +227,28 @@ def primitive_part(x: Vec) -> tuple[int, Vec]:
 
 @dataclass(frozen=True)
 class IsometryCheck:
+    """Whether a matrix preserves the Gram form; its determinant is computed
+    only when read."""
+
     is_isometry: bool
-    det: int
+    matrix: Mat = field(repr=False)
+
+    @property
+    def det(self) -> int:
+        return linalg.det(self.matrix)
 
 
 @dataclass(frozen=True)
 class Isometry:
-    """An integer matrix M with M^T G M = G; columns are images of basis vectors."""
+    """An integer matrix M with M^T G M = G; columns are images of basis vectors.
+
+    `outer` is (s, terms) when M = s I + sum_k b_k c_k^T was built that way
+    (see `from_outer`); it only makes products with M cheaper, so it takes
+    no part in ==, hash or repr."""
 
     lattice: Lattice
     matrix: Mat
+    outer: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.matrix) != self.lattice.rank:
@@ -241,6 +266,13 @@ class Isometry:
     def identity(cls, lattice: Lattice) -> "Isometry":
         return cls(lattice, linalg.identity(lattice.rank))
 
+    @classmethod
+    def from_outer(cls, lattice: Lattice, s: int, terms) -> "Isometry":
+        """s I + sum_k b_k c_k^T (see `linalg.identity_plus_outer`), keeping
+        that form for `compose`."""
+        terms = tuple(terms)
+        return cls(lattice, linalg.identity_plus_outer(s, terms), (s, terms))
+
     def apply(self, v: Vec) -> Vec:
         return linalg.mat_vec(self.matrix, v)
 
@@ -248,22 +280,29 @@ class Isometry:
         """self after other (matrix product self.matrix @ other.matrix)."""
         if other.lattice.gram != self.lattice.gram:
             raise LatticeError("isometries live on different lattices")
+        if self.outer is not None:
+            s, terms = self.outer
+            return Isometry(self.lattice, linalg.identity_plus_outer_mul(
+                s, terms, other.matrix))
         return Isometry(self.lattice, linalg.mat_mul(self.matrix, other.matrix))
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
         return self.compose(other)
 
     def inverse(self) -> "Isometry":
-        # M^{-1} = G^{-1} M^T G for an isometry; exact and integral.
-        ginv = self.lattice.gram_inverse()
-        mt = linalg.transpose(self.matrix)
-        prod = linalg.mat_mul(linalg.mat_mul(ginv, mt), self.lattice.gram)
-        out = []
-        for row in prod:
-            if any(Fraction(x).denominator != 1 for x in row):
-                raise LatticeError("matrix is not an isometry; inverse not integral")
-            out.append(tuple(int(x) for x in row))
-        return Isometry(self.lattice, freeze(out))
+        # M^{-1} = G^{-1} M^T G for an isometry, with G^{-1} = A / d
+        a, d = self.lattice.gram_inverse()
+        mt_g = linalg.mat_mul(linalg.transpose(self.matrix), self.lattice.gram)
+        rows = (_divide_exact(row, d) for row in linalg.mat_mul(a, mt_g))
+        return Isometry(self.lattice, freeze(rows))
+
+    def preimage(self, v: Vec) -> Vec:
+        """The x with self.apply(x) == v, as G^{-1} M^T G v: one vector,
+        without forming the inverse matrix."""
+        a, d = self.lattice.gram_inverse()
+        gv = linalg.mat_vec(self.lattice.gram, v)
+        mt_gv = linalg.mat_vec(linalg.transpose(self.matrix), gv)
+        return _divide_exact(linalg.mat_vec(a, mt_gv), d)
 
     def det(self) -> int:
         return linalg.det(self.matrix)
@@ -285,7 +324,7 @@ def check_isometry(lattice: Lattice, matrix) -> IsometryCheck:
     g = lattice.gram
     mt = linalg.transpose(matrix)
     ok = linalg.mat_mul(linalg.mat_mul(mt, g), matrix) == g
-    return IsometryCheck(ok, linalg.det(matrix))
+    return IsometryCheck(ok, matrix)
 
 
 def orthogonal_complement(lattice: Lattice, vectors) -> tuple[tuple[Vec, ...], Mat]:

@@ -1,0 +1,187 @@
+"""The exact kernels of `linalg`, checked against sympy as an independent
+oracle: determinants, Smith normal forms, saturated kernels, integer
+solutions, signatures and the integer Gram inverse."""
+
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
+
+from mukailat import linalg
+from mukailat.lattices import (
+    e8_minus,
+    hyperbolic_plane,
+    k3_lattice,
+    mukai_lattice,
+)
+from mukailat.stabilizer import vperp_model
+
+LATTICES = {"U": hyperbolic_plane(), "E8_minus": e8_minus(),
+            "K3": k3_lattice(), "Mukai": mukai_lattice()}
+LATTICES.update((f"vperp:{m}", vperp_model(m).lattice)
+                for m in (1, 2, 3, 7, 30))
+
+
+def shaped(rows, cols, bound):
+    return st.lists(
+        st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows).map(linalg.freeze)
+
+
+def matrices(max_rows=4, max_cols=4, bound=9):
+    return st.tuples(st.integers(1, max_rows), st.integers(1, max_cols)) \
+        .flatmap(lambda shape: shaped(*shape, bound))
+
+
+def square_matrices(n_max=4, bound=9):
+    return st.integers(1, n_max).flatmap(lambda n: shaped(n, n, bound))
+
+
+def symmetric_matrices(n_max=5, bound=9):
+    return square_matrices(n_max, bound).map(
+        lambda a: linalg.freeze(
+            [[a[min(i, j)][max(i, j)] for j in range(len(a))]
+             for i in range(len(a))]))
+
+
+def snf_diagonal(a):
+    d, _, _ = linalg.smith_normal_form(a)
+    return tuple(d[i][i] for i in range(min(len(d), len(d[0]))))
+
+
+def sympy_invariants(a):
+    return tuple(abs(int(x)) for x in invariant_factors(Matrix(a), domain=ZZ))
+
+
+def sympy_signature(gram):
+    """(n_+, n_-, n_0) from the characteristic polynomial: a real symmetric
+    matrix has only real eigenvalues, so Descartes' rule of signs counts the
+    positive and the negative ones exactly."""
+    x = sympy.Symbol("x")
+    poly = Matrix(gram).charpoly(x)
+    coeffs = [int(c) for c in poly.all_coeffs()]
+    zero = 0
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+        zero += 1
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(1 for p, q in zip(signs, signs[1:]) if p != q)
+
+    n = len(coeffs) - 1
+    negated = [c * (-1) ** (n - i) for i, c in enumerate(coeffs)]
+    return sign_changes(coeffs), sign_changes(negated), zero
+
+
+def assert_kernel_matches(a):
+    """kernel_basis(a) spans exactly Q-kernel intersected with Z^n."""
+    kernel = linalg.kernel_basis(a)
+    null = Matrix(a).nullspace()
+    assert len(kernel) == len(null)
+    for v in kernel:
+        assert Matrix(a) * Matrix(v) == Matrix.zeros(len(a), 1)
+    if kernel:
+        # saturated: the basis matrix has all invariant factors 1
+        assert sympy_invariants(linalg.transpose(linalg.freeze(kernel))) \
+            == (1,) * len(kernel)
+
+
+# -- the standard lattices ----------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_standard_gram_det_and_snf(name):
+    g = LATTICES[name].gram
+    assert linalg.det(g) == Matrix(g).det()
+    assert snf_diagonal(g) == sympy_invariants(g)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_standard_gram_signature(name):
+    g = LATTICES[name].gram
+    assert linalg.signature(g) == sympy_signature(g)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_standard_gram_inverse(name):
+    lattice = LATTICES[name]
+    a, d = lattice.gram_inverse()
+    assert d == abs(Matrix(lattice.gram).det())
+    assert Matrix(a) == Matrix(lattice.gram).inv() * d
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 7, 30))
+def test_vperp_complement_kernel(m):
+    # v-perp inside the Mukai lattice: the kernel of the row (G v)^T
+    mukai = mukai_lattice()
+    v = (0,) * 22 + (1, -m)
+    assert_kernel_matches(linalg.freeze([linalg.mat_vec(mukai.gram, v)]))
+
+
+# -- hypothesis-drawn matrices ------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_matrices())
+def test_det_small(a):
+    assert linalg.det(a) == Matrix(a).det()
+
+
+@settings(max_examples=40, deadline=None)
+@given(square_matrices(n_max=5, bound=10**12))
+def test_det_large_entries(a):
+    assert linalg.det(a) == Matrix(a).det()
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices())
+def test_snf_diagonal(a):
+    assert snf_diagonal(a) == sympy_invariants(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(max_rows=4, max_cols=4, bound=10**12))
+def test_snf_diagonal_large_entries(a):
+    assert snf_diagonal(a) == sympy_invariants(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(max_rows=3, max_cols=5, bound=6))
+def test_kernel_basis(a):
+    assert_kernel_matches(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(bound=6), st.data())
+def test_solve_int(a, data):
+    rows, cols = len(a), len(a[0])
+    if data.draw(st.booleans()):
+        x0 = data.draw(st.lists(st.integers(-5, 5), min_size=cols,
+                                max_size=cols))
+        b = linalg.mat_vec(a, tuple(x0))
+    else:
+        b = tuple(data.draw(st.lists(st.integers(-20, 20), min_size=rows,
+                                     max_size=rows)))
+    # oracle: with D = U A V in Smith form, A x = b has an integer solution
+    # iff every (U b)_i is divisible by d_i, and vanishes where d_i = 0
+    d, u, _ = smith_normal_decomp(Matrix(a), domain=ZZ)
+    c = u * Matrix(b)
+    solvable = all(
+        (c[i] == 0) if i >= min(rows, cols) or d[i, i] == 0
+        else c[i] % d[i, i] == 0
+        for i in range(rows)
+    )
+    x = linalg.solve_int(a, b)
+    if solvable:
+        assert x is not None
+        assert Matrix(a) * Matrix(x) == Matrix(b)
+    else:
+        assert x is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_matrices())
+def test_signature(gram):
+    assert linalg.signature(gram) == sympy_signature(gram)

@@ -24,8 +24,8 @@ from .lattices import (
     Isometry,
     Lattice,
     LatticeError,
+    check_isometry,
     mukai_lattice,
-    orthogonal_complement,
 )
 from .mukai import MukaiVector, dualize, mukai_pairing
 from .stabilizer import VPerpModel
@@ -158,8 +158,7 @@ def elliptic_phi(n: int) -> tuple[FMIsometry, dict]:
     if n < 2:
         raise LatticeError("n must be at least 2")
     mukai = mukai_lattice()
-    rank = mukai.rank
-    k = rank - 2
+    k = mukai.rank - 2
     sigma, f = _section_and_fiber(mukai)
     e1 = MukaiVector(1, linalg.zero_vec(k), 0).coords()
     e2 = MukaiVector(0, linalg.zero_vec(k), 1).coords()
@@ -181,24 +180,23 @@ def elliptic_phi(n: int) -> tuple[FMIsometry, dict]:
                        phi_l) == gram_lambda
     )
 
-    perp_basis, _ = orthogonal_complement(mukai, lam_basis)
-    assert len(perp_basis) == rank - 4
-    basis_change = linalg.transpose(
-        linalg.freeze(list(lam_basis) + list(perp_basis))
-    )
-    assert abs(linalg.det(basis_change)) == 1, \
-        "Lambda + Lambda-perp must be all of the Mukai lattice"
-    block = [[0] * rank for _ in range(rank)]
-    for i in range(4):
-        for j in range(4):
-            block[i][j] = phi_l[i][j]
-    for i in range(4, rank):
-        block[i][i] = -1
-    inv = linalg.mat_inv_int(basis_change)
-    phi_matrix = linalg.mat_mul(
-        linalg.mat_mul(basis_change, linalg.freeze(block)), inv
-    )
-    phi = Isometry.checked(mukai, phi_matrix)
+    # phi = -I + B (Phi + I) G_Lambda^{-1} B^T G with B the Lambda basis as
+    # columns: B^T G vanishes on Lambda-perp, where phi is -1, and on Lambda
+    # phi is Phi.  G_Lambda is unimodular iff Lambda + Lambda-perp is the
+    # whole lattice.
+    g_inv, d = Lattice(gram_lambda, ("h0", "sigma", "f", "h4")).gram_inverse()
+    if d != 1:
+        raise LatticeError("Lambda + Lambda-perp must be all of the Mukai "
+                           "lattice")
+    phi_plus_i = tuple(linalg.vec_add(row, e)
+                       for row, e in zip(phi_l, linalg.identity(4)))
+    columns = linalg.transpose(linalg.mat_mul(
+        linalg.transpose(lam_basis), linalg.mat_mul(phi_plus_i, g_inv)
+    ))
+    covectors = (linalg.mat_vec(mukai.gram, b) for b in lam_basis)
+    phi = Isometry.from_outer(mukai, -1, zip(columns, covectors))
+    if not check_isometry(mukai, phi.matrix).is_isometry:
+        raise LatticeError("matrix does not preserve the Gram form")
 
     # phi(1, 0, 1-n) = (0, sigma + n f, 1)
     src = MukaiVector(1, linalg.zero_vec(k), 1 - n)
@@ -227,11 +225,11 @@ def elliptic_phi(n: int) -> tuple[FMIsometry, dict]:
         phi.apply(v0.coords()) == alpha_class.coords()
     checks["alpha_square"] = mukai_pairing(alpha_class, alpha_class) == -2
 
-    # conjugation: phi tau_{v0} phi^{-1} = tau_{(0, alpha, 0)}
+    # conjugation: phi tau_{v0} phi^{-1} = tau_{(0, alpha, 0)}, checked as
+    # phi tau_{v0} = tau_{(0, alpha, 0)} phi since phi is invertible
     g = reflection(mukai, v0.coords())
     rho = reflection(mukai, alpha_class.coords())
-    checks["conjugation"] = \
-        (phi @ g @ phi.inverse()).matrix == rho.matrix
+    checks["conjugation"] = (phi @ g).matrix == (rho @ phi).matrix
     checks["all"] = all(checks.values())
     return FMIsometry(phi, FMTag.ELLIPTIC_PHI), checks
 

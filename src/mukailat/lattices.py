@@ -94,12 +94,6 @@ class Lattice:
         i = self.basis_labels.index(label)
         return tuple(1 if j == i else 0 for j in range(self.rank))
 
-    def block_named(self, name: str) -> Block:
-        for b in self.blocks:
-            if b.name == name:
-                return b
-        raise LatticeError(f"no block named {name!r}")
-
     def blocks_named(self, name: str) -> tuple[Block, ...]:
         return tuple(b for b in self.blocks if b.name == name)
 
@@ -361,9 +355,6 @@ class DiscGroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def is_cyclic(self) -> bool:
-        return len(self.divisors) <= 1
-
 
 def _q_mod2(value: Fraction) -> Fraction:
     return value - 2 * (value / 2).__floor__()
@@ -398,23 +389,3 @@ def discriminant_group(lattice: Lattice) -> DiscGroup:
         order *= x
     assert order == abs(linalg.det(g))
     return DiscGroup(tuple(divisors), tuple(lifts), tuple(q_values), order)
-
-
-def dual_pairing_is_integral(lattice: Lattice, lift) -> bool:
-    """Does a rational vector pair integrally with the whole lattice?"""
-    gy = [sum(Fraction(gr) * x for gr, x in zip(row, lift))
-          for row in lattice.gram]
-    return all(v.denominator == 1 for v in gy)
-
-
-def vector_divisibility(lattice: Lattice, x: Vec) -> int:
-    """div(x) = positive generator of the ideal (x, L)."""
-    return linalg.xgcd_vector(linalg.mat_vec(lattice.gram, x))[0]
-
-
-def pairing_one_witness(lattice: Lattice, x: Vec) -> Vec:
-    """Some mu with (x, mu) = 1; requires div(x) = 1."""
-    g, combo = linalg.xgcd_vector(linalg.mat_vec(lattice.gram, x))
-    if g != 1:
-        raise LatticeError(f"vector has divisibility {g}, not 1")
-    return combo

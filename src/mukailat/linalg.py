@@ -185,20 +185,6 @@ def mat_inv_q(m) -> Mat:
     return tuple(tuple(row[n:]) for row in a)
 
 
-def mat_inv_int(m: Mat) -> Mat:
-    """Inverse of a unimodular integer matrix, returned with int entries."""
-    inv = mat_inv_q(m)
-    out = []
-    for row in inv:
-        out_row = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular over Z")
-            out_row.append(int(x))
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
 def xgcd(a: int, b: int):
     """Extended gcd: returns (g, x, y) with a*x + b*y = g >= 0."""
     x0, x1, y0, y1 = 1, 0, 0, 1

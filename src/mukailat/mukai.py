@@ -70,13 +70,6 @@ def dualize(x: MukaiVector) -> MukaiVector:
     return MukaiVector(x.r, linalg.vec_neg(x.c), x.s)
 
 
-def mukai_is_primitive(x: MukaiVector) -> bool:
-    coords = x.coords()
-    if linalg.is_zero_vec(coords):
-        raise LatticeError("the zero vector is neither primitive nor imprimitive")
-    return linalg.vec_content(coords) == 1
-
-
 class IntegralityError(ValueError):
     """A calculus result that must be integral came out fractional."""
 
@@ -107,13 +100,6 @@ class GradedSurfaceClass:
     @classmethod
     def from_mukai(cls, x: MukaiVector) -> "GradedSurfaceClass":
         return cls(Fraction(x.r), x.c, Fraction(x.s))
-
-    def to_mukai(self) -> MukaiVector:
-        for val in (self.deg0, self.deg4, *self.deg2):
-            if Fraction(val).denominator != 1:
-                raise IntegralityError(f"non-integral component {val}")
-        return MukaiVector(int(self.deg0), tuple(int(x) for x in self.deg2),
-                           int(self.deg4))
 
     def __add__(self, other):
         return GradedSurfaceClass(self.deg0 + other.deg0,

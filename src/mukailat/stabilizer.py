@@ -410,14 +410,6 @@ class GeneratorFamily:
         self.model = model
         self.k3 = model.k3
 
-    def describe(self) -> dict:
-        return {
-            "gamma0": "reflections in +-2 vectors of the K3 block, "
-                      "extended by the identity on h0, h4",
-            "tau": "reflections in (1, -L, m) with L primitive, L^2 = 2m-2",
-            "canonical_tau_class": list(_canonical_tau_class(self.model)),
-        }
-
     def sample_pm2_vector(self, rng: random.Random) -> tuple:
         """A random +-2 vector in the K3 lattice (structured pool)."""
         k3 = self.k3
@@ -681,21 +673,21 @@ def disc_group_order(m: int) -> dict:
     return {"order": order, "rho": rho, "index_O_vperp_over_GammaV": order}
 
 
-def nontrivial_disc_isometry(model: VPerpModel, rng: random.Random,
-                             attempts: int = 200) -> Isometry | None:
-    """An isometry of v-perp whose disc action is not +-1 (exists iff m is
-    not a prime power, by the surjectivity of O(v-perp) -> O(disc)).
+def nontrivial_disc_isometry(model: VPerpModel) -> Isometry | None:
+    """An isometry of v-perp whose disc action is not +-1, or None.  One
+    exists iff m is not a prime power (O(v-perp) -> O(disc) is onto).
 
     Candidates are general reflections in vectors x = a(e + t f) + j w of
-    negative even square; products of those and of restricted Gamma_v words
-    sweep the unit group until a unit outside {+-1} appears."""
+    negative even square.  None is possible even when such an isometry
+    exists (m = 15): products of candidates whose action is +-1, and of
+    restricted Gamma_v words (action 1), also act by +-1, so no sweep over
+    them can do better."""
     lat = model.lattice
     m = model.m
     two_m = 2 * m
     n = lat.rank
     trivial = {1 % two_m, (two_m - 1) % two_m}
     block = model.k3.blocks_named("U")[0]
-    candidates = []
     for a in range(1, 5):
         for t in range(-6, 7):
             for j in (1, 2):
@@ -711,31 +703,5 @@ def nontrivial_disc_isometry(model: VPerpModel, rng: random.Random,
                 except ReflectionError:
                     continue
                 if disc_action(model, cand) not in trivial:
-                    candidates.append(cand)
-    if candidates:
-        return candidates[0]
-    # randomized products as a fallback sweep
-    family = GeneratorFamily(model)
-    pool = []
-    for a in range(1, 4):
-        for t in range(-4, 5):
-            x = [0] * n
-            x[block.start] = a
-            x[block.start + 1] = a * t
-            x[n - 1] = 1
-            x = tuple(x)
-            if lat.square(x) < 0:
-                try:
-                    pool.append(general_reflection(lat, x))
-                except ReflectionError:
-                    pass
-    for _ in range(attempts):
-        g = Isometry.identity(lat)
-        for cand in pool:
-            if rng.random() < 0.5:
-                g = g @ cand
-        word = family.sample_word(rng, rng.randrange(3))
-        g = g @ model.restrict(word.product())
-        if disc_action(model, g) not in trivial:
-            return g
+                    return cand
     return None

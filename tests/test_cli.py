@@ -130,6 +130,17 @@ class TestStab:
         assert status == 0
         assert report["verification"][0]["pass"]
 
+    def test_embed_on_u_by_enumeration(self, tmp_path):
+        path = tmp_path / "lam.json"
+        path.write_text(json.dumps([1, 0]))
+        report, status = invoke(
+            ["stab", "embed", "--lattice", "U", "--lambda1", str(path),
+             "--target", "0,1,0"]
+        )
+        assert status == 0
+        assert report["outputs"]["lambda2"] == [0, 1]
+        assert report["verification"][0]["pass"]
+
     def test_embed_witness_not_found_exit_3(self, tmp_path):
         path = tmp_path / "lam.json"
         path.write_text(json.dumps([1, 0]))

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from mukailat import embeddings
 from mukailat.embeddings import (
     WitnessNotFound,
     clearing_isometry,
@@ -11,7 +12,12 @@ from mukailat.embeddings import (
     embed_rank2,
     verify_embedding,
 )
-from mukailat.lattices import LatticeError, build_lattice, check_isometry
+from mukailat.lattices import (
+    LatticeError,
+    build_lattice,
+    check_isometry,
+    hyperbolic_plane,
+)
 
 from conftest import label_vector, random_vector
 
@@ -133,6 +139,20 @@ class TestGeneral:
         two_a = lat.square(lam1)
         lam2 = embed_rank2(lat, lam1, (two_a, 3, -2))
         assert verify_embedding(lat, lam1, lam2, two_a, 3, -2)
+
+    def test_enumeration_finds_witness_on_u(self, monkeypatch):
+        # neither the free plane nor clearing applies to a lone U; only the
+        # bounded enumeration finds lambda_2 = f
+        found = []
+        enumerate_witness = embeddings._enumerate_witness
+
+        def spy(*args):
+            found.append(enumerate_witness(*args))
+            return found[-1]
+
+        monkeypatch.setattr(embeddings, "_enumerate_witness", spy)
+        assert embed_rank2(hyperbolic_plane(), (1, 0), (0, 1, 0)) == (0, 1)
+        assert found == [(0, 1)]
 
     def test_witness_not_found_without_room(self):
         # a definite lattice with no hyperbolic block: the search is honest

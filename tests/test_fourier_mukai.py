@@ -15,7 +15,12 @@ from mukailat.fourier_mukai import (
     spherical_reflection,
     verify_sigma_tau_duality,
 )
-from mukailat.lattices import Isometry, LatticeError, check_isometry
+from mukailat.lattices import (
+    Isometry,
+    LatticeError,
+    check_isometry,
+    orthogonal_complement,
+)
 from mukailat.mukai import MukaiVector, dualize, mukai_pairing
 from mukailat.stabilizer import generator_family, vperp_model, w_membership
 
@@ -90,6 +95,28 @@ class TestEllipticPhi:
         # beta' in E8 block is orthogonal to Lambda: must be negated
         beta = label_vector(mukai, **{"a1.1": 1})
         assert phi.isometry.apply(beta) == linalg.vec_neg(beta)
+
+    def test_definition(self, mukai):
+        # phi is PHI_LAMBDA_MATRIX on Lambda = span{h0, sigma, f, h4}
+        # (sigma = f.3 - e.3, f = e.3) and -1 on Lambda-perp, whatever n
+        lam = (
+            label_vector(mukai, h0=1),
+            label_vector(mukai, **{"f.3": 1, "e.3": -1}),
+            label_vector(mukai, **{"e.3": 1}),
+            label_vector(mukai, h4=1),
+        )
+        phi = elliptic_phi(2)[0].isometry
+        for j, x in enumerate(lam):
+            image = linalg.zero_vec(mukai.rank)
+            for i, y in enumerate(lam):
+                image = linalg.vec_add(
+                    image, linalg.vec_scale(PHI_LAMBDA_MATRIX[i][j], y))
+            assert phi.apply(x) == image
+        perp, _ = orthogonal_complement(mukai, lam)
+        assert len(perp) == mukai.rank - 4
+        for y in perp:
+            assert phi.apply(y) == linalg.vec_neg(y)
+        assert elliptic_phi(60)[0].isometry.matrix == phi.matrix
 
     def test_n_below_two_rejected(self):
         with pytest.raises(LatticeError):

@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 from mukailat import linalg
-from mukailat.lattices import Isometry, LatticeError, discriminant_group
+from mukailat.lattices import (
+    Isometry,
+    LatticeError,
+    check_isometry,
+    discriminant_group,
+)
 from mukailat.characters import reflection
 from mukailat.mukai import MukaiVector, mukai_pairing
 from mukailat.stabilizer import (
@@ -122,13 +127,30 @@ class TestInGammaV:
         assert in_gamma_v(model, g) is \
             ExtensionKind.EXTENDS_SENDING_V_TO_MINUS_V
 
-    def test_m6_does_not_extend(self, rng):
+    def test_m6_does_not_extend(self):
         model = vperp_model(6)
-        g = nontrivial_disc_isometry(model, rng)
+        g = nontrivial_disc_isometry(model)
         assert g is not None
         assert disc_action(model, g) not in (1, 11)
         assert in_gamma_v(model, g) is ExtensionKind.DOES_NOT_EXTEND
         assert not w_membership(model, g)
+
+
+class TestNontrivialDiscIsometry:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 9])
+    def test_prime_power_gives_none(self, m):
+        # (Z/2m)^x has only the square roots +-1 of 1 mod 4m
+        assert nontrivial_disc_isometry(vperp_model(m)) is None
+
+    @pytest.mark.parametrize("m", [6, 10, 12, 14])
+    def test_action_outside_pm1(self, m):
+        model = vperp_model(m)
+        g = nontrivial_disc_isometry(model)
+        assert g is not None
+        assert check_isometry(model.lattice, g.matrix).is_isometry
+        u = disc_action(model, g)
+        assert u not in (1, 2 * m - 1)
+        assert (u * u - 1) % (4 * m) == 0
 
 
 class TestWMembership:

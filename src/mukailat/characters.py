@@ -30,7 +30,7 @@ def reflection(lattice: Lattice, u) -> Isometry:
         raise ReflectionError(
             f"(u,u) = {q}; rho_u needs a +-2 vector (use general_reflection)"
         )
-    gu = linalg.mat_vec(lattice.gram, u)
+    gu = lattice.covector(u)
     return Isometry.from_outer(lattice, -2 // q, ((u, gu),))
 
 
@@ -44,7 +44,7 @@ def general_reflection(lattice: Lattice, u) -> Isometry:
     q = lattice.square(u)
     if q == 0:
         raise ReflectionError("cannot reflect in an isotropic vector")
-    gu = linalg.mat_vec(lattice.gram, u)
+    gu = lattice.covector(u)
     for j, x in enumerate(gu):
         if 2 * x % q:
             raise ReflectionError(
@@ -79,16 +79,9 @@ class ReferenceOrientation:
             )
 
     def _gram(self):
-        return linalg.freeze(
-            [[_pair_q(self.lattice, a, b) for b in self.vectors]
-             for a in self.vectors]
-        )
-
-
-def _pair_q(lattice: Lattice, x, y):
-    # integer fast path; falls back to Fractions for rational references
-    gy = [sum(g * b for g, b in zip(row, y) if g) for row in lattice.gram]
-    return sum(a * v for a, v in zip(x, gy) if a)
+        vecs = self.vectors
+        return linalg.freeze([[self.lattice.pair(a, b) for b in vecs]
+                              for a in vecs])
 
 
 def default_reference(lattice: Lattice) -> ReferenceOrientation:
@@ -112,12 +105,12 @@ def orientation_char(reference: ReferenceOrientation, g: Isometry) -> int:
     if g.lattice.gram != lat.gram:
         raise LatticeError("isometry lives on a different lattice")
     refs = reference.vectors
-    images = [linalg.mat_vec(g.matrix, tuple(v)) for v in refs]
-    c = linalg.freeze(
-        [[_pair_q(lat, ref, img) for img in images] for ref in refs]
-    )
+    images = [g.apply(v) for v in refs]
+    c = linalg.freeze([[lat.pair(ref, img) for img in images] for ref in refs])
     d = linalg.det_q(c)
-    assert d != 0, "projected map is singular; input is not an isometry"
+    if d == 0:
+        raise LatticeError(
+            "projected map is singular; input is not an isometry")
     return 0 if d > 0 else 1
 
 

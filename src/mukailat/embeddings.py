@@ -49,8 +49,8 @@ def eichler_transvection(lattice: Lattice, e, a) -> Isometry:
     if asq % 2:
         raise LatticeError("transvection needs an even square")
     half = asq // 2
-    ge = linalg.mat_vec(lattice.gram, e)
-    ga = linalg.mat_vec(lattice.gram, a)
+    ge = lattice.covector(e)
+    ga = lattice.covector(a)
     e_coef = tuple(-x - half * y for x, y in zip(ga, ge))
     return Isometry.from_outer(lattice, 1, ((e, e_coef), (a, ge)))
 
@@ -77,11 +77,12 @@ def _unit_vec(n, i, c=1):
 
 def _free_plane_witness(lattice: Lattice, lam1, b, d, block):
     """lambda_2 = b*mu + e + y*f in a hyperbolic block free of lambda_1."""
-    g, mu = linalg.xgcd_vector(linalg.mat_vec(lattice.gram, lam1))
+    g, mu = linalg.xgcd_vector(lattice.covector(lam1))
     if g != 1:
         return None
     musq = lattice.square(mu)
-    assert musq % 2 == 0
+    if musq % 2:
+        raise LatticeError("free-plane witness needs an even lattice")
     y = d - b * b * (musq // 2)
     lam2 = list(linalg.vec_scale(b, mu))
     lam2[block.start] += 1
@@ -307,7 +308,7 @@ def _enumerate_witness(lattice: Lattice, lam1, two_a, b, two_d, radius: int):
         return None
     indices = indices[:6]
     n = lattice.rank
-    gl1 = linalg.mat_vec(lattice.gram, lam1)
+    gl1 = lattice.covector(lam1)
     for bound in range(1, min(radius, 8) + 1):
         def rec(pos, partial):
             if pos == len(indices):

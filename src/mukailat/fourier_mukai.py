@@ -174,17 +174,16 @@ def elliptic_phi(n: int) -> tuple[FMIsometry, dict]:
     gram_lambda = linalg.freeze(
         [[mukai.pair(a, b) for b in lam_basis] for a in lam_basis]
     )
+    lattice_lambda = Lattice(gram_lambda, ("h0", "sigma", "f", "h4"))
     phi_l = linalg.freeze(PHI_LAMBDA_MATRIX)
-    checks["phi_preserves_gram_lambda"] = (
-        linalg.mat_mul(linalg.mat_mul(linalg.transpose(phi_l), gram_lambda),
-                       phi_l) == gram_lambda
-    )
+    checks["phi_preserves_gram_lambda"] = \
+        check_isometry(lattice_lambda, phi_l).is_isometry
 
     # phi = -I + B (Phi + I) G_Lambda^{-1} B^T G with B the Lambda basis as
     # columns: B^T G vanishes on Lambda-perp, where phi is -1, and on Lambda
     # phi is Phi.  G_Lambda is unimodular iff Lambda + Lambda-perp is the
     # whole lattice.
-    g_inv, d = Lattice(gram_lambda, ("h0", "sigma", "f", "h4")).gram_inverse()
+    g_inv, d = lattice_lambda.gram_inverse()
     if d != 1:
         raise LatticeError("Lambda + Lambda-perp must be all of the Mukai "
                            "lattice")
@@ -193,7 +192,7 @@ def elliptic_phi(n: int) -> tuple[FMIsometry, dict]:
     columns = linalg.transpose(linalg.mat_mul(
         linalg.transpose(lam_basis), linalg.mat_mul(phi_plus_i, g_inv)
     ))
-    covectors = (linalg.mat_vec(mukai.gram, b) for b in lam_basis)
+    covectors = (mukai.covector(b) for b in lam_basis)
     phi = Isometry.from_outer(mukai, -1, zip(columns, covectors))
     if not check_isometry(mukai, phi.matrix).is_isometry:
         raise LatticeError("matrix does not preserve the Gram form")

@@ -54,6 +54,9 @@ class Lattice:
     basis_labels: tuple[str, ...]
     blocks: tuple[Block, ...] = ()
     name: str = ""
+    # per row of G, the (j, g_ij) with g_ij != 0: the only form in which
+    # G multiplies a vector
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.gram)
@@ -63,6 +66,8 @@ class Lattice:
             raise LatticeError("basis labels must match the rank")
         if self.gram != linalg.transpose(self.gram):
             raise LatticeError("Gram matrix must be symmetric")
+        object.__setattr__(self, "_rows", tuple(
+            tuple((j, g) for j, g in enumerate(r) if g) for r in self.gram))
 
     @property
     def rank(self) -> int:
@@ -81,14 +86,23 @@ class Lattice:
     def determinant(self) -> int:
         return linalg.det(self.gram)
 
-    def pair(self, x: Vec, y: Vec):
-        if len(x) != self.rank or len(y) != self.rank:
+    def _check_length(self, *vectors):
+        if any(len(v) != self.rank for v in vectors):
             raise LatticeError("vector length does not match lattice rank")
-        gy = linalg.mat_vec(self.gram, y)
-        return sum(a * b for a, b in zip(x, gy))
+
+    def pair(self, x: Vec, y: Vec):
+        """(x, y) = x^T G y, for int or Fraction entries."""
+        self._check_length(x, y)
+        return sum(a * g * y[j]
+                   for a, row in zip(x, self._rows) if a for j, g in row)
 
     def square(self, x: Vec):
         return self.pair(x, x)
+
+    def covector(self, x: Vec) -> Vec:
+        """G x, the row covector y -> (x, y)."""
+        self._check_length(x)
+        return tuple(sum(g * x[j] for j, g in row) for row in self._rows)
 
     def basis_vector(self, label: str) -> Vec:
         i = self.basis_labels.index(label)
@@ -284,9 +298,10 @@ class Isometry:
         return self.compose(other)
 
     def inverse(self) -> "Isometry":
-        # M^{-1} = G^{-1} M^T G for an isometry, with G^{-1} = A / d
+        # M^{-1} = G^{-1} M^T G for an isometry, with G^{-1} = A / d; the
+        # rows of M^T G are the covectors G m_j of the columns m_j of M
         a, d = self.lattice.gram_inverse()
-        mt_g = linalg.mat_mul(linalg.transpose(self.matrix), self.lattice.gram)
+        mt_g = tuple(map(self.lattice.covector, linalg.transpose(self.matrix)))
         rows = (_divide_exact(row, d) for row in linalg.mat_mul(a, mt_g))
         return Isometry(self.lattice, freeze(rows))
 
@@ -294,7 +309,7 @@ class Isometry:
         """The x with self.apply(x) == v, as G^{-1} M^T G v: one vector,
         without forming the inverse matrix."""
         a, d = self.lattice.gram_inverse()
-        gv = linalg.mat_vec(self.lattice.gram, v)
+        gv = self.lattice.covector(v)
         mt_gv = linalg.mat_vec(linalg.transpose(self.matrix), gv)
         return _divide_exact(linalg.mat_vec(a, mt_gv), d)
 
@@ -315,22 +330,17 @@ def check_isometry(lattice: Lattice, matrix) -> IsometryCheck:
     matrix = freeze(matrix)
     if len(matrix) != lattice.rank or any(len(r) != lattice.rank for r in matrix):
         raise LatticeError("matrix must be square of the lattice rank")
-    g = lattice.gram
-    mt = linalg.transpose(matrix)
-    ok = linalg.mat_mul(linalg.mat_mul(mt, g), matrix) == g
-    return IsometryCheck(ok, matrix)
+    mt_g = tuple(map(lattice.covector, linalg.transpose(matrix)))  # M^T G
+    return IsometryCheck(linalg.mat_mul(mt_g, matrix) == lattice.gram, matrix)
 
 
 def orthogonal_complement(lattice: Lattice, vectors) -> tuple[tuple[Vec, ...], Mat]:
     """Saturated complement {x : (x, s) = 0 for all s}, with restricted Gram."""
     vectors = [tuple(v) for v in vectors]
-    for v in vectors:
-        if len(v) != lattice.rank:
-            raise LatticeError("vector length does not match lattice rank")
     if not vectors:
         basis = tuple(linalg.identity(lattice.rank))
         return basis, lattice.gram
-    rows = freeze(linalg.mat_vec(lattice.gram, v) for v in vectors)
+    rows = tuple(lattice.covector(v) for v in vectors)
     basis = linalg.kernel_basis(rows)
     gram = freeze(
         [[lattice.pair(b1, b2) for b2 in basis] for b1 in basis]
@@ -377,15 +387,10 @@ def discriminant_group(lattice: Lattice) -> DiscGroup:
         divisors.append(diag[i])
         lift = tuple(Fraction(x, diag[i]) for x in cols_t[i])
         lifts.append(lift)
-        q = sum(
-            a * b * g[r][c]
-            for r, a in enumerate(lift)
-            for c, b in enumerate(lift)
-            if g[r][c]
-        )
-        q_values.append(_q_mod2(Fraction(q)))
+        q_values.append(_q_mod2(Fraction(lattice.square(lift))))
     order = 1
     for x in diag:
         order *= x
-    assert order == abs(linalg.det(g))
+    if order != abs(linalg.det(g)):
+        raise LatticeError(f"discriminant order {order} is not |det G|")
     return DiscGroup(tuple(divisors), tuple(lifts), tuple(q_values), order)

@@ -53,9 +53,9 @@ def identity_plus_outer(s: int, terms) -> Mat:
     """s I + sum_k b_k c_k^T for terms ((b_1, c_1), ...).
 
     Each b_k is a column vector and each c_k a row covector (for a lattice
-    map, a vector already multiplied by the Gram matrix), so the matrix
-    sends x to s x + sum_k c_k(x) b_k.  Reflections and transvections are
-    all of this shape."""
+    map, a vector already multiplied by the Gram matrix: `Lattice.covector`),
+    so the matrix sends x to s x + sum_k c_k(x) b_k.  Reflections and
+    transvections are all of this shape."""
     n = len(terms[0][1])
     rows = []
     for i in range(n):

@@ -125,13 +125,11 @@ def cup(x: GradedSurfaceClass, y: GradedSurfaceClass,
         k3: Lattice | None = None) -> GradedSurfaceClass:
     """(r,c,s).(r',c',s') = (rr', rc' + r'c, rs' + sr' + c.c'), truncated at deg 4."""
     k3 = k3 or k3_lattice()
-    cc = sum(a * b for a, b in
-             zip(x.deg2, linalg.mat_vec(k3.gram, y.deg2)))
     return GradedSurfaceClass(
         x.deg0 * y.deg0,
         linalg.vec_add(linalg.vec_scale(x.deg0, y.deg2),
                        linalg.vec_scale(y.deg0, x.deg2)),
-        x.deg0 * y.deg4 + x.deg4 * y.deg0 + cc,
+        x.deg0 * y.deg4 + x.deg4 * y.deg0 + k3.pair(x.deg2, y.deg2),
     )
 
 
@@ -139,8 +137,8 @@ def exp_class(line: tuple, k3: Lattice | None = None) -> GradedSurfaceClass:
     """exp(l) = (1, l, l^2/2)."""
     k3 = k3 or k3_lattice()
     line_q = tuple(Fraction(x) for x in line)
-    sq = sum(a * b for a, b in zip(line_q, linalg.mat_vec(k3.gram, line_q)))
-    return GradedSurfaceClass(Fraction(1), line_q, Fraction(sq, 2))
+    return GradedSurfaceClass(Fraction(1), line_q,
+                              Fraction(k3.square(line_q), 2))
 
 
 def ch_to_chern(ch: GradedSurfaceClass,
@@ -151,8 +149,7 @@ def ch_to_chern(ch: GradedSurfaceClass,
     if ch.deg0.denominator != 1:
         raise IntegralityError("degree-0 component of ch must be an integer")
     a1 = ch.deg2
-    sq = sum(a * b for a, b in zip(a1, linalg.mat_vec(k3.gram, a1)))
-    c2 = Fraction(sq, 2) - ch.deg4
+    c2 = Fraction(k3.square(a1), 2) - ch.deg4
     return GradedSurfaceClass(Fraction(1), a1, c2)
 
 

@@ -142,15 +142,12 @@ def vperp_model(m: int) -> VPerpModel:
     # cross-checks: the discriminant group is cyclic of order 2m and the
     # canonical generator w/2m has q = -1/2m mod 2
     dg = discriminant_group(lattice)
-    assert dg.divisors == (2 * m,) and dg.order == 2 * m
-    q_w = model.disc.q(1)
+    if dg.divisors != (2 * m,) or dg.order != 2 * m:
+        raise LatticeError(f"v-perp discriminant group is not Z/{2 * m}")
     lift = tuple(Fraction(0) if i < k3.rank else Fraction(1, 2 * m)
                  for i in range(n))
-    q_direct = sum(
-        a * Fraction(gram[r][c]) * b
-        for r, a in enumerate(lift) for c, b in enumerate(lift) if gram[r][c]
-    )
-    assert (q_direct - q_w) % 2 == 0
+    if (lattice.square(lift) - model.disc.q(1)) % 2:
+        raise LatticeError("q(w/2m) is not -1/2m mod 2")
     return model
 
 
@@ -679,9 +676,9 @@ def nontrivial_disc_isometry(model: VPerpModel) -> Isometry | None:
 
     Candidates are general reflections in vectors x = a(e + t f) + j w of
     negative even square.  None is possible even when such an isometry
-    exists (m = 15): products of candidates whose action is +-1, and of
-    restricted Gamma_v words (action 1), also act by +-1, so no sweep over
-    them can do better."""
+    exists (m = 15 and m = 24, neither a prime power): products of
+    candidates whose action is +-1, and of restricted Gamma_v words (action
+    1), also act by +-1, so no sweep over them can do better."""
     lat = model.lattice
     m = model.m
     two_m = 2 * m

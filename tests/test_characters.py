@@ -1,5 +1,9 @@
 """Reflections and the determinant / orientation (covariance) characters."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -166,6 +170,35 @@ class TestOrientationChar:
         bad = [label_vector(mukai, **{"e.1": 1})] * 4
         with pytest.raises(LatticeError):
             ReferenceOrientation(mukai, tuple(tuple(v) for v in bad))
+
+    def test_reference_of_wrong_length_rejected(self, mukai):
+        # one entry too many is rejected, not dropped
+        vectors = default_reference(mukai).vectors
+        with pytest.raises(LatticeError, match="does not match"):
+            ReferenceOrientation(mukai, tuple(v + (0,) for v in vectors))
+
+    def test_singular_projection_raises_under_optimize(self):
+        # the zero matrix is not an isometry; the check must hold with
+        # assertions switched off
+        code = (
+            "from mukailat.characters import default_reference, "
+            "orientation_char\n"
+            "from mukailat.lattices import Isometry, LatticeError, "
+            "mukai_lattice\n"
+            "assert False\n"
+            "mukai = mukai_lattice()\n"
+            "zero = Isometry(mukai, ((0,) * 24,) * 24)\n"
+            "try:\n"
+            "    print(orientation_char(default_reference(mukai), zero))\n"
+            "except LatticeError as exc:\n"
+            "    print('LatticeError:', exc)\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.startswith(
+            "LatticeError: projected map is singular")
 
     def test_vperp_reference(self):
         from mukailat.stabilizer import vperp_model

@@ -1,7 +1,9 @@
-"""Structured products with reflections and transvections, and the integer
-G^{-1} behind `Isometry.inverse` and `Isometry.preimage`."""
+"""Structured products with reflections and transvections, the integer
+G^{-1} behind `Isometry.inverse` and `Isometry.preimage`, and the sparse
+Gram rows behind `Lattice.pair`, `square` and `covector`."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +13,11 @@ from mukailat.characters import general_reflection, reflection
 from mukailat.embeddings import eichler_transvection
 from mukailat.lattices import (
     Isometry,
+    Lattice,
     LatticeError,
     build_lattice,
+    e8_minus,
+    hyperbolic_plane,
     k3_lattice,
     mukai_lattice,
 )
@@ -155,8 +160,8 @@ def _lattice_isometries(name, rng):
     return lat, out
 
 
-@pytest.mark.parametrize("name", ["K3", "Mukai", "vperp:2", "vperp:3",
-                                  "vperp:7"])
+@pytest.mark.parametrize("name", ["K3", "Mukai", "vperp:1", "vperp:2",
+                                  "vperp:3", "vperp:7", "vperp:30"])
 def test_inverse_is_rational_formula(name):
     rng = random.Random(name)
     lat, isos = _lattice_isometries(name, rng)
@@ -198,3 +203,69 @@ def test_inverse_of_non_isometry_raises():
     f1 = lat.basis_vector("f.1")
     with pytest.raises(LatticeError, match="inverse not integral"):
         m.preimage(f1)
+
+
+# -- the Gram form from its nonzero entries -----------------------------------
+
+# the Gram of Lambda = span{(1,0,0), sigma, f, (0,0,1)} in `elliptic_phi`: a
+# lattice not built from blocks
+GRAM_LAMBDA = ((0, 0, 0, -1), (0, -2, 1, 0), (0, 1, 0, 0), (-1, 0, 0, 0))
+PAIRING_LATTICES = {
+    "U": hyperbolic_plane(),
+    "E8_minus": e8_minus(),
+    "K3": k3_lattice(),
+    "Mukai": mukai_lattice(),
+    "diag(1:-3:0)": build_lattice((("diag", (1, -3, 0)),)),
+    "vperp:1": vperp_model(1).lattice,
+    "vperp:2": vperp_model(2).lattice,
+    "vperp:30": vperp_model(30).lattice,
+    "Lambda": Lattice(GRAM_LAMBDA, ("h0", "sigma", "f", "h4")),
+}
+INT_ENTRIES = st.one_of(st.just(0), st.integers(-10**40, 10**40))
+FRACTION_ENTRIES = st.one_of(
+    st.just(0), st.integers(-10**40, 10**40),
+    st.fractions(max_denominator=10**12).map(lambda q: q * 10**30))
+
+
+@pytest.mark.parametrize("name", sorted(PAIRING_LATTICES))
+@pytest.mark.parametrize("entries", [INT_ENTRIES, FRACTION_ENTRIES],
+                         ids=["int", "fraction"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pair_square_covector_are_dense(name, entries, data):
+    lat = PAIRING_LATTICES[name]
+    vec = st.lists(entries, min_size=lat.rank, max_size=lat.rank).map(tuple)
+    x, y = data.draw(vec), data.draw(vec)
+    gx = linalg.mat_vec(lat.gram, x)
+    assert lat.covector(x) == gx
+    assert lat.pair(y, x) == sum(a * b for a, b in zip(y, gx))
+    assert lat.pair(x, y) == lat.pair(y, x)
+    assert lat.square(x) == sum(a * b for a, b in zip(x, gx))
+    if entries is INT_ENTRIES:
+        assert isinstance(lat.pair(x, y), int)
+        assert all(isinstance(c, int) for c in lat.covector(x))
+
+
+@pytest.mark.parametrize("name", sorted(PAIRING_LATTICES))
+def test_sparse_rows_leave_identity_alone(name):
+    # the cached rows take no part in ==, hash or repr, and every method
+    # that reads them checks the vector length
+    lat = PAIRING_LATTICES[name]
+    twin = Lattice(lat.gram, lat.basis_labels, lat.blocks, lat.name)
+    assert twin == lat and hash(twin) == hash(lat)
+    assert repr(twin) == repr(lat) and "_rows" not in repr(lat)
+    short = (1,) * (lat.rank - 1)
+    ok = (0,) * lat.rank
+    for call in (lambda: lat.pair(short, ok), lambda: lat.pair(ok, short),
+                 lambda: lat.square(short), lambda: lat.covector(short),
+                 lambda: lat.covector(ok + (1,))):
+        with pytest.raises(LatticeError, match="does not match"):
+            call()
+
+
+def test_pair_with_fraction_lift():
+    # w/2m on v-perp: q = -1/2m, the value the v-perp cross-check uses
+    lat = PAIRING_LATTICES["vperp:30"]
+    lift = (Fraction(0),) * 22 + (Fraction(1, 60),)
+    assert lat.square(lift) == Fraction(-1, 60)
+    assert lat.covector(lift) == (0,) * 22 + (-1,)

@@ -14,6 +14,7 @@ from mukailat.mukai import (
     cup,
     dualize,
     effectivity_numeric,
+    exp_class,
     hilbert_scheme_vector,
     mukai_pairing,
     sqrt_todd,
@@ -135,6 +136,29 @@ class TestChToChern:
         ch = GradedSurfaceClass(Fraction(1, 2), (0,) * 22, 0)
         with pytest.raises(Exception):
             ch_to_chern(ch, k3)
+
+
+class TestDegreeTwoLength:
+    # a degree-2 part with 21 entries on the rank-22 K3 lattice is
+    # rejected, not paired over its first 21 coordinates
+    SHORT = (1,) * 21
+
+    def test_cup(self, k3):
+        x = GradedSurfaceClass(1, self.SHORT, 0)
+        y = GradedSurfaceClass(1, (0,) * 22, 0)
+        for a, b in ((x, y), (y, x), (x, x)):
+            with pytest.raises(LatticeError, match="does not match"):
+                cup(a, b, k3)
+
+    def test_exp_class(self, k3):
+        with pytest.raises(LatticeError, match="does not match"):
+            exp_class(self.SHORT, k3)
+        with pytest.raises(LatticeError, match="does not match"):
+            exp_class(self.SHORT)
+
+    def test_ch_to_chern(self, k3):
+        with pytest.raises(LatticeError, match="does not match"):
+            ch_to_chern(GradedSurfaceClass(1, self.SHORT, 0), k3)
 
 
 class TestTwist:

@@ -22,6 +22,7 @@ from .lattices import (
     k3_lattice,
     mukai_lattice,
     orthogonal_complement,
+    pull_back,
 )
 from .mukai import (
     Effectivity,
@@ -46,12 +47,15 @@ from .characters import (
     orientation_char,
     reflection,
 )
+# clearing_isometry(lattice, v) returns (steps, image) with image =
+# g_k(... g_1(v)); pull_back(lattice, steps, y) is the x that the steps send to y
 from .embeddings import WitnessNotFound, clearing_isometry, embed_rank2
 from .stabilizer import (
     DiscForm,
     ExtensionKind,
     Gamma0Letter,
     GeneratorWord,
+    InvariantError,
     Minus2Orbit,
     NotInGammaV,
     TauLetter,

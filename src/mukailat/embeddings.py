@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from . import linalg
 from .characters import reflection
-from .lattices import Isometry, Lattice, LatticeError, primitive_part
+from .lattices import Isometry, Lattice, LatticeError, primitive_part, pull_back
 
 DEFAULT_RADIUS = 64
 
@@ -80,10 +80,10 @@ def _free_plane_witness(lattice: Lattice, lam1, b, d, block):
     g, mu = linalg.xgcd_vector(lattice.covector(lam1))
     if g != 1:
         return None
-    musq = lattice.square(mu)
-    if musq % 2:
-        raise LatticeError("free-plane witness needs an even lattice")
-    y = d - b * b * (musq // 2)
+    b2_musq = b * b * lattice.square(mu)
+    if b2_musq % 2:
+        return None
+    y = d - b2_musq // 2
     lam2 = list(linalg.vec_scale(b, mu))
     lam2[block.start] += 1
     lam2[block.start + 1] += y
@@ -95,7 +95,7 @@ def verify_embedding(lattice: Lattice, lam1, lam2, two_a, b, two_d) -> bool:
         return False
     if lattice.pair(lam1, lam2) != b:
         return False
-    return linalg.elementary_divisors(linalg.freeze([lam1, lam2])) == (1, 1)
+    return linalg.is_saturated_pair(lam1, lam2)
 
 
 # -- clearing a hyperbolic block ---------------------------------------------
@@ -116,11 +116,11 @@ class _Clearer:
     def __init__(self, lattice: Lattice, v):
         self.lattice = lattice
         self.v = tuple(v)
-        self.h = Isometry.identity(lattice)
+        self.steps: list[Isometry] = []
 
-    def push(self, iso: Isometry):
-        self.v = iso.apply(self.v)
-        self.h = iso @ self.h
+    def push(self, iso: Isometry, image=None):
+        self.v = iso.apply(self.v) if image is None else image
+        self.steps.append(iso)
 
     def u_slots(self):
         out = []
@@ -189,10 +189,9 @@ class _Clearer:
             a[helper_block.start + 1] = k
             iso = eichler_transvection(lat, _unit_vec(n, block.start + 1),
                                        tuple(a))
-        before = _measure(self.lattice, self.v)
-        vv = iso.apply(self.v)
-        if _measure(self.lattice, vv) < before:
-            self.push(iso)
+        image = iso.apply(self.v)
+        if _measure(lat, image) < _measure(lat, self.v):
+            self.push(iso, image)
             return True
         return False
 
@@ -231,14 +230,14 @@ class _Clearer:
         self.push(reflection(lat, best[1]))
         return True
 
-    def run(self, budget: int = 400):
+    def run(self, budget: int):
         lat = self.lattice
         ublocks = _u_blocks(lat)
         if not ublocks:
             return None
         for _ in range(budget):
             if self.done():
-                return self.h, self.v
+                return tuple(self.steps), self.v
             # pivot: smallest nonzero hyperbolic coefficient
             pivots = []
             for b, alpha, beta in self.u_slots():
@@ -284,11 +283,16 @@ def _measure(lattice: Lattice, v) -> tuple:
     return (min(per_block) if per_block else 0, sum(abs(x) for x in v))
 
 
-def clearing_isometry(lattice: Lattice, v, budget: int = 400):
-    """A verified isometry h such that h(v) misses some hyperbolic block,
-    or None if the reduction stalls within budget."""
+def clearing_isometry(lattice: Lattice, v):
+    """(steps, image): isometries (g_1, ..., g_k), each a transvection or
+    reflection kept in outer form, with image = g_k(... g_1(v)) missing some
+    hyperbolic block (`lattices.pull_back` inverts the steps on a vector);
+    or None if the reduction stalls within its budget.  Each step is a
+    Euclid-like reduction, so the budget grows with the bit length of the
+    largest entry of v: a quarter of it, and at least 400 steps."""
     if len(_u_blocks(lattice)) < 2:
         return None
+    budget = max(400, max(abs(x) for x in v).bit_length() // 4)
     return _Clearer(lattice, v).run(budget)
 
 
@@ -361,11 +365,11 @@ def embed_rank2(lattice: Lattice, lam1, target, radius: int = DEFAULT_RADIUS):
 
     cleared = clearing_isometry(lattice, lam1)
     if cleared is not None:
-        h, image = cleared
+        steps, image = cleared
         free = _free_u_block(lattice, image)
         lam2_img = _free_plane_witness(lattice, image, b, d, free)
         if lam2_img is not None:
-            lam2 = h.preimage(lam2_img)
+            lam2 = pull_back(lattice, steps, lam2_img)
             if verify_embedding(lattice, lam1, lam2, two_a, b, two_d):
                 return lam2
 

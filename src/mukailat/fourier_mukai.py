@@ -28,7 +28,7 @@ from .lattices import (
     mukai_lattice,
 )
 from .mukai import MukaiVector, dualize, mukai_pairing
-from .stabilizer import VPerpModel
+from .stabilizer import InvariantError, VPerpModel
 
 
 class FMTag(enum.Enum):
@@ -253,6 +253,6 @@ def mon_twist(model: VPerpModel, g: Isometry) -> Isometry:
     cov = covariance(g)
     restricted = model.restrict(g)
     out = restricted.negate() if cov else restricted
-    assert orientation_char(default_reference(model.lattice), out) == 0, \
-        "twisted restriction must preserve orientation"
+    if orientation_char(default_reference(model.lattice), out) != 0:
+        raise InvariantError("twisted restriction must preserve orientation")
     return out

@@ -246,21 +246,39 @@ class IsometryCheck:
         return linalg.det(self.matrix)
 
 
-@dataclass(frozen=True)
 class Isometry:
     """An integer matrix M with M^T G M = G; columns are images of basis vectors.
 
     `outer` is (s, terms) when M = s I + sum_k b_k c_k^T was built that way
-    (see `from_outer`); it only makes products with M cheaper, so it takes
-    no part in ==, hash or repr."""
+    (see `from_outer`).  Then `.matrix` is formed only when first read, and
+    `apply`, `apply_transpose` and `compose` with M on the left use the terms
+    instead.  ==, hash and repr are those of (lattice, matrix) either way."""
 
-    lattice: Lattice
-    matrix: Mat
-    outer: tuple | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("lattice", "outer", "_matrix")
 
-    def __post_init__(self):
-        if len(self.matrix) != self.lattice.rank:
+    def __init__(self, lattice: Lattice, matrix: Mat):
+        if len(matrix) != lattice.rank:
             raise LatticeError("matrix size does not match lattice rank")
+        self.lattice = lattice
+        self.outer = None
+        self._matrix = matrix
+
+    @property
+    def matrix(self) -> Mat:
+        if self._matrix is None:
+            self._matrix = linalg.identity_plus_outer(*self.outer)
+        return self._matrix
+
+    def __eq__(self, other):
+        if not isinstance(other, Isometry):
+            return NotImplemented
+        return self.lattice == other.lattice and self.matrix == other.matrix
+
+    def __hash__(self):
+        return hash((self.lattice, self.matrix))
+
+    def __repr__(self):
+        return f"Isometry(lattice={self.lattice!r}, matrix={self.matrix!r})"
 
     @classmethod
     def checked(cls, lattice: Lattice, matrix) -> "Isometry":
@@ -276,22 +294,40 @@ class Isometry:
 
     @classmethod
     def from_outer(cls, lattice: Lattice, s: int, terms) -> "Isometry":
-        """s I + sum_k b_k c_k^T (see `linalg.identity_plus_outer`), keeping
-        that form for `compose`."""
+        """s I + sum_k b_k c_k^T (see `linalg.identity_plus_outer`), kept in
+        that form; the matrix is built when `.matrix` is first read."""
         terms = tuple(terms)
-        return cls(lattice, linalg.identity_plus_outer(s, terms), (s, terms))
+        if not terms or any(len(b) != lattice.rank or len(c) != lattice.rank
+                            for b, c in terms):
+            raise LatticeError("outer terms must be vectors of the lattice rank")
+        iso = cls.__new__(cls)
+        iso.lattice = lattice
+        iso.outer = (s, terms)
+        iso._matrix = None
+        return iso
 
     def apply(self, v: Vec) -> Vec:
+        self.lattice._check_length(v)
+        if self.outer is not None:
+            return linalg.identity_plus_outer_vec(*self.outer, v)
         return linalg.mat_vec(self.matrix, v)
+
+    def apply_transpose(self, y: Vec) -> Vec:
+        """M^T y; for M = s I + sum_k b_k c_k^T that is s y + sum_k c_k (b_k . y)."""
+        self.lattice._check_length(y)
+        if self.outer is not None:
+            s, terms = self.outer
+            return linalg.identity_plus_outer_vec(
+                s, tuple((c, b) for b, c in terms), y)
+        return linalg.mat_vec(linalg.transpose(self.matrix), y)
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other (matrix product self.matrix @ other.matrix)."""
         if other.lattice.gram != self.lattice.gram:
             raise LatticeError("isometries live on different lattices")
         if self.outer is not None:
-            s, terms = self.outer
             return Isometry(self.lattice, linalg.identity_plus_outer_mul(
-                s, terms, other.matrix))
+                *self.outer, other.matrix))
         return Isometry(self.lattice, linalg.mat_mul(self.matrix, other.matrix))
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
@@ -305,14 +341,6 @@ class Isometry:
         rows = (_divide_exact(row, d) for row in linalg.mat_mul(a, mt_g))
         return Isometry(self.lattice, freeze(rows))
 
-    def preimage(self, v: Vec) -> Vec:
-        """The x with self.apply(x) == v, as G^{-1} M^T G v: one vector,
-        without forming the inverse matrix."""
-        a, d = self.lattice.gram_inverse()
-        gv = self.lattice.covector(v)
-        mt_gv = linalg.mat_vec(linalg.transpose(self.matrix), gv)
-        return _divide_exact(linalg.mat_vec(a, mt_gv), d)
-
     def det(self) -> int:
         return linalg.det(self.matrix)
 
@@ -324,6 +352,18 @@ class Isometry:
 
     def is_identity(self) -> bool:
         return self.matrix == linalg.identity(self.lattice.rank)
+
+
+def pull_back(lattice: Lattice, steps, v: Vec) -> Vec:
+    """The x with g_k(... g_1(x)) == v for isometries steps = (g_1, ..., g_k),
+    as G^{-1} g_1^T ... g_k^T G v: one vector through each step, so a step
+    kept as s I + sum b c^T costs O(n) per term.  LatticeError when the
+    result is not integral, which it is when every step is an isometry."""
+    y = lattice.covector(v)
+    for g in reversed(steps):
+        y = g.apply_transpose(y)
+    a, d = lattice.gram_inverse()
+    return _divide_exact(linalg.mat_vec(a, y), d)
 
 
 def check_isometry(lattice: Lattice, matrix) -> IsometryCheck:

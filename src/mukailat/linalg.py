@@ -89,6 +89,17 @@ def identity_plus_outer_mul(s: int, terms, m: Mat) -> Mat:
     return tuple(rows)
 
 
+def identity_plus_outer_vec(s: int, terms, v: Vec) -> Vec:
+    """(s I + sum_k b_k c_k^T) v = s v + sum_k (c_k . v) b_k, in O(n) per
+    term; the transpose is the same map with each term given as (c_k, b_k)."""
+    out = [s * x for x in v]
+    for b, c in terms:
+        t = sum(x * y for x, y in zip(c, v) if x)
+        if t:
+            out = [x + t * y for x, y in zip(out, b)]
+    return tuple(out)
+
+
 def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(x + y for x, y in zip(u, v))
 
@@ -313,6 +324,19 @@ def elementary_divisors(mat: Mat) -> tuple[int, ...]:
     d, _, _ = smith_normal_form(mat)
     n = min(len(d), len(d[0]) if d else 0)
     return tuple(d[i][i] for i in range(n) if d[i][i] != 0)
+
+
+def is_saturated_pair(u: Vec, v: Vec) -> bool:
+    """Whether u, v span a saturated rank-2 sublattice of Z^n, i.e.
+    elementary_divisors([u; v]) == (1, 1): the gcd of the 2x2 minors of a
+    2 x n matrix is d_1 d_2 of its Smith form.  Stops at the first gcd 1."""
+    g = 0
+    for i in range(len(u)):
+        for j in range(i + 1, len(u)):
+            g = gcd(g, u[i] * v[j] - u[j] * v[i])
+            if g == 1:
+                return True
+    return False
 
 
 def kernel_basis(mat: Mat) -> tuple[Vec, ...]:

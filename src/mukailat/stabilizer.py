@@ -47,6 +47,17 @@ class NotInGammaV(LatticeError):
     pass
 
 
+class InvariantError(LatticeError):
+    """An identity that a construction here guarantees does not hold: the
+    input was not what the caller said (say, not an isometry), or this
+    library has a bug."""
+
+
+def _ensure(condition: bool, message: str):
+    if not condition:
+        raise InvariantError(message)
+
+
 @dataclass(frozen=True)
 class DiscForm:
     """The finite quadratic form on Z/2m with q(k) = -k^2/2m mod 2."""
@@ -162,10 +173,10 @@ def disc_action(model: VPerpModel, g: Isometry) -> int:
     n = model.lattice.rank
     gw = tuple(g.matrix[i][n - 1] for i in range(n))
     two_m = 2 * model.m
-    assert all(x % two_m == 0 for x in gw[:-1]), \
-        "induced map on the discriminant is not multiplication by a unit"
+    _ensure(all(x % two_m == 0 for x in gw[:-1]),
+            "induced map on the discriminant is not multiplication by a unit")
     u = gw[-1] % two_m
-    assert (u * u - 1) % (2 * two_m) == 0, "q is not preserved"
+    _ensure((u * u - 1) % (2 * two_m) == 0, "q is not preserved")
     return u
 
 
@@ -223,7 +234,7 @@ def aplus_witness(m: int, k3: Lattice | None = None) -> MukaiVector | None:
     c[block.start] = 2
     c[block.start + 1] = 2 * ((m - 1) // 4)
     v0 = MukaiVector(1, tuple(c), m)
-    assert mukai_pairing(v0, v0, k3) == -2
+    _ensure(mukai_pairing(v0, v0, k3) == -2, "A_+ witness is not a -2 vector")
     return v0
 
 
@@ -242,12 +253,13 @@ def pair_witness_split(m: int, l0, r: int, k3: Lattice | None = None,
         raise LatticeError("L0 must have square 2 r^2 m - 2")
     i, l0_prim = primitive_part(l0)
     d = (r * r * m - 1) // (i * i)
-    assert d * i * i == r * r * m - 1
+    _ensure(d * i * i == r * r * m - 1, "L0 square is not 2 i^2 d")
     l1 = embed_rank2(k3, l0_prim, (2 * d, i * d, (r * r * m - 4) // 2),
                      radius=radius)
     l2 = linalg.vec_sub(l0, l1)
     _check_pair_conditions(k3, m, l1, l2, r // 2, r // 2)
-    assert is_primitive(k3, l1) and is_primitive(k3, l2)
+    _ensure(is_primitive(k3, l1) and is_primitive(k3, l2),
+            "split classes are not primitive")
     return l1, l2
 
 
@@ -266,7 +278,7 @@ def pair_witness_extend(m: int, l1, a: int, k3: Lattice | None = None,
     l2 = embed_rank2(k3, l1, (2 * a * a * m - 2, 1 + 2 * a * m, 2 * m - 2),
                      radius=radius)
     _check_pair_conditions(k3, m, l1, l2, a, 1)
-    assert is_primitive(k3, l2)
+    _ensure(is_primitive(k3, l2), "extending class is not primitive")
     return l2
 
 
@@ -372,10 +384,13 @@ class GeneratorWord:
         return cls(model, letters)
 
     def product(self) -> Isometry:
-        # folded from the right, so that each letter is the left operand of
-        # its product and a tau reflection composes in O(n^2)
-        out = Isometry.identity(self.model.mukai)
-        for letter in reversed(self.letters):
+        # folded from the right, starting at the last letter, so that each
+        # other letter is the left operand of its product and a tau
+        # reflection composes in O(n^2)
+        if not self.letters:
+            return Isometry.identity(self.model.mukai)
+        out = self.letters[-1].to_isometry(self.model)
+        for letter in reversed(self.letters[:-1]):
             out = letter.to_isometry(self.model) @ out
         return out
 
@@ -438,7 +453,7 @@ class GeneratorFamily:
             v[ub.start] = 1
             v[ub.start + 1] = k
         vec = tuple(v)
-        assert k3.square(vec) in (2, -2)
+        _ensure(k3.square(vec) in (2, -2), "sampled vector is not +-2")
         return vec
 
     def gamma0_letter(self, rng: random.Random) -> Gamma0Letter:
@@ -455,8 +470,9 @@ class GeneratorFamily:
             u = self.sample_pm2_vector(rng)
             cls = reflection(self.k3, u).apply(cls)
         v0 = MukaiVector(1, linalg.vec_neg(cls), self.model.m)
-        assert mukai_pairing(v0, v0, self.k3) == -2
-        assert mukai_pairing(v0, self.model.v, self.k3) == 0
+        _ensure(mukai_pairing(v0, v0, self.k3) == -2
+                and mukai_pairing(v0, self.model.v, self.k3) == 0,
+                "sampled tau class is not a -2 vector of v-perp")
         return TauLetter(v0)
 
     def letter(self, rng: random.Random) -> Letter:
@@ -504,7 +520,8 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False,
             break
         if x == -w:
             # forces m = 1; reflect in (1, L, 1) with L primitive isotropic
-            assert m == 1
+            if m != 1:
+                raise NotInGammaV("g(w) = -w: acts by -1 on the discriminant")
             block = model.k3.blocks_named("U")[0]
             iso = [0] * model.k3.rank
             iso[block.start] = 1
@@ -513,37 +530,40 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False,
             x = _tau_apply(model, v0, x)
             continue
         r = x.r
-        assert x.s == r * m
-        assert (r - 1) % two_m == 0, "not in the kernel of the disc action"
+        if x.s != r * m or (r - 1) % two_m \
+                or any(ci % two_m for ci in x.c):
+            raise NotInGammaV("not in the kernel of the disc action")
         rho = (r - 1) // two_m
-        assert all(ci % two_m == 0 for ci in x.c)
         c2m = tuple(ci // two_m for ci in x.c)
         c, l = primitive_part(c2m)
-        assert c * c * model.k3.square(l) == 2 * rho + 2 * m * rho * rho
+        if c * c * model.k3.square(l) != 2 * rho + 2 * m * rho * rho:
+            raise NotInGammaV("g(w) does not have the square of w")
         if c != 1:
             # drive the content of the class part to 1: pick bc - ar = 1
             # with minimal |a| and reflect in u = (a, A, am), A.L = b
             g_, r_inv, _ = linalg.xgcd(r % c, c)
-            assert g_ == 1
+            _ensure(g_ == 1, "rank and content of g(w) are not coprime")
             a = (-r_inv) % c
             if a > c - a:
                 a -= c
             b = (1 + a * r) // c
-            assert b * c - a * r == 1 and a != 0
+            _ensure(b * c - a * r == 1 and a != 0, "bc - ar is not 1")
             l_sq = model.k3.square(l)
             a_vec = embed_rank2(model.k3, l, (l_sq, b, 2 * a * a * m - 2),
                                 radius=radius)
             u = MukaiVector(a, a_vec, a * m)
-            assert mukai_pairing(u, u, model.k3) == -2
+            _ensure(mukai_pairing(u, u, model.k3) == -2,
+                    "content reflection class is not a -2 vector")
             taus.append(u)
             x = _tau_apply(model, u, x)
             continue
         if rho == -1:
             v0 = MukaiVector(-1, c2m, -m)
-            assert mukai_pairing(v0, v0, model.k3) == -2
+            _ensure(mukai_pairing(v0, v0, model.k3) == -2,
+                    "final reflection class is not a -2 vector")
             taus.append(v0)
             x = _tau_apply(model, v0, x)
-            assert x == w
+            _ensure(x == w, "final reflection does not send g(w) to w")
             continue
         # c = 1, rho != -1: drive rho to -1 with u = (1, A, m),
         # A.L = 2m rho - rho, A^2 = 2m - 2
@@ -551,18 +571,19 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False,
         a_vec = embed_rank2(model.k3, l, (l_sq, two_m * rho - rho, two_m - 2),
                             radius=radius)
         u = MukaiVector(1, a_vec, m)
-        assert mukai_pairing(u, u, model.k3) == -2
+        _ensure(mukai_pairing(u, u, model.k3) == -2,
+                "rho reflection class is not a -2 vector")
         taus.append(u)
         x = _tau_apply(model, u, x)
     else:
-        raise AssertionError("factor loop did not terminate")
+        raise InvariantError("factor loop did not terminate")
 
     # residual = tau_N ... tau_1 g fixes v and w: a Gamma_0 letter
     residual = g
     for v0 in taus:
         residual = reflection(model.mukai, v0.coords()) @ residual
-    assert residual.fixes(model.v.coords())
-    assert residual.fixes(w.coords())
+    _ensure(residual.fixes(model.v.coords()) and residual.fixes(w.coords()),
+            "the Gamma_0 residual does not fix v and w")
     k = model.k3.rank
     h = linalg.freeze(tuple(residual.matrix[i][:k] for i in range(k)))
     letters: list[Letter] = [TauLetter(v0) for v0 in taus]
@@ -618,19 +639,20 @@ def _normalize_tau(model: VPerpModel, v0: MukaiVector,
         l1, l2 = pair_witness_split(m, l0, r, model.k3, radius=radius)
         v1 = MukaiVector(r // 2, linalg.vec_neg(l1), (r // 2) * m)
         v2 = MukaiVector(r // 2, linalg.vec_neg(l2), (r // 2) * m)
-        assert v1 + v2 == v0
-        assert mukai_pairing(v1, v2, model.k3) == 1
+        _ensure(v1 + v2 == v0 and mukai_pairing(v1, v2, model.k3) == 1,
+                "split pair does not satisfy the Sym3 relations")
         # tau_{v0} = tau_{v1} tau_{v2} tau_{v1}
         middle = _normalize_tau(model, v2, radius)
         side = _normalize_tau(model, v1, radius)
         return side + middle + side
     # odd rank >= 3 with primitive L0: extend to even rank r + 1
-    assert is_primitive(model.k3, l0)
+    _ensure(is_primitive(model.k3, l0), "odd-rank class is not primitive")
     l2 = pair_witness_extend(m, l0, r, model.k3, radius=radius)
     v2 = MukaiVector(1, linalg.vec_neg(l2), m)
     w0 = v0 + v2
-    assert mukai_pairing(v0, v2, model.k3) == 1
-    assert mukai_pairing(w0, w0, model.k3) == -2
+    _ensure(mukai_pairing(v0, v2, model.k3) == 1
+            and mukai_pairing(w0, w0, model.k3) == -2,
+            "extended pair does not satisfy the Sym3 relations")
     # tau_{v0} = tau_{v2} tau_{w0} tau_{v2}
     side = [TauLetter(v2)]
     return side + _normalize_tau(model, w0, radius) + side
@@ -666,7 +688,7 @@ def disc_group_order(m: int) -> dict:
         if gcd(u, two_m) == 1 and (u * u - 1) % four_m == 0
     )
     rho = distinct_prime_count(m)
-    assert order == 2 ** rho
+    _ensure(order == 2 ** rho, f"|O(disc)| = {order} is not 2^{rho}")
     return {"order": order, "rho": rho, "index_O_vperp_over_GammaV": order}
 
 

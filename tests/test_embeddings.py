@@ -13,6 +13,7 @@ from mukailat.embeddings import (
     verify_embedding,
 )
 from mukailat.lattices import (
+    Isometry,
     LatticeError,
     build_lattice,
     check_isometry,
@@ -154,6 +155,13 @@ class TestGeneral:
         assert embed_rank2(hyperbolic_plane(), (1, 0), (0, 1, 0)) == (0, 1)
         assert found == [(0, 1)]
 
+    def test_free_plane_with_odd_mu_square(self):
+        # (mu, mu) = 1 is odd, but b = 0 makes b^2 (mu, mu) even, so
+        # e + (d - 0) f = (0, 1, 1) is a witness in the free U block
+        lat = build_lattice((("diag", (1,)), "U"))
+        lam2 = embed_rank2(lat, (1, 0, 0), (1, 0, 2))
+        assert verify_embedding(lat, (1, 0, 0), lam2, 1, 0, 2)
+
     def test_witness_not_found_without_room(self):
         # a definite lattice with no hyperbolic block: the search is honest
         lat = build_lattice((("diag", (-2, -2)),))
@@ -168,7 +176,10 @@ class TestClearing:
             v = random_primitive(k3, rng, 30, density=1.0)
             out = clearing_isometry(k3, v)
             assert out is not None
-            h, image = out
+            steps, image = out
+            h = Isometry.identity(k3)
+            for g in steps:
+                h = g @ h
             assert check_isometry(k3, h.matrix).is_isometry
             assert h.apply(v) == image
             free = [

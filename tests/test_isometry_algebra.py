@@ -1,5 +1,5 @@
 """Structured products with reflections and transvections, the integer
-G^{-1} behind `Isometry.inverse` and `Isometry.preimage`, and the sparse
+G^{-1} behind `Isometry.inverse` and `pull_back`, and the sparse
 Gram rows behind `Lattice.pair`, `square` and `covector`."""
 
 import random
@@ -20,7 +20,9 @@ from mukailat.lattices import (
     hyperbolic_plane,
     k3_lattice,
     mukai_lattice,
+    pull_back,
 )
+from mukailat.fourier_mukai import elliptic_phi
 from mukailat.stabilizer import GeneratorFamily, vperp_model
 
 from conftest import random_vector
@@ -109,6 +111,93 @@ def test_structured_and_dense_are_equal(mukai, rng):
         assert len({gen, dense}) == 1
 
 
+def _outer_generators(kind, rnd):
+    """Isometries built by `Isometry.from_outer`, one family per kind, with
+    entries up to 10^30 where the family allows them."""
+    if kind == "pm2":
+        mukai = mukai_lattice()
+        return [reflection(mukai, FAMILY.sample_pm2_vector(rnd) + (0, 0)),
+                FAMILY.tau_letter(rnd).to_isometry(FAMILY.model)]
+    if kind == "general":
+        n = rnd.randint(2, 12)
+        lat = build_lattice(("K3", ("diag", (2 - 2 * n,))))
+        delta = tuple(1 if i == 22 else 0 for i in range(23))
+        return [general_reflection(lat, delta),
+                general_reflection(lat, FAMILY.sample_pm2_vector(rnd) + (0,))]
+    if kind == "transvection":
+        return [_random_transvection(k3_lattice(), rnd, 10**30)]
+    return [elliptic_phi(rnd.randint(2, 60))[0].isometry]
+
+
+def _random_transvection(lat, rnd, bound):
+    """t(e, a) for e a basis vector of a hyperbolic block and a random a
+    orthogonal to it."""
+    ublock = rnd.choice(lat.blocks_named("U"))
+    use_f = rnd.random() < 0.5
+    e = tuple(1 if i == ublock.start + use_f else 0 for i in range(lat.rank))
+    a = list(random_vector(lat, rnd, bound=bound, density=0.4))
+    a[ublock.start + 1 - use_f] = 0  # (e, a) = 0
+    return eichler_transvection(lat, e, tuple(a))
+
+
+@pytest.mark.parametrize("kind", ["pm2", "general", "transvection", "phi"])
+@settings(max_examples=15, deadline=None)
+@given(rnd=st.randoms(use_true_random=False), data=st.data())
+def test_outer_form_matches_dense(kind, rnd, data):
+    # apply, apply_transpose and hash on a generator whose matrix has not
+    # been read, then == and the lazily built matrix
+    for gen in _outer_generators(kind, rnd):
+        lat = gen.lattice
+        dense = Isometry(lat, linalg.identity_plus_outer(*gen.outer))
+        big = st.tuples(*[st.integers(-10**30, 10**30)] * lat.rank)
+        x, y = data.draw(big), data.draw(big)
+        assert gen.apply(x) == linalg.mat_vec(dense.matrix, x)
+        assert gen.apply_transpose(y) == \
+            linalg.mat_vec(linalg.transpose(dense.matrix), y)
+        assert hash(gen) == hash(dense)
+        assert gen == dense and repr(gen) == repr(dense)
+        assert gen.matrix == dense.matrix
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["K3", "vperp:3"]), st.integers(1, 50),
+       st.randoms(use_true_random=False), st.data())
+def test_pull_back_is_dense_inverse(name, k, rnd, data):
+    # a chain of generators kept in outer form, with some dense products of
+    # two among them; on vperp:3, G^{-1} has denominator 6
+    if name == "K3":
+        lat = k3_lattice()
+        def generator():
+            if rnd.random() < 0.5:
+                return _random_transvection(lat, rnd, 5)
+            return reflection(lat, FAMILY.sample_pm2_vector(rnd))
+    else:
+        lat = vperp_model(3).lattice
+        def generator():
+            return general_reflection(lat, FAMILY.sample_pm2_vector(rnd) + (0,))
+    steps = []
+    for _ in range(k):
+        g = generator()
+        steps.append(g @ generator() if rnd.random() < 0.2 else g)
+    h = Isometry.identity(lat)
+    for g in steps:
+        h = g @ h
+    v = data.draw(st.tuples(*[st.integers(-10**30, 10**30)] * lat.rank))
+    assert pull_back(lat, steps, v) == h.inverse().apply(v)
+    assert pull_back(lat, steps, h.apply(v)) == v
+
+
+def test_apply_checks_length(mukai, rng):
+    # a 23-entry vector is not fixed by a Mukai reflection, in either form
+    gen = reflection(mukai, FAMILY.sample_pm2_vector(rng) + (0, 0))
+    for g in (gen, Isometry(mukai, gen.matrix)):
+        for v in ((1,) * 23, (1,) * 25):
+            with pytest.raises(LatticeError):
+                g.apply(v)
+            with pytest.raises(LatticeError):
+                g.apply_transpose(v)
+
+
 def test_product_is_dense(mukai, rng):
     # a product with a generator on the left is an ordinary isometry, so a
     # later product with it on the left is a dense one
@@ -178,8 +267,8 @@ def test_inverse_is_rational_formula(name):
         assert (g @ inv).is_identity()
         for _ in range(3):
             y = random_vector(lat, rng, bound=10**6)
-            assert g.preimage(g.apply(y)) == y
-            assert g.preimage(y) == inv.apply(y)
+            assert pull_back(lat, (g,), g.apply(y)) == y
+            assert pull_back(lat, (g,), y) == inv.apply(y)
 
 
 def test_gram_inverse_denominator():
@@ -202,7 +291,7 @@ def test_inverse_of_non_isometry_raises():
     # M^T G f.1 = e.1 + w, and G^{-1} (e.1 + w) = f.1 - w/6
     f1 = lat.basis_vector("f.1")
     with pytest.raises(LatticeError, match="inverse not integral"):
-        m.preimage(f1)
+        pull_back(lat, (m,), f1)
 
 
 # -- the Gram form from its nonzero entries -----------------------------------

@@ -11,7 +11,7 @@ from mukailat.lattices import (
     check_isometry,
     discriminant_group,
 )
-from mukailat.characters import reflection
+from mukailat.characters import general_reflection, reflection
 from mukailat.mukai import MukaiVector, mukai_pairing
 from mukailat.stabilizer import (
     ExtensionKind,
@@ -43,6 +43,29 @@ from conftest import label_vector
 @pytest.fixture(scope="module")
 def m3():
     return vperp_model(3)
+
+
+# Mukai coordinates (index: entry) of the 30 reflections of a sampled
+# element at m = 30 on which a clearing budget of 400 steps ran out
+LONG_CLEARING_LETTERS = (
+    {3: 1, 18: 1, 19: 2}, {16: -1, 17: -29, 22: 1, 23: 30}, {6: 1},
+    {16: 28, 17: -29, 20: 29, 21: 29, 22: 1, 23: 30},
+    {4: 31, 5: 31, 16: 30, 17: 33, 22: 1, 23: 30},
+    {16: -1, 17: -29, 22: 1, 23: 30}, {16: 29, 17: 1, 22: 1, 23: 30},
+    {16: -1, 17: -29, 22: 1, 23: 30}, {16: -1, 17: -29, 22: 1, 23: 30},
+    {16: 1, 17: -2, 18: 1, 19: 1}, {8: -1},
+    {16: -105, 17: -129, 18: -129, 19: 129, 20: 25, 21: 125, 22: 1, 23: 30},
+    {16: -1, 17: -29, 22: 1, 23: 30}, {16: 1, 17: -4, 20: 1, 21: 3},
+    {5: -29, 16: -30, 17: -29, 22: 1, 23: 30}, {16: 1, 17: 2, 18: 1, 19: -1},
+    {16: -1, 17: -29, 22: 1, 23: 30}, {16: 1, 17: 1},
+    {16: -1, 17: -29, 22: 1, 23: 30}, {0: 1, 16: -1, 17: -2}, {16: 1, 17: 1},
+    {20: 1, 21: -1}, {18: 1, 19: 2, 20: 1, 21: -1},
+    {16: -1, 17: -29, 22: 1, 23: 30},
+    {16: 32, 17: 103, 20: 33, 21: -99, 22: 1, 23: 30},
+    {16: -1, 17: -29, 22: 1, 23: 30}, {12: 1}, {3: 1},
+    {1: 29, 16: -30, 17: -29, 22: 1, 23: 30},
+    {16: -1, 17: -29, 22: 1, 23: 30},
+)
 
 
 class TestModel:
@@ -327,6 +350,35 @@ class TestFactor:
         model = vperp_model(2)
         with pytest.raises(NotInGammaV):
             factor(model, Isometry.identity(model.mukai).negate())
+
+    def test_non_isometry_fixing_v_is_typed_error(self):
+        # h0 -> h0 + m t, h4 -> h4 + t fixes v = h0 - m h4 but sends w to
+        # w + 2m t; with t = e.1 + f.1 the class of g(w) has the wrong square
+        model = vperp_model(2)
+        n = model.mukai.rank
+        labels = model.mukai.basis_labels
+        rows = [list(r) for r in linalg.identity(n)]
+        for lab in ("e.1", "f.1"):
+            rows[labels.index(lab)][labels.index("h0")] = model.m
+            rows[labels.index(lab)][labels.index("h4")] = 1
+        g = Isometry(model.mukai, linalg.freeze(rows))
+        assert g.fixes(model.v.coords())
+        with pytest.raises(NotInGammaV):
+            factor(model, g)
+
+    def test_long_clearing_pull_back(self):
+        # a 30-letter element at m = 30 (product of the true reflections in
+        # these Mukai vectors, in order) whose second witness search clears
+        # a class part of some 2300 bits: more than 400 clearing steps
+        model = vperp_model(30)
+        g = Isometry.identity(model.mukai)
+        for u in LONG_CLEARING_LETTERS:
+            u = tuple(u.get(i, 0) for i in range(model.mukai.rank))
+            g = g @ general_reflection(model.mukai, u)
+        word = factor(model, g, normalize=True)
+        assert word.product() == g
+        assert all(letter.v0.r in (1, -1) for letter in word.letters
+                   if isinstance(letter, TauLetter))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_round_trip(self, m, rng):

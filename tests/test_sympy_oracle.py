@@ -6,7 +6,11 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
-from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
+from sympy.matrices.normalforms import (
+    invariant_factors,
+    smith_normal_decomp,
+    smith_normal_form,
+)
 
 from mukailat import linalg
 from mukailat.lattices import (
@@ -185,3 +189,32 @@ def test_solve_int(a, data):
 @given(symmetric_matrices())
 def test_signature(gram):
     assert linalg.signature(gram) == sympy_signature(gram)
+
+
+@st.composite
+def vector_pairs(draw, bound=10**30):
+    """(u, v) in Z^n, independent, dependent (v = c u) or the rows of
+    [[p, q], [r, t]] [u; v] for small p, q, r, t."""
+    n = draw(st.integers(2, 7))
+    vec = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    u, v = draw(vec), draw(vec)
+    kind = draw(st.sampled_from(("free", "multiple", "mixed")))
+    if kind == "multiple":
+        c = draw(st.integers(-5, 5))
+        v = [c * x for x in u]
+    elif kind == "mixed":
+        p, q, r, t = (draw(st.integers(-4, 4)) for _ in range(4))
+        u, v = ([p * x + q * y for x, y in zip(u, v)],
+                [r * x + t * y for x, y in zip(u, v)])
+    return tuple(u), tuple(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_pairs(bound=9) | vector_pairs())
+def test_saturated_pair_is_unit_smith_form(pair):
+    u, v = pair
+    diag = smith_normal_form(Matrix([u, v]), domain=ZZ)
+    unit = (abs(diag[0, 0]), abs(diag[1, 1])) == (1, 1)
+    assert linalg.is_saturated_pair(u, v) == unit
+    assert (linalg.elementary_divisors(linalg.freeze([u, v])) == (1, 1)) \
+        == unit

@@ -66,34 +66,16 @@ class EvenStabilizer:
     def is_power(self, mat) -> int | None:
         """The exponent k with mat = t_v^k, or None.
 
-        mat must fix v and preserve the pairing; the exponent is read off
-        linearly from the unipotent coordinate.
+        mat must fix v.  N = t_v - I is nonzero, so k is the quotient of
+        (mat - I) by N at the first nonzero entry of N, and mat is a power
+        iff it equals t_v^k.
         """
         mat = linalg.freeze(mat)
         if not fixes_vector(mat, self.v):
             raise LatticeError("matrix does not fix v")
         n = self._nilpotent
-        diff = linalg.freeze(
-            [
-                (mat[0][0] - 1, mat[0][1]),
-                (mat[1][0], mat[1][1] - 1),
-            ]
-        )
-        ks = set()
-        for i in range(2):
-            for j in range(2):
-                if n[i][j]:
-                    q, r = divmod(diff[i][j], n[i][j])
-                    if r:
-                        return None
-                    ks.add(q)
-                elif diff[i][j]:
-                    return None
-        if not ks:
-            return 0
-        if len(ks) > 1:
-            return None
-        k = ks.pop()
+        i, j = next((i, j) for i in range(2) for j in range(2) if n[i][j])
+        k = (mat[i][j] - (i == j)) // n[i][j]
         return k if mat == self.power(k) else None
 
 

@@ -1,10 +1,10 @@
 """The Mukai lattice as the truncated cohomology ring of a K3 surface.
 
-A Mukai vector (r, c, s) pairs by <(r',c',s'), (r'',c'',s'')> = c'.c'' -
-r's'' - r''s' with c in the K3 lattice.  GradedSurfaceClass carries the
-rational degree-(0,2,4) calculus (cup product, exp of a line class, the
-square root (1,0,1) of the Todd class, exponential Chern character to total
-Chern class).
+A Mukai vector (r, c, s) pairs in the Mukai lattice of `lattices`:
+<(r',c',s'), (r'',c'',s'')> = c'.c'' - r's'' - r''s' with c in the K3
+lattice.  GradedSurfaceClass carries the rational degree-(0,2,4) calculus
+(cup product, exp of a line class, the square root (1,0,1) of the Todd
+class, exponential Chern character to total Chern class).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .lattices import Lattice, LatticeError, k3_lattice
+from .lattices import LatticeError, k3_lattice, mukai_lattice
 
 
 @dataclass(frozen=True)
@@ -54,15 +54,13 @@ class MukaiVector:
         return MukaiVector(k * self.r, linalg.vec_scale(k, self.c), k * self.s)
 
 
-def hilbert_scheme_vector(m: int, k3: Lattice | None = None) -> MukaiVector:
+def hilbert_scheme_vector(m: int) -> MukaiVector:
     """v = (1, 0, -m), the Mukai vector of an ideal sheaf of m+1 points."""
-    k3 = k3 or k3_lattice()
-    return MukaiVector(1, linalg.zero_vec(k3.rank), -m)
+    return MukaiVector(1, linalg.zero_vec(k3_lattice().rank), -m)
 
 
-def mukai_pairing(x: MukaiVector, y: MukaiVector, k3: Lattice | None = None) -> int:
-    k3 = k3 or k3_lattice()
-    return k3.pair(x.c, y.c) - x.r * y.s - y.r * x.s
+def mukai_pairing(x: MukaiVector, y: MukaiVector) -> int:
+    return mukai_lattice().pair(x.coords(), y.coords())
 
 
 def dualize(x: MukaiVector) -> MukaiVector:
@@ -110,53 +108,47 @@ class GradedSurfaceClass:
         return GradedSurfaceClass(-self.deg0, linalg.vec_neg(self.deg2), -self.deg4)
 
 
-def unit_class(k3: Lattice | None = None) -> GradedSurfaceClass:
-    k3 = k3 or k3_lattice()
-    return GradedSurfaceClass(Fraction(1), linalg.zero_vec(k3.rank), Fraction(0))
+def unit_class() -> GradedSurfaceClass:
+    return GradedSurfaceClass(Fraction(1), linalg.zero_vec(k3_lattice().rank),
+                              Fraction(0))
 
 
-def sqrt_todd(k3: Lattice | None = None) -> GradedSurfaceClass:
+def sqrt_todd() -> GradedSurfaceClass:
     """sqrt(td) = (1, 0, 1): the Todd class of a K3 surface is 1 + 2w."""
-    k3 = k3 or k3_lattice()
-    return GradedSurfaceClass(Fraction(1), linalg.zero_vec(k3.rank), Fraction(1))
+    return GradedSurfaceClass(Fraction(1), linalg.zero_vec(k3_lattice().rank),
+                              Fraction(1))
 
 
-def cup(x: GradedSurfaceClass, y: GradedSurfaceClass,
-        k3: Lattice | None = None) -> GradedSurfaceClass:
+def cup(x: GradedSurfaceClass, y: GradedSurfaceClass) -> GradedSurfaceClass:
     """(r,c,s).(r',c',s') = (rr', rc' + r'c, rs' + sr' + c.c'), truncated at deg 4."""
-    k3 = k3 or k3_lattice()
     return GradedSurfaceClass(
         x.deg0 * y.deg0,
         linalg.vec_add(linalg.vec_scale(x.deg0, y.deg2),
                        linalg.vec_scale(y.deg0, x.deg2)),
-        x.deg0 * y.deg4 + x.deg4 * y.deg0 + k3.pair(x.deg2, y.deg2),
+        x.deg0 * y.deg4 + x.deg4 * y.deg0 + k3_lattice().pair(x.deg2, y.deg2),
     )
 
 
-def exp_class(line: tuple, k3: Lattice | None = None) -> GradedSurfaceClass:
+def exp_class(line: tuple) -> GradedSurfaceClass:
     """exp(l) = (1, l, l^2/2)."""
-    k3 = k3 or k3_lattice()
     line_q = tuple(Fraction(x) for x in line)
     return GradedSurfaceClass(Fraction(1), line_q,
-                              Fraction(k3.square(line_q), 2))
+                              Fraction(k3_lattice().square(line_q), 2))
 
 
-def ch_to_chern(ch: GradedSurfaceClass,
-                k3: Lattice | None = None) -> GradedSurfaceClass:
+def ch_to_chern(ch: GradedSurfaceClass) -> GradedSurfaceClass:
     """Exponential Chern character to total Chern class, at surface truncation:
     (r, a1, a2) -> (1, a1, a1^2/2 - a2)."""
-    k3 = k3 or k3_lattice()
     if ch.deg0.denominator != 1:
         raise IntegralityError("degree-0 component of ch must be an integer")
     a1 = ch.deg2
-    c2 = Fraction(k3.square(a1), 2) - ch.deg4
+    c2 = Fraction(k3_lattice().square(a1), 2) - ch.deg4
     return GradedSurfaceClass(Fraction(1), a1, c2)
 
 
-def twist_by_line(x: GradedSurfaceClass, line: tuple,
-                  k3: Lattice | None = None) -> GradedSurfaceClass:
+def twist_by_line(x: GradedSurfaceClass, line: tuple) -> GradedSurfaceClass:
     """Tensoring by a line bundle with first Chern class `line`: cup with exp(line)."""
-    return cup(x, exp_class(line, k3), k3)
+    return cup(x, exp_class(line))
 
 
 class Effectivity(enum.Enum):
@@ -165,13 +157,12 @@ class Effectivity(enum.Enum):
     INDETERMINATE = "Indeterminate"
 
 
-def effectivity_numeric(v: MukaiVector, k3: Lattice | None = None) -> Effectivity:
+def effectivity_numeric(v: MukaiVector) -> Effectivity:
     """Numeric clauses of effectivity; the divisor clause for r = 0, c != 0
     needs ample/Hodge data this package does not carry, hence Indeterminate."""
     if v.is_zero:
         raise LatticeError("effectivity is undefined for the zero vector")
-    k3 = k3 or k3_lattice()
-    if mukai_pairing(v, v, k3) < -2 or v.r < 0:
+    if mukai_pairing(v, v) < -2 or v.r < 0:
         return Effectivity.NOT_EFFECTIVE
     if v.r > 0:
         return Effectivity.EFFECTIVE

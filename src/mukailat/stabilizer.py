@@ -68,9 +68,6 @@ class DiscForm:
         value = Fraction(-(k * k), self.modulus)
         return value - 2 * (value / 2).__floor__()
 
-    def values(self):
-        return tuple(self.q(k) for k in range(self.modulus))
-
 
 @dataclass(frozen=True)
 class VPerpModel:
@@ -214,7 +211,7 @@ class Minus2Orbit(enum.Enum):
 def classify_minus2(model: VPerpModel, v0: MukaiVector) -> Minus2Orbit:
     """The two O(v-perp)-orbits of -2 vectors (r, L, rm) in v-perp are told
     apart by 2-divisibility of L."""
-    if mukai_pairing(v0, v0, model.k3) != -2:
+    if mukai_pairing(v0, v0) != -2:
         raise LatticeError("not a -2 vector")
     if v0.s != v0.r * model.m:
         raise LatticeError("vector is not orthogonal to v")
@@ -223,29 +220,28 @@ def classify_minus2(model: VPerpModel, v0: MukaiVector) -> Minus2Orbit:
     return Minus2Orbit.A_MINUS
 
 
-def aplus_witness(m: int, k3: Lattice | None = None) -> MukaiVector | None:
+def aplus_witness(m: int) -> MukaiVector | None:
     """(1, 2 L0, m) with L0 = e + ((m-1)/4) f when m = 1 mod 4; else None
     (the orbit A_+ is empty in that case)."""
     if m % 4 != 1:
         return None
-    k3 = k3 or k3_lattice()
+    k3 = k3_lattice()
     block = k3.blocks_named("U")[0]
     c = [0] * k3.rank
     c[block.start] = 2
     c[block.start + 1] = 2 * ((m - 1) // 4)
     v0 = MukaiVector(1, tuple(c), m)
-    _ensure(mukai_pairing(v0, v0, k3) == -2, "A_+ witness is not a -2 vector")
+    _ensure(mukai_pairing(v0, v0) == -2, "A_+ witness is not a -2 vector")
     return v0
 
 
 # -- pairs of classes and the Sym3 relations ----------------------------------
 
 
-def pair_witness_split(m: int, l0, r: int, k3: Lattice | None = None,
-                       radius: int = DEFAULT_RADIUS):
+def pair_witness_split(m: int, l0, r: int, radius: int = DEFAULT_RADIUS):
     """Split L0 (square 2 r^2 m - 2, r >= 2 even) as L1 + L2 with both
     primitive, L_i^2 = 2 (r/2)^2 m - 2 and L1.L2 = 1 + 2 (r/2)^2 m."""
-    k3 = k3 or k3_lattice()
+    k3 = k3_lattice()
     l0 = tuple(l0)
     if r < 2 or r % 2:
         raise LatticeError("rank r must be even and at least 2")
@@ -257,17 +253,16 @@ def pair_witness_split(m: int, l0, r: int, k3: Lattice | None = None,
     l1 = embed_rank2(k3, l0_prim, (2 * d, i * d, (r * r * m - 4) // 2),
                      radius=radius)
     l2 = linalg.vec_sub(l0, l1)
-    _check_pair_conditions(k3, m, l1, l2, r // 2, r // 2)
+    _check_pair_conditions(m, l1, l2, r // 2, r // 2)
     _ensure(is_primitive(k3, l1) and is_primitive(k3, l2),
             "split classes are not primitive")
     return l1, l2
 
 
-def pair_witness_extend(m: int, l1, a: int, k3: Lattice | None = None,
-                        radius: int = DEFAULT_RADIUS):
+def pair_witness_extend(m: int, l1, a: int, radius: int = DEFAULT_RADIUS):
     """L2 primitive with L2^2 = 2m - 2 and L1.L2 = 1 + 2am, given L1
     primitive of square 2 a^2 m - 2."""
-    k3 = k3 or k3_lattice()
+    k3 = k3_lattice()
     l1 = tuple(l1)
     if a < 1:
         raise LatticeError("rank a must be at least 1")
@@ -277,12 +272,13 @@ def pair_witness_extend(m: int, l1, a: int, k3: Lattice | None = None,
         raise LatticeError("L1 must have square 2 a^2 m - 2")
     l2 = embed_rank2(k3, l1, (2 * a * a * m - 2, 1 + 2 * a * m, 2 * m - 2),
                      radius=radius)
-    _check_pair_conditions(k3, m, l1, l2, a, 1)
+    _check_pair_conditions(m, l1, l2, a, 1)
     _ensure(is_primitive(k3, l2), "extending class is not primitive")
     return l2
 
 
-def _check_pair_conditions(k3: Lattice, m: int, l1, l2, a: int, b: int):
+def _check_pair_conditions(m: int, l1, l2, a: int, b: int):
+    k3 = k3_lattice()
     if k3.square(l1) != 2 * a * a * m - 2:
         raise LatticeError("L1 square condition fails")
     if k3.square(l2) != 2 * b * b * m - 2:
@@ -291,24 +287,22 @@ def _check_pair_conditions(k3: Lattice, m: int, l1, l2, a: int, b: int):
         raise LatticeError("L1.L2 condition fails")
 
 
-def sym3_triple(m: int, v1: MukaiVector, v2: MukaiVector,
-                k3: Lattice | None = None) -> dict:
+def sym3_triple(m: int, v1: MukaiVector, v2: MukaiVector) -> dict:
     """Verify the Sym3 relations for v1 = (a, -L1, am), v2 = (b, -L2, bm)
     satisfying the pair conditions: v0 = v1 + v2 is a -2 vector and
     tau_{v0} = tau_{v1} tau_{v2} tau_{v1} = tau_{v2} tau_{v1} tau_{v2},
     with <tau_{v1}, tau_{v2}> of order 6."""
-    k3 = k3 or k3_lattice()
     mukai = mukai_lattice()
     a, b = v1.r, v2.r
     if v1.s != a * m or v2.s != b * m:
         raise LatticeError("v1, v2 must have the shape (a, -L, am)")
-    _check_pair_conditions(k3, m, linalg.vec_neg(v1.c), linalg.vec_neg(v2.c),
+    _check_pair_conditions(m, linalg.vec_neg(v1.c), linalg.vec_neg(v2.c),
                            a, b)
-    if mukai_pairing(v1, v2, k3) != 1:
+    if mukai_pairing(v1, v2) != 1:
         raise LatticeError("(v1, v2) must be 1")
     v0 = v1 + v2
     checks = {}
-    checks["v0_is_minus2"] = mukai_pairing(v0, v0, k3) == -2
+    checks["v0_is_minus2"] = mukai_pairing(v0, v0) == -2
     t0 = reflection(mukai, v0.coords())
     t1 = reflection(mukai, v1.coords())
     t2 = reflection(mukai, v2.coords())
@@ -373,7 +367,7 @@ class GeneratorWord:
         for letter in letters:
             if isinstance(letter, TauLetter):
                 v0 = letter.v0
-                if mukai_pairing(v0, v0, model.k3) != -2:
+                if mukai_pairing(v0, v0) != -2:
                     raise LatticeError("tau letter class must have square -2")
                 if v0.s != v0.r * model.m:
                     raise LatticeError("tau letter class must lie in v-perp")
@@ -470,8 +464,8 @@ class GeneratorFamily:
             u = self.sample_pm2_vector(rng)
             cls = reflection(self.k3, u).apply(cls)
         v0 = MukaiVector(1, linalg.vec_neg(cls), self.model.m)
-        _ensure(mukai_pairing(v0, v0, self.k3) == -2
-                and mukai_pairing(v0, self.model.v, self.k3) == 0,
+        _ensure(mukai_pairing(v0, v0) == -2
+                and mukai_pairing(v0, self.model.v) == 0,
                 "sampled tau class is not a -2 vector of v-perp")
         return TauLetter(v0)
 
@@ -486,11 +480,6 @@ class GeneratorFamily:
 
 def generator_family(m: int) -> GeneratorFamily:
     return GeneratorFamily(vperp_model(m))
-
-
-def _tau_apply(model: VPerpModel, v0: MukaiVector, x: MukaiVector) -> MukaiVector:
-    """tau_{v0}(x) = x + (v0, x) v0, computed vector-wise."""
-    return x + v0.scale(mukai_pairing(v0, x, model.k3))
 
 
 def factor(model: VPerpModel, g: Isometry, normalize: bool = False,
@@ -514,6 +503,18 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False,
 
     w = model.w
     taus: list[MukaiVector] = []
+    # residual = tau_N ... tau_1 g; once x = w it fixes v and w: a Gamma_0
+    # letter
+    residual = g
+
+    def reflect(u: MukaiVector) -> MukaiVector:
+        """Compose tau_u into the residual; returns tau_u(x)."""
+        nonlocal residual
+        tau = reflection(model.mukai, u.coords())
+        residual = tau @ residual
+        taus.append(u)
+        return MukaiVector.from_coords(tau.apply(x.coords()))
+
     x = MukaiVector.from_coords(g.apply(w.coords()))
     for _ in range(8):
         if x == w:
@@ -525,9 +526,7 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False,
             block = model.k3.blocks_named("U")[0]
             iso = [0] * model.k3.rank
             iso[block.start] = 1
-            v0 = MukaiVector(1, tuple(iso), 1)
-            taus.append(v0)
-            x = _tau_apply(model, v0, x)
+            x = reflect(MukaiVector(1, tuple(iso), 1))
             continue
         r = x.r
         if x.s != r * m or (r - 1) % two_m \
@@ -552,17 +551,15 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False,
             a_vec = embed_rank2(model.k3, l, (l_sq, b, 2 * a * a * m - 2),
                                 radius=radius)
             u = MukaiVector(a, a_vec, a * m)
-            _ensure(mukai_pairing(u, u, model.k3) == -2,
+            _ensure(mukai_pairing(u, u) == -2,
                     "content reflection class is not a -2 vector")
-            taus.append(u)
-            x = _tau_apply(model, u, x)
+            x = reflect(u)
             continue
         if rho == -1:
             v0 = MukaiVector(-1, c2m, -m)
-            _ensure(mukai_pairing(v0, v0, model.k3) == -2,
+            _ensure(mukai_pairing(v0, v0) == -2,
                     "final reflection class is not a -2 vector")
-            taus.append(v0)
-            x = _tau_apply(model, v0, x)
+            x = reflect(v0)
             _ensure(x == w, "final reflection does not send g(w) to w")
             continue
         # c = 1, rho != -1: drive rho to -1 with u = (1, A, m),
@@ -571,17 +568,12 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False,
         a_vec = embed_rank2(model.k3, l, (l_sq, two_m * rho - rho, two_m - 2),
                             radius=radius)
         u = MukaiVector(1, a_vec, m)
-        _ensure(mukai_pairing(u, u, model.k3) == -2,
+        _ensure(mukai_pairing(u, u) == -2,
                 "rho reflection class is not a -2 vector")
-        taus.append(u)
-        x = _tau_apply(model, u, x)
+        x = reflect(u)
     else:
         raise InvariantError("factor loop did not terminate")
 
-    # residual = tau_N ... tau_1 g fixes v and w: a Gamma_0 letter
-    residual = g
-    for v0 in taus:
-        residual = reflection(model.mukai, v0.coords()) @ residual
     _ensure(residual.fixes(model.v.coords()) and residual.fixes(w.coords()),
             "the Gamma_0 residual does not fix v and w")
     k = model.k3.rank
@@ -627,19 +619,13 @@ def _normalize_tau(model: VPerpModel, v0: MukaiVector,
         # an imprimitive class part at rank one: refactor the reflection
         inner = factor(model, reflection(model.mukai, v0.coords()),
                        normalize=False, radius=radius)
-        out: list[Letter] = []
-        for letter in inner.letters:
-            if isinstance(letter, Gamma0Letter):
-                out.append(letter)
-            else:
-                out.extend(_normalize_tau(model, letter.v0, radius))
-        return out
+        return list(normalize_word(inner, radius).letters)
     l0 = linalg.vec_neg(v0.c)
     if r % 2 == 0:
-        l1, l2 = pair_witness_split(m, l0, r, model.k3, radius=radius)
+        l1, l2 = pair_witness_split(m, l0, r, radius=radius)
         v1 = MukaiVector(r // 2, linalg.vec_neg(l1), (r // 2) * m)
         v2 = MukaiVector(r // 2, linalg.vec_neg(l2), (r // 2) * m)
-        _ensure(v1 + v2 == v0 and mukai_pairing(v1, v2, model.k3) == 1,
+        _ensure(v1 + v2 == v0 and mukai_pairing(v1, v2) == 1,
                 "split pair does not satisfy the Sym3 relations")
         # tau_{v0} = tau_{v1} tau_{v2} tau_{v1}
         middle = _normalize_tau(model, v2, radius)
@@ -647,11 +633,11 @@ def _normalize_tau(model: VPerpModel, v0: MukaiVector,
         return side + middle + side
     # odd rank >= 3 with primitive L0: extend to even rank r + 1
     _ensure(is_primitive(model.k3, l0), "odd-rank class is not primitive")
-    l2 = pair_witness_extend(m, l0, r, model.k3, radius=radius)
+    l2 = pair_witness_extend(m, l0, r, radius=radius)
     v2 = MukaiVector(1, linalg.vec_neg(l2), m)
     w0 = v0 + v2
-    _ensure(mukai_pairing(v0, v2, model.k3) == 1
-            and mukai_pairing(w0, w0, model.k3) == -2,
+    _ensure(mukai_pairing(v0, v2) == 1
+            and mukai_pairing(w0, w0) == -2,
             "extended pair does not satisfy the Sym3 relations")
     # tau_{v0} = tau_{v2} tau_{w0} tau_{v2}
     side = [TauLetter(v2)]

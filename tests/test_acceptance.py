@@ -351,7 +351,7 @@ def test_criterion_11_mukai_ring_identities():
         x, y = rand_mukai(), rand_mukai()
         dx = GradedSurfaceClass.from_mukai(dualize(x))
         assert mukai_pairing(x, y) == \
-            -cup(dx, GradedSurfaceClass.from_mukai(y), k3).deg4
+            -cup(dx, GradedSurfaceClass.from_mukai(y)).deg4
 
     for i in range(1_000):
         r = i % 2
@@ -359,8 +359,8 @@ def test_criterion_11_mukai_ring_identities():
         s = rng.randint(-5, 5)
         line = random_vector(k3, rng, bound=3, density=0.25)
         x = GradedSurfaceClass(r, a, Fraction(s))
-        c_x = ch_to_chern(x, k3)
-        c_tw = ch_to_chern(twist_by_line(x, line, k3), k3)
+        c_x = ch_to_chern(x)
+        c_tw = ch_to_chern(twist_by_line(x, line))
         if r == 0:
             # c1 invariant and c2 drops by c1(x) c1(L)
             assert c_tw.deg2 == c_x.deg2
@@ -373,7 +373,7 @@ def test_criterion_11_mukai_ring_identities():
         r = rng.randint(0, 4)
         a1 = random_vector(k3, rng, bound=3, density=0.25)
         a2 = rng.randint(-6, 6)
-        out = ch_to_chern(GradedSurfaceClass(r, a1, a2), k3)
+        out = ch_to_chern(GradedSurfaceClass(r, a1, a2))
         assert out.deg0 == 1
         assert out.deg2 == tuple(Fraction(x) for x in a1)
         assert out.deg4 == Fraction(k3.square(a1), 2) - a2

@@ -1,5 +1,6 @@
 """The elliptic-curve analogue: antisymmetric pairing and transvections."""
 
+from itertools import product
 from math import gcd
 
 import pytest
@@ -87,6 +88,23 @@ class TestStabilizer:
         stab = even_stabilizer((1, 0))
         with pytest.raises(LatticeError):
             stab.is_power(((1, 0), (1, 1)))  # fixes (0,1), not (1,0)
+
+    @pytest.mark.parametrize("v", [(1, 0), (0, 1), (2, 3), (3, -5)])
+    def test_is_power_exactly_on_enumeration(self, v):
+        # over every matrix with entries in [-5, 5] that fixes v, is_power
+        # answers exactly on the det-1 ones enumerate_stabilizer lists
+        stab = even_stabilizer(v)
+        listed = set(enumerate_stabilizer(v, 5))
+        for a, b, c, d in product(range(-5, 6), repeat=4):
+            mat = ((a, b), (c, d))
+            if linalg.mat_vec(mat, v) != v:
+                with pytest.raises(LatticeError):
+                    stab.is_power(mat)
+                continue
+            k = stab.is_power(mat)
+            assert (k is not None) == (mat in listed)
+            if k is not None:
+                assert stab.power(k) == mat
 
     @pytest.mark.parametrize("v,bound", [((1, 0), 8), ((2, 3), 9)])
     def test_completeness_by_enumeration(self, v, bound):

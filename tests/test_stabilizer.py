@@ -1,8 +1,10 @@
 """The v-perp model, discriminant actions, orbits, Sym3 relations, factor."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mukailat import linalg
 from mukailat.lattices import (
@@ -404,6 +406,19 @@ class TestFactor:
                     from mukailat.lattices import is_primitive
 
                     assert is_primitive(model.k3, letter.v0.c)
+
+    @pytest.mark.parametrize("m", [7, 30])
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_length_30(self, m, seed):
+        # products of 30 sampled generators have entries of up to about
+        # 150 bits; the normalized word still multiplies back to g
+        fam = generator_family(m)
+        g = fam.sample_word(random.Random(seed), 30).product()
+        word = factor(fam.model, g, normalize=True)
+        assert word.product() == g
+        assert all(letter.v0.r in (1, -1) for letter in word.letters
+                   if isinstance(letter, TauLetter))
 
     def test_m1_w_reflection(self):
         # tau_w at m = 1 sends w to -w; factoring goes through the

@@ -406,13 +406,9 @@ class DiscGroup:
         return self.order == 1
 
 
-def _q_mod2(value: Fraction) -> Fraction:
-    return value - 2 * (value / 2).__floor__()
-
-
 def discriminant_group(lattice: Lattice) -> DiscGroup:
     g = lattice.gram
-    d, s, t = linalg.smith_normal_form(g)
+    d, _, t = linalg.smith_normal_form(g, row_transform=False)
     n = lattice.rank
     diag = [d[i][i] for i in range(n)]
     if any(x == 0 for x in diag):
@@ -422,12 +418,16 @@ def discriminant_group(lattice: Lattice) -> DiscGroup:
     lifts = []
     q_values = []
     for i in range(n):
-        if diag[i] == 1:
+        di = diag[i]
+        if di == 1:
             continue
-        divisors.append(diag[i])
-        lift = tuple(Fraction(x, diag[i]) for x in cols_t[i])
-        lifts.append(lift)
-        q_values.append(_q_mod2(Fraction(lattice.square(lift))))
+        divisors.append(di)
+        lifts.append(tuple(Fraction(x, di) for x in cols_t[i]))
+        # q(c / d) mod 2 is (c^T G c mod 2d^2) / d^2, and c^T G c mod 2d^2
+        # only depends on c mod 2d^2
+        modulus = 2 * di * di
+        c = tuple(x % modulus for x in cols_t[i])
+        q_values.append(Fraction(lattice.square(c) % modulus, di * di))
     order = 1
     for x in diag:
         order *= x

@@ -5,14 +5,14 @@ Python ints (or ``fractions.Fraction`` where a function says so).  There is
 no floating point anywhere in this package; every result below is exact.
 
 The workhorses are the Smith normal form with unimodular transforms (used
-for discriminant groups, saturated kernels and membership tests) and exact
-congruence diagonalization (used for signatures).
+for discriminant groups, saturated kernels and membership tests) and
+fraction-free (Bareiss) symmetric elimination (used for signatures).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vec = tuple
 Mat = tuple
@@ -226,58 +226,60 @@ def xgcd_vector(coeffs) -> tuple[int, Vec]:
     return g, tuple(combo)
 
 
-def smith_normal_form(mat: Mat):
+def smith_normal_form(mat: Mat, *, row_transform: bool = True):
     """Smith normal form with transforms.
 
     Returns (d, s, t) with s @ mat @ t == d, s and t unimodular, d diagonal
-    with non-negative entries d_1 | d_2 | ... .
+    with non-negative entries d_1 | d_2 | ... .  With row_transform=False s
+    is not built and None is returned in its place; d and t are the same.
     """
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     d = [list(row) for row in mat]
-    s = [list(row) for row in identity(nrows)]
-    t = [list(row) for row in identity(ncols)]
+    s = [list(row) for row in identity(nrows)] if row_transform else None
+    t_cols = [list(row) for row in identity(ncols)]  # t, column by column
+    # the matrices every row operation acts on
+    row_mats = (d, s) if row_transform else (d,)
 
     def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        s[i], s[j] = s[j], s[i]
+        for m in row_mats:
+            m[i], m[j] = m[j], m[i]
 
     def swap_cols(i, j):
         for row in d:
             row[i], row[j] = row[j], row[i]
-        for row in t:
-            row[i], row[j] = row[j], row[i]
+        t_cols[i], t_cols[j] = t_cols[j], t_cols[i]
 
     def add_row(src, dst, c):
-        d[dst] = [a + c * b for a, b in zip(d[dst], d[src])]
-        s[dst] = [a + c * b for a, b in zip(s[dst], s[src])]
+        for m in row_mats:
+            m[dst] = [a + c * b for a, b in zip(m[dst], m[src])]
 
     def add_col(src, dst, c):
         for row in d:
-            row[dst] += c * row[src]
-        for row in t:
-            row[dst] += c * row[src]
+            if row[src]:
+                row[dst] += c * row[src]
+        t_cols[dst] = [a + c * b for a, b in zip(t_cols[dst], t_cols[src])]
 
     def negate_row(i):
-        d[i] = [-a for a in d[i]]
-        s[i] = [-a for a in s[i]]
+        for m in row_mats:
+            m[i] = [-a for a in m[i]]
 
     def clear_position(k):
         # Euclid on row k / column k until the pivot divides everything there.
         while True:
-            # pivot: smallest nonzero entry in the remaining block's row/col k
-            piv = None
+            # pivot: the smallest nonzero entry of the remaining block, the
+            # first in row-major order on a tie (the tie-break fixes t)
             best = None
             for i in range(k, nrows):
-                for j in range(k, ncols):
-                    a = d[i][j]
-                    if a and (best is None or abs(a) < best):
-                        best = abs(a)
-                        piv = (i, j)
-            if piv is None:
+                low = min(map(abs, filter(None, d[i][k:])), default=None)
+                if low is not None and (best is None or low < best):
+                    best, piv_i = low, i
+            if best is None:
                 return False
-            swap_rows(k, piv[0])
-            swap_cols(k, piv[1])
+            piv_row = d[piv_i]
+            swap_rows(k, piv_i)
+            swap_cols(k, next(j for j in range(k, ncols)
+                              if abs(piv_row[j]) == best))
             dirty = False
             for i in range(k + 1, nrows):
                 if d[i][k]:
@@ -317,11 +319,12 @@ def smith_normal_form(mat: Mat):
             break
         add_row(bad + 1, bad, 1)
         rank = diagonalize()
-    return freeze(d), freeze(s), freeze(t)
+    return (freeze(d), freeze(s) if row_transform else None,
+            transpose(t_cols))
 
 
 def elementary_divisors(mat: Mat) -> tuple[int, ...]:
-    d, _, _ = smith_normal_form(mat)
+    d, _, _ = smith_normal_form(mat, row_transform=False)
     n = min(len(d), len(d[0]) if d else 0)
     return tuple(d[i][i] for i in range(n) if d[i][i] != 0)
 
@@ -348,7 +351,7 @@ def kernel_basis(mat: Mat) -> tuple[Vec, ...]:
         return ()
     if nrows == 0:
         return tuple(identity(ncols))
-    d, _, t = smith_normal_form(mat)
+    d, _, t = smith_normal_form(mat, row_transform=False)
     rank = sum(1 for i in range(min(nrows, ncols)) if d[i][i] != 0)
     cols = transpose(t)
     return tuple(cols[rank:])
@@ -389,43 +392,55 @@ def solve_int(a: Mat, b: Vec):
 
 
 def signature(gram: Mat) -> tuple[int, int, int]:
-    """(n_plus, n_minus, n_zero) of a symmetric matrix, by exact rational
-    congruence diagonalization."""
+    """(n_plus, n_minus, n_zero) of a symmetric integer or rational matrix,
+    by fraction-free (Bareiss) symmetric elimination.
+
+    Rational input is first multiplied by the positive lcm of its
+    denominators, which keeps the signature.  A zero pivot is replaced by a
+    later nonzero diagonal entry (a symmetric swap), else by e_k + e_j for an
+    off-diagonal a_kj != 0, else row k is zero and counts once in n_zero.
+    After each pivot the trailing block is prev * S, with S the rational
+    Schur complement and prev that integer pivot.  So the next rational
+    pivot a_kk / prev has the sign of a_kk * prev, and every division by
+    prev is exact.
+    """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-
-    def sym_add(i, j, c):
-        # basis change e_i <- e_i + c e_j
-        for k in range(n):
-            a[i][k] += c * a[j][k]
-        for k in range(n):
-            a[k][i] += c * a[k][j]
-
-    def sym_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
+    scale = 1
+    for row in gram:
+        for x in row:
+            scale = lcm(scale, x.denominator)
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in gram]
     pos = neg = zero = 0
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
-            if pivot is not None:
-                sym_swap(k, pivot)
+            i = next((i for i in range(k + 1, n) if a[i][i]), None)
+            if i is not None:
+                # basis change e_k <-> e_i
+                a[k], a[i] = a[i], a[k]
+                for row in a[k:]:
+                    row[k], row[i] = row[i], row[k]
             else:
-                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                j = next((j for j in range(k + 1, n) if a[k][j]), None)
                 if j is None:
                     zero += 1
                     continue
-                sym_add(k, j, 1)  # diagonal becomes 2*a[k][j]
+                # basis change e_k <- e_k + e_j: a_kk becomes 2 a_kj
+                a[k] = [x + y for x, y in zip(a[k], a[j])]
+                for row in a[k:]:
+                    row[k] += row[j]
         p = a[k][k]
-        if p > 0:
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
+        rk = a[k]
         for i in range(k + 1, n):
-            if a[i][k]:
-                sym_add(i, k, -a[i][k] / p)
+            ri = a[i]
+            c = ri[k]
+            ri[k + 1:] = [(p * x - c * y) // prev
+                          for x, y in zip(ri[k + 1:], rk[k + 1:])]
+        prev = p
     return pos, neg, zero
 
 

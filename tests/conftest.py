@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import assume, strategies as st
 
-from mukailat.lattices import k3_lattice, mukai_lattice
+from mukailat import linalg
+from mukailat.lattices import k3_lattice, mukai_lattice, orthogonal_complement
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +35,18 @@ def random_vector(lattice, rng, bound=5, density=0.5):
         rng.randint(-bound, bound) if rng.random() < density else 0
         for _ in range(lattice.rank)
     )
+
+
+@st.composite
+def mukai_complements(draw):
+    """(G3, basis, gram) for three random Mukai vectors with entries up to
+    1, 10^3 or 10^12 and a nondegenerate 3x3 Gram G3, with the saturated
+    complement of their span and its 21x21 Gram."""
+    bound = draw(st.sampled_from((1, 10**3, 10**12)))
+    vec = st.lists(st.integers(-bound, bound), min_size=24, max_size=24)
+    triple = tuple(tuple(draw(vec)) for _ in range(3))
+    mukai = mukai_lattice()
+    g3 = linalg.freeze([[mukai.pair(a, b) for b in triple] for a in triple])
+    assume(linalg.det(g3) != 0)
+    basis, gram = orthogonal_complement(mukai, triple)
+    return g3, basis, gram

@@ -1,6 +1,12 @@
 """The CLI: verbs, JSON round-trips, determinism, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
 
 from mukailat import jsonio
 from mukailat.cli import run
@@ -36,6 +42,25 @@ class TestLattice:
     def test_unknown_block_usage_error(self):
         report, status = invoke(["lattice", "build", "--spec", "Leech"])
         assert status == 2
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["lattice", "disc", "--spec", "K3,diag(-6:4:10)"],
+     "lattice_disc_K3_diag-6-4-10.json"),
+    (["stab", "model", "--m", "30"], "stab_model_m30.json"),
+])
+def test_cli_stdout_is_golden(argv, golden):
+    # stdout and exit code of a fresh `python -m mukailat.cli` process,
+    # byte for byte as recorded in tests/golden
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "mukailat.cli", *argv],
+                          env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / golden).read_bytes()
 
 
 class TestChar(object):

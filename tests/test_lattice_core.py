@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from mukailat import linalg
 from mukailat.lattices import (
+    Lattice,
     LatticeError,
     build_lattice,
     check_isometry,
@@ -17,7 +19,7 @@ from mukailat.lattices import (
 )
 from mukailat.mukai import MukaiVector
 
-from conftest import label_vector, random_vector
+from conftest import label_vector, mukai_complements, random_vector
 
 
 class TestBuild:
@@ -229,3 +231,34 @@ class TestDiscriminant:
         lat = build_lattice((("diag", (0, 2)),))
         with pytest.raises(LatticeError):
             discriminant_group(lat)
+
+
+def _q_direct(lattice, lift):
+    """q(lift) mod 2 from the Fraction square of the lift itself."""
+    value = Fraction(lattice.square(lift))
+    return value - 2 * (value / 2).__floor__()
+
+
+def assert_disc_pinned(lattice):
+    dg = discriminant_group(lattice)
+    assert len(dg.divisors) == len(dg.lifts) == len(dg.q_values)
+    for d, lift, q in zip(dg.divisors, dg.lifts, dg.q_values):
+        assert all((d * x).denominator == 1 for x in lift)
+        assert q == _q_direct(lattice, lift)
+    return dg
+
+
+@settings(max_examples=25, deadline=None)
+@given(mukai_complements())
+def test_disc_q_values_match_direct_square(sample):
+    _, _, gram = sample
+    lattice = Lattice(gram, tuple(f"b{i}" for i in range(len(gram))))
+    assert_disc_pinned(lattice)
+
+
+def test_disc_lifts_with_mixed_denominators():
+    lattice = build_lattice(("K3", ("diag", (-6, 4, 10))))
+    dg = assert_disc_pinned(lattice)
+    assert dg.divisors == (2, 2, 60)
+    assert dg.lifts[2][-3:] == (Fraction(1, 6), Fraction(-1, 4),
+                                Fraction(1, 10))

@@ -8,6 +8,14 @@ from hypothesis import given, settings, strategies as st
 from mukailat import linalg
 
 
+def rect_matrix(max_rows=5, max_cols=6, bound=10**12):
+    return st.tuples(st.integers(1, max_rows), st.integers(1, max_cols)) \
+        .flatmap(lambda shape: st.lists(
+            st.lists(st.integers(-bound, bound) | st.just(0),
+                     min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0], max_size=shape[0])).map(linalg.freeze)
+
+
 def small_matrix(n_max=4, bound=9):
     return st.integers(2, n_max).flatmap(
         lambda n: st.lists(
@@ -36,6 +44,17 @@ def test_snf_identity_and_transforms(a):
         assert y % x == 0
     # zeros come last
     assert diag[len(nonzero):] == [0] * (n - len(nonzero))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rect_matrix(bound=9) | rect_matrix())
+def test_snf_transform_same_without_row_transform(a):
+    d, s, t = linalg.smith_normal_form(a)
+    assert linalg.mat_mul(linalg.mat_mul(s, a), t) == d
+    assert linalg.smith_normal_form(a, row_transform=False) == (d, None, t)
+    # kernel_basis reads the same column transform: its trailing columns
+    rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
+    assert linalg.kernel_basis(a) == linalg.transpose(t)[rank:]
 
 
 def test_snf_known_example():

@@ -2,6 +2,8 @@
 oracle: determinants, Smith normal forms, saturated kernels, integer
 solutions, signatures and the integer Gram inverse."""
 
+from fractions import Fraction
+
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from sympy.matrices.normalforms import (
 )
 
 from mukailat import linalg
+from mukailat.characters import default_reference
 from mukailat.lattices import (
     e8_minus,
     hyperbolic_plane,
@@ -20,6 +23,8 @@ from mukailat.lattices import (
     mukai_lattice,
 )
 from mukailat.stabilizer import vperp_model
+
+from conftest import mukai_complements
 
 LATTICES = {"U": hyperbolic_plane(), "E8_minus": e8_minus(),
             "K3": k3_lattice(), "Mukai": mukai_lattice()}
@@ -218,3 +223,107 @@ def test_saturated_pair_is_unit_smith_form(pair):
     assert linalg.is_saturated_pair(u, v) == unit
     assert (linalg.elementary_divisors(linalg.freeze([u, v])) == (1, 1)) \
         == unit
+
+
+# -- signatures: rational Grams, zero pivots, large entries --------------------
+
+
+def sympy_signature_q(gram):
+    """sympy_signature of a rational Gram times the positive lcm of its
+    denominators, which has the same signature and an integer charpoly."""
+    scale = sympy.ilcm(1, *(Fraction(x).denominator for row in gram
+                            for x in row))
+    return sympy_signature([[Fraction(x) * scale for x in row]
+                            for row in gram])
+
+
+def assert_rational_signature(gram):
+    expected = sympy_signature_q(gram)
+    assert linalg.signature(gram) == expected
+    assert linalg.is_positive_definite(gram) == (expected[0] == len(gram))
+
+
+def test_rational_signature_small():
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    gram = ((half, third), (third, half))
+    assert linalg.signature(gram) == (2, 0, 0)
+    assert_rational_signature(gram)
+    assert_rational_signature(((half, third), (third, -half)))
+
+
+def test_rational_signature_of_mixed_reference(mukai):
+    # the rational base change of test_reference_base_change_invariance
+    vectors = [list(v) for v in default_reference(mukai).vectors]
+    mixed = [
+        [a + Fraction(1, 3) * b for a, b in zip(vectors[0], vectors[1])],
+        vectors[1],
+        [Fraction(2) * x for x in vectors[2]],
+        vectors[3],
+    ]
+    gram = linalg.freeze([[mukai.pair(a, b) for b in mixed] for a in mixed])
+    assert any(Fraction(x).denominator > 1 for row in gram for x in row)
+    assert linalg.signature(gram) == (4, 0, 0)
+    assert_rational_signature(gram)
+
+
+@st.composite
+def rational_symmetric_matrices(draw, n_max=5):
+    n = draw(st.integers(1, n_max))
+    bound, den = draw(st.sampled_from(((3, 12), (10**6, 60))))
+    entry = st.fractions(min_value=-bound, max_value=bound,
+                         max_denominator=den)
+    upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
+    return linalg.freeze([[upper[min(i, j), max(i, j)] for j in range(n)]
+                          for i in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_symmetric_matrices())
+def test_rational_signature(gram):
+    assert_rational_signature(gram)
+
+
+@st.composite
+def degenerate_grams(draw, n_max=8, bound=10**12):
+    """Symmetric n x n Grams, n <= 8, that reach the zero-pivot branches:
+    zero diagonal entries, all-zero rows, or V^T D V of rank below n."""
+    n = draw(st.integers(1, n_max))
+    kind = draw(st.sampled_from(("zero_diagonal", "zero_rows", "low_rank")))
+    if kind == "low_rank":
+        r = draw(st.integers(0, n - 1))
+        v = [draw(st.lists(st.integers(-10**6, 10**6), min_size=n,
+                           max_size=n)) for _ in range(r)]
+        dd = [draw(st.sampled_from((-3, -1, 1, 2))) for _ in range(r)]
+        return linalg.freeze(
+            [[sum(v[k][i] * dd[k] * v[k][j] for k in range(r))
+              for j in range(n)] for i in range(n)])
+    entry = st.integers(-bound, bound) | st.just(0)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(entry)
+    chosen = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    for i in (i for i in range(n) if chosen[i]):
+        if kind == "zero_diagonal":
+            g[i][i] = 0
+        else:
+            for j in range(n):
+                g[i][j] = g[j][i] = 0
+    return linalg.freeze(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(degenerate_grams())
+def test_signature_zero_pivots_large_entries(gram):
+    assert linalg.signature(gram) == sympy_signature(gram)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mukai_complements())
+def test_signature_of_mukai_complement(sample):
+    # the Mukai lattice is unimodular of signature (4, 20), so the
+    # complement of a nondegenerate span of signature (p, n) has (4-p, 20-n)
+    g3, basis, gram = sample
+    p, n, z = sympy_signature(g3)
+    assert z == 0 and len(basis) == 21
+    assert linalg.signature(gram) == (4 - p, 20 - n, 0)

@@ -382,9 +382,9 @@ def orthogonal_complement(lattice: Lattice, vectors) -> tuple[tuple[Vec, ...], M
         return basis, lattice.gram
     rows = tuple(lattice.covector(v) for v in vectors)
     basis = linalg.kernel_basis(rows)
-    gram = freeze(
-        [[lattice.pair(b1, b2) for b2 in basis] for b1 in basis]
-    )
+    covectors = tuple(map(lattice.covector, basis))
+    gram = freeze([[sum(x * y for x, y in zip(c, b) if x) for b in basis]
+                   for c in covectors])
     return basis, gram
 
 
@@ -408,7 +408,7 @@ class DiscGroup:
 
 def discriminant_group(lattice: Lattice) -> DiscGroup:
     g = lattice.gram
-    d, _, t = linalg.smith_normal_form(g, row_transform=False)
+    d, t = linalg.smith_normal_form(g)
     n = lattice.rank
     diag = [d[i][i] for i in range(n)]
     if any(x == 0 for x in diag):

@@ -4,9 +4,10 @@ Matrices are tuples of row tuples, vectors are flat tuples.  Entries are
 Python ints (or ``fractions.Fraction`` where a function says so).  There is
 no floating point anywhere in this package; every result below is exact.
 
-The workhorses are the Smith normal form with unimodular transforms (used
-for discriminant groups, saturated kernels and membership tests) and
-fraction-free (Bareiss) symmetric elimination (used for signatures).
+The workhorses are the Smith normal form with its unimodular column
+transform (used for discriminant groups and saturated kernels) and
+fraction-free (Bareiss) elimination (used for determinants and signatures;
+a rational matrix is first scaled to an integer one).
 """
 
 from __future__ import annotations
@@ -154,27 +155,21 @@ def det(m: Mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _clear_denominators(m) -> tuple[int, list]:
+    """(scale, a): the positive lcm of the denominators of the entries of m,
+    and the integer matrix a = scale * m as a list of lists."""
+    scale = 1
+    for row in m:
+        for x in row:
+            scale = lcm(scale, x.denominator)
+    return scale, [[x.numerator * (scale // x.denominator) for x in row]
+                   for row in m]
+
+
 def det_q(m) -> Fraction:
-    """Determinant of a small rational matrix by Gaussian elimination."""
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    a = [[Fraction(x) for x in row] for row in m]
-    result = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            result = -result
-        result *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k]:
-                factor = a[i][k] * inv
-                a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
-    return result
+    """Determinant of a rational matrix, det(scale * m) / scale^n."""
+    scale, a = _clear_denominators(m)
+    return Fraction(det(a), scale ** len(a))
 
 
 def mat_inv_q(m) -> Mat:
@@ -226,43 +221,22 @@ def xgcd_vector(coeffs) -> tuple[int, Vec]:
     return g, tuple(combo)
 
 
-def smith_normal_form(mat: Mat, *, row_transform: bool = True):
-    """Smith normal form with transforms.
+def smith_normal_form(mat: Mat):
+    """Smith normal form with its column transform.
 
-    Returns (d, s, t) with s @ mat @ t == d, s and t unimodular, d diagonal
-    with non-negative entries d_1 | d_2 | ... .  With row_transform=False s
-    is not built and None is returned in its place; d and t are the same.
+    Returns (d, t) with d = s @ mat @ t for some unimodular s (not built), t
+    unimodular, d diagonal with non-negative entries d_1 | d_2 | ... .
     """
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     d = [list(row) for row in mat]
-    s = [list(row) for row in identity(nrows)] if row_transform else None
     t_cols = [list(row) for row in identity(ncols)]  # t, column by column
-    # the matrices every row operation acts on
-    row_mats = (d, s) if row_transform else (d,)
-
-    def swap_rows(i, j):
-        for m in row_mats:
-            m[i], m[j] = m[j], m[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        t_cols[i], t_cols[j] = t_cols[j], t_cols[i]
-
-    def add_row(src, dst, c):
-        for m in row_mats:
-            m[dst] = [a + c * b for a, b in zip(m[dst], m[src])]
 
     def add_col(src, dst, c):
         for row in d:
             if row[src]:
                 row[dst] += c * row[src]
         t_cols[dst] = [a + c * b for a, b in zip(t_cols[dst], t_cols[src])]
-
-    def negate_row(i):
-        for m in row_mats:
-            m[i] = [-a for a in m[i]]
 
     def clear_position(k):
         # Euclid on row k / column k until the pivot divides everything there.
@@ -276,15 +250,16 @@ def smith_normal_form(mat: Mat, *, row_transform: bool = True):
                     best, piv_i = low, i
             if best is None:
                 return False
-            piv_row = d[piv_i]
-            swap_rows(k, piv_i)
-            swap_cols(k, next(j for j in range(k, ncols)
-                              if abs(piv_row[j]) == best))
+            d[k], d[piv_i] = d[piv_i], d[k]
+            j = next(j for j in range(k, ncols) if abs(d[k][j]) == best)
+            for row in d:
+                row[k], row[j] = row[j], row[k]
+            t_cols[k], t_cols[j] = t_cols[j], t_cols[k]
             dirty = False
             for i in range(k + 1, nrows):
                 if d[i][k]:
                     q = d[i][k] // d[k][k]
-                    add_row(k, i, -q)
+                    d[i] = [a - q * b for a, b in zip(d[i], d[k])]
                     if d[i][k]:
                         dirty = True
             for j in range(k + 1, ncols):
@@ -305,7 +280,7 @@ def smith_normal_form(mat: Mat, *, row_transform: bool = True):
                 break
         for i in range(rank):
             if d[i][i] < 0:
-                negate_row(i)
+                d[i] = [-a for a in d[i]]
         return rank
 
     rank = diagonalize()
@@ -317,14 +292,13 @@ def smith_normal_form(mat: Mat, *, row_transform: bool = True):
         )
         if bad is None:
             break
-        add_row(bad + 1, bad, 1)
+        d[bad] = [a + b for a, b in zip(d[bad], d[bad + 1])]
         rank = diagonalize()
-    return (freeze(d), freeze(s) if row_transform else None,
-            transpose(t_cols))
+    return freeze(d), transpose(t_cols)
 
 
 def elementary_divisors(mat: Mat) -> tuple[int, ...]:
-    d, _, _ = smith_normal_form(mat, row_transform=False)
+    d, _ = smith_normal_form(mat)
     n = min(len(d), len(d[0]) if d else 0)
     return tuple(d[i][i] for i in range(n) if d[i][i] != 0)
 
@@ -351,44 +325,19 @@ def kernel_basis(mat: Mat) -> tuple[Vec, ...]:
         return ()
     if nrows == 0:
         return tuple(identity(ncols))
-    d, _, t = smith_normal_form(mat, row_transform=False)
+    d, t = smith_normal_form(mat)
     rank = sum(1 for i in range(min(nrows, ncols)) if d[i][i] != 0)
     cols = transpose(t)
     return tuple(cols[rank:])
 
 
 def in_span(vec: Vec, basis: tuple[Vec, ...]) -> bool:
-    """Is vec an *integer* combination of the given (independent) vectors?"""
-    if not basis:
-        return is_zero_vec(vec)
-    a = transpose(freeze(basis))  # columns = basis vectors
-    d, s, _ = smith_normal_form(a)
-    y = mat_vec(s, vec)
-    rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
-    for i, yi in enumerate(y):
-        if i < rank:
-            if yi % d[i][i]:
-                return False
-        elif yi != 0:
-            return False
-    return True
-
-
-def solve_int(a: Mat, b: Vec):
-    """One integer solution x of a @ x = b, or None."""
-    d, s, t = smith_normal_form(a)
-    c = mat_vec(s, b)
-    ncols = len(a[0]) if a else 0
-    rank = sum(1 for i in range(min(len(d), ncols)) if d[i][i] != 0)
-    y = [0] * ncols
-    for i, ci in enumerate(c):
-        if i < rank:
-            if ci % d[i][i]:
-                return None
-            y[i] = ci // d[i][i]
-        elif ci != 0:
-            return None
-    return mat_vec(t, tuple(y))
+    """Is vec an integer combination of the given vectors (independent or
+    not)?  Adding vec to them keeps their span, and so their elementary
+    divisors, iff it lies in that span."""
+    basis = freeze(basis)
+    return elementary_divisors(basis) == \
+        elementary_divisors(basis + (tuple(vec),))
 
 
 def signature(gram: Mat) -> tuple[int, int, int]:
@@ -405,11 +354,7 @@ def signature(gram: Mat) -> tuple[int, int, int]:
     prev is exact.
     """
     n = len(gram)
-    scale = 1
-    for row in gram:
-        for x in row:
-            scale = lcm(scale, x.denominator)
-    a = [[x.numerator * (scale // x.denominator) for x in row] for row in gram]
+    _, a = _clear_denominators(gram)
     pos = neg = zero = 0
     prev = 1
     for k in range(n):

@@ -18,10 +18,10 @@ import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import linalg
 from .characters import (
-    ReflectionError,
     default_reference,
     general_reflection,
     orientation_char,
@@ -668,7 +668,6 @@ def disc_group_order(m: int) -> dict:
         raise LatticeError("m must be a positive integer")
     two_m = 2 * m
     four_m = 4 * m
-    from math import gcd
     order = sum(
         1 for u in range(1, two_m + 1)
         if gcd(u, two_m) == 1 and (u * u - 1) % four_m == 0
@@ -678,35 +677,50 @@ def disc_group_order(m: int) -> dict:
     return {"order": order, "rho": rho, "index_O_vperp_over_GammaV": order}
 
 
-def nontrivial_disc_isometry(model: VPerpModel) -> Isometry | None:
-    """An isometry of v-perp whose disc action is not +-1, or None.  One
-    exists iff m is not a prime power (O(v-perp) -> O(disc) is onto).
+def disc_lift(model: VPerpModel, u: int) -> Isometry:
+    """An isometry of v-perp acting on the discriminant Z/2m as u, for any u
+    with u^2 = 1 mod 4m, so O(v-perp) -> O(disc) is onto.
 
-    Candidates are general reflections in vectors x = a(e + t f) + j w of
-    negative even square.  None is possible even when such an isometry
-    exists (m = 15 and m = 24, neither a prime power): products of
-    candidates whose action is +-1, and of restricted Gamma_v words (action
-    1), also act by +-1, so no sweep over them can do better."""
-    lat = model.lattice
-    m = model.m
-    two_m = 2 * m
-    n = lat.rank
-    trivial = {1 % two_m, (two_m - 1) % two_m}
-    block = model.k3.blocks_named("U")[0]
-    for a in range(1, 5):
-        for t in range(-6, 7):
-            for j in (1, 2):
-                x = [0] * n
-                x[block.start] = a
-                x[block.start + 1] = a * t
-                x[n - 1] = j
-                x = tuple(x)
-                if lat.square(x) >= 0:
-                    continue
-                try:
-                    cand = general_reflection(lat, x)
-                except ReflectionError:
-                    continue
-                if disc_action(model, cand) not in trivial:
-                    return cand
-    return None
+    Take u mod 2m, k = (u^2 - 1)/4m and e, f the first U block.  Then
+    w' = u w + 2m(e + k f) has square -2m, and its complement in U + <w> has
+    basis x1 = e - k f, x2 = u f + w with Gram [[-2k, u], [u, -2m]] of
+    determinant -1, a copy of U.  In it e' = (u + 1, 2k)/gcd is isotropic,
+    and a y with (e', y) = 1 from one xgcd gives f' = y - (y, y)/2 e'.  The
+    lift sends e, f, w to e', f', w' and fixes every other basis vector."""
+    two_m = 2 * model.m
+    if (u * u - 1) % (2 * two_m):
+        raise LatticeError(f"u = {u} is not a square root of 1 mod {2 * two_m}")
+    u %= two_m
+    k = (u * u - 1) // (2 * two_m)
+    g = gcd(u + 1, 2 * k)
+    a, b = (u + 1) // g, 2 * k // g  # e' = a x1 + b x2
+    # y = p x1 + q x2 with (e', y) = 1, as the covector of the primitive e'
+    # in a unimodular plane is primitive
+    _, p, q = linalg.xgcd(-2 * k * a + u * b, u * a - two_m * b)
+    half_yy = -k * p * p + u * p * q - model.m * q * q
+    p, q = p - half_yy * a, q - half_yy * b  # f' = p x1 + q x2
+    n = model.lattice.rank
+    e = model.k3.blocks_named("U")[0].start
+    f, w = e + 1, n - 1
+
+    def image(ce, cf, cw):
+        col = [0] * n
+        col[e], col[f], col[w] = ce, cf, cw
+        return col
+
+    cols = [list(col) for col in linalg.identity(n)]
+    # x1 and x2 are e - k f and u f + w
+    cols[e] = image(a, u * b - k * a, b)
+    cols[f] = image(p, u * q - k * p, q)
+    cols[w] = image(two_m, two_m * k, u)
+    return Isometry(model.lattice, linalg.transpose(cols))
+
+
+def nontrivial_disc_isometry(model: VPerpModel) -> Isometry | None:
+    """The lift of the least u in (1, 2m - 1) with u^2 = 1 mod 4m, an
+    isometry of v-perp whose disc action is not +-1; None when there is no
+    such u, which is exactly when m is a prime power."""
+    two_m = 2 * model.m
+    u = next((u for u in range(3, two_m - 1, 2)
+              if (u * u - 1) % (2 * two_m) == 0), None)
+    return None if u is None else disc_lift(model, u)

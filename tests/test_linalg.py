@@ -26,47 +26,43 @@ def small_matrix(n_max=4, bound=9):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_matrix())
+@given(rect_matrix(bound=9) | rect_matrix())
 def test_snf_identity_and_transforms(a):
-    d, s, t = linalg.smith_normal_form(a)
-    assert linalg.mat_mul(linalg.mat_mul(s, a), t) == d
-    assert linalg.det(s) in (1, -1)
+    d, t = linalg.smith_normal_form(a)
     assert linalg.det(t) in (1, -1)
-    n = len(a)
-    diag = [d[i][i] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                assert d[i][j] == 0
+    rows, cols = len(a), len(a[0])
+    assert len(d) == rows and all(len(row) == cols for row in d)
+    diag = [d[i][i] for i in range(min(rows, cols))]
+    assert all(d[i][j] == 0 for i in range(rows) for j in range(cols)
+               if i != j)
     nonzero = [x for x in diag if x]
     assert all(x > 0 for x in nonzero)
     for x, y in zip(nonzero, nonzero[1:]):
         assert y % x == 0
     # zeros come last
-    assert diag[len(nonzero):] == [0] * (n - len(nonzero))
+    rank = len(nonzero)
+    assert diag[rank:] == [0] * (len(diag) - rank)
+    # a @ t = s^-1 d: column j of a t is divisible by d_j, zero past the rank
+    at_cols = linalg.transpose(linalg.mat_mul(a, t))
+    for j, col in enumerate(at_cols):
+        if j < rank:
+            assert all(x % diag[j] == 0 for x in col)
+        else:
+            assert not any(col)
 
 
 @settings(max_examples=60, deadline=None)
 @given(rect_matrix(bound=9) | rect_matrix())
-def test_snf_transform_same_without_row_transform(a):
-    d, s, t = linalg.smith_normal_form(a)
-    assert linalg.mat_mul(linalg.mat_mul(s, a), t) == d
-    assert linalg.smith_normal_form(a, row_transform=False) == (d, None, t)
-    # kernel_basis reads the same column transform: its trailing columns
+def test_kernel_basis_is_trailing_columns_of_t(a):
+    d, t = linalg.smith_normal_form(a)
     rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
     assert linalg.kernel_basis(a) == linalg.transpose(t)[rank:]
 
 
 def test_snf_known_example():
     # divisors of [[2,4],[6,8]]: gcd of entries 2, |det| = |16-24| = 8 => (2, 4)
-    d, s, t = linalg.smith_normal_form(((2, 4), (6, 8)))
+    d, t = linalg.smith_normal_form(((2, 4), (6, 8)))
     assert (d[0][0], d[1][1]) == (2, 4)
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_matrix())
-def test_det_matches_fraction_gauss(a):
-    assert linalg.det(a) == linalg.det_q(a)
 
 
 @settings(max_examples=40, deadline=None)
@@ -91,12 +87,6 @@ def test_kernel_saturation_catches_imprimitive_span():
     assert linalg.in_span((1, -1), kernel)
     assert linalg.in_span((2, -2), kernel)
     assert not linalg.in_span((1, 0), kernel)
-
-
-def test_solve_int():
-    a = ((2, 0), (0, 3))
-    assert linalg.solve_int(a, (4, 9)) == (2, 3)
-    assert linalg.solve_int(a, (1, 0)) is None
 
 
 @settings(max_examples=40, deadline=None)

@@ -26,6 +26,7 @@ from mukailat.stabilizer import (
     classify_minus2,
     disc_action,
     disc_group_order,
+    disc_lift,
     distinct_prime_count,
     factor,
     generator_family,
@@ -167,7 +168,7 @@ class TestNontrivialDiscIsometry:
         # (Z/2m)^x has only the square roots +-1 of 1 mod 4m
         assert nontrivial_disc_isometry(vperp_model(m)) is None
 
-    @pytest.mark.parametrize("m", [6, 10, 12, 14])
+    @pytest.mark.parametrize("m", [6, 10, 12, 14, 15, 24])
     def test_action_outside_pm1(self, m):
         model = vperp_model(m)
         g = nontrivial_disc_isometry(model)
@@ -176,6 +177,42 @@ class TestNontrivialDiscIsometry:
         u = disc_action(model, g)
         assert u not in (1, 2 * m - 1)
         assert (u * u - 1) % (4 * m) == 0
+
+
+    def test_none_exactly_for_prime_powers(self):
+        for m in range(1, 61):
+            model = vperp_model(m)
+            g = nontrivial_disc_isometry(model)
+            assert (g is None) == (distinct_prime_count(m) <= 1)
+            if g is not None:
+                assert disc_action(model, g) not in (1, 2 * m - 1)
+
+
+class TestDiscLift:
+    def test_every_unit_lifts_up_to_200(self):
+        for m in range(1, 201):
+            model = vperp_model(m)
+            roots = [u for u in range(2 * m) if (u * u - 1) % (4 * m) == 0]
+            assert len(roots) == 2 ** distinct_prime_count(m)
+            for u in roots:
+                g = disc_lift(model, u)
+                Isometry.checked(model.lattice, g.matrix)
+                assert disc_action(model, g) == u
+
+    @pytest.mark.parametrize("u", [1, -1])
+    def test_pm1_at_large_m(self, u):
+        m = 10**12 + 2
+        model = vperp_model(m)
+        g = disc_lift(model, u)
+        Isometry.checked(model.lattice, g.matrix)
+        assert disc_action(model, g) == u % (2 * m)
+
+    def test_non_root_rejected(self):
+        model = vperp_model(15)
+        for u in (0, 3, 2, 7, 30):
+            with pytest.raises(LatticeError):
+                disc_lift(model, u)
+        assert disc_action(model, disc_lift(model, 11 + 30)) == 11
 
 
 class TestWMembership:

@@ -1,6 +1,6 @@
 """The exact kernels of `linalg`, checked against sympy as an independent
-oracle: determinants, Smith normal forms, saturated kernels, integer
-solutions, signatures and the integer Gram inverse."""
+oracle: determinants, Smith normal forms, saturated kernels, span
+membership, signatures and the integer Gram inverse."""
 
 from fractions import Fraction
 
@@ -9,8 +9,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import (
+    hermite_normal_form,
     invariant_factors,
-    smith_normal_decomp,
     smith_normal_form,
 )
 
@@ -55,7 +55,7 @@ def symmetric_matrices(n_max=5, bound=9):
 
 
 def snf_diagonal(a):
-    d, _, _ = linalg.smith_normal_form(a)
+    d, _ = linalg.smith_normal_form(a)
     return tuple(d[i][i] for i in range(min(len(d), len(d[0]))))
 
 
@@ -162,32 +162,81 @@ def test_kernel_basis(a):
     assert_kernel_matches(a)
 
 
-@settings(max_examples=60, deadline=None)
-@given(matrices(bound=6), st.data())
-def test_solve_int(a, data):
-    rows, cols = len(a), len(a[0])
-    if data.draw(st.booleans()):
-        x0 = data.draw(st.lists(st.integers(-5, 5), min_size=cols,
-                                max_size=cols))
-        b = linalg.mat_vec(a, tuple(x0))
+def sympy_in_span(vec, gens):
+    """Membership through sympy: the columns of the Hermite normal form of
+    the generator columns are a basis of their integer span, so vec lies in
+    it iff H c = vec has a rational solution (then unique) that is
+    integral."""
+    h = hermite_normal_form(Matrix(gens).T)
+    if h.cols == 0:
+        return not any(vec)
+    try:
+        c, _ = h.gauss_jordan_solve(Matrix(vec))
+    except ValueError:  # no rational solution
+        return False
+    return all(x.is_integer for x in c)
+
+
+@st.composite
+def span_problems(draw):
+    """(vec, gens) in Z^n: gens independent or not (a combination of the
+    others appended), vec an integer combination of them, such a
+    combination moved by a vector in {-1, 0, 1}^n, or arbitrary."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 4))
+    bound = draw(st.sampled_from((6, 10**12)))
+    vec = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    gens = [draw(vec) for _ in range(k)]
+
+    def combination():
+        cs = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+        return [sum(c * g[i] for c, g in zip(cs, gens)) for i in range(n)]
+
+    if draw(st.booleans()):
+        gens.append(combination())
+    kind = draw(st.sampled_from(("member", "moved", "arbitrary")))
+    if kind == "arbitrary":
+        target = draw(vec)
     else:
-        b = tuple(data.draw(st.lists(st.integers(-20, 20), min_size=rows,
-                                     max_size=rows)))
-    # oracle: with D = U A V in Smith form, A x = b has an integer solution
-    # iff every (U b)_i is divisible by d_i, and vanishes where d_i = 0
-    d, u, _ = smith_normal_decomp(Matrix(a), domain=ZZ)
-    c = u * Matrix(b)
-    solvable = all(
-        (c[i] == 0) if i >= min(rows, cols) or d[i, i] == 0
-        else c[i] % d[i, i] == 0
-        for i in range(rows)
-    )
-    x = linalg.solve_int(a, b)
-    if solvable:
-        assert x is not None
-        assert Matrix(a) * Matrix(x) == Matrix(b)
-    else:
-        assert x is None
+        target = combination()
+        if kind == "moved":
+            step = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+            target = [x + y for x, y in zip(target, step)]
+    return tuple(target), linalg.freeze(gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(span_problems())
+def test_in_span(problem):
+    vec, gens = problem
+    assert linalg.in_span(vec, gens) == sympy_in_span(vec, gens)
+
+
+def test_in_span_known_cases():
+    # 2 e1 and e1 + e2 span the index-2 sublattice {x + y even}; appending
+    # their sum 3 e1 + e2 keeps the span
+    gens = ((2, 0), (1, 1))
+    for g in (gens, gens + ((3, 1),)):
+        assert linalg.in_span((1, -1), g) and sympy_in_span((1, -1), g)
+        assert not linalg.in_span((1, 0), g)
+        assert not sympy_in_span((1, 0), g)
+    assert linalg.in_span((0, 0), ()) and not linalg.in_span((0, 1), ())
+
+
+@st.composite
+def rational_matrices(draw, n_max=4):
+    n = draw(st.integers(1, n_max))
+    bound, den = draw(st.sampled_from(((3, 12), (10**6, 60))))
+    entry = st.fractions(min_value=-bound, max_value=bound,
+                         max_denominator=den) | st.integers(-bound, bound)
+    return linalg.freeze([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices())
+def test_det_q_rational(a):
+    det = Matrix(a).det()
+    assert linalg.det_q(a) == Fraction(int(det.p), int(det.q))
 
 
 @settings(max_examples=60, deadline=None)

@@ -248,10 +248,8 @@ def mon_twist(model: VPerpModel, g: Isometry) -> Isometry:
     """The weight-2 shadow of the monodromy representation: restrict g in
     Gamma_v to v-perp and multiply by (-1)^cov(g); lands in the
     orientation-preserving group O_+(v-perp)."""
-    if not g.fixes(model.v.coords()):
-        raise LatticeError("isometry does not fix v")
+    restricted = model.restrict(g)  # NotInGammaV unless g fixes v
     cov = covariance(g)
-    restricted = model.restrict(g)
     out = restricted.negate() if cov else restricted
     if orientation_char(default_reference(model.lattice), out) != 0:
         raise InvariantError("twisted restriction must preserve orientation")

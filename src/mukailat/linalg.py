@@ -8,6 +8,12 @@ The workhorses are the Smith normal form with its unimodular column
 transform (used for discriminant groups and saturated kernels) and
 fraction-free (Bareiss) elimination (used for determinants and signatures;
 a rational matrix is first scaled to an integer one).
+
+Isometries here are mostly zeros, so the products skip zero entries:
+`mat_vec` sums the columns of the nonzero entries of the vector, `mat_mul`
+builds each row from the rows of b picked by its nonzero entries, and an
+elimination step only rescales a row whose multiplier is 0.  An entry with
+no nonzero term is the int 0, whatever the type of the other entries.
 """
 
 from __future__ import annotations
@@ -36,14 +42,25 @@ def transpose(m: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    """a @ b, row i as sum_j a_ij b_j over the nonzero a_ij."""
+    ncols = len(b[0]) if b else 0
+    rows = []
+    for arow in a:
+        out = [0] * ncols
+        for x, brow in zip(arow, b):
+            if x:
+                out = [y + x * z for y, z in zip(out, brow)]
+        rows.append(tuple(out))
+    return tuple(rows)
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    """m @ v as sum_j v_j m[:, j] over the nonzero v_j."""
+    out = [0] * len(m)
+    for j, x in enumerate(v):
+        if x:
+            out = [y + x * row[j] for y, row in zip(out, m)]
+    return tuple(out)
 
 
 def mat_neg(m: Mat) -> Mat:
@@ -72,14 +89,7 @@ def identity_plus_outer(s: int, terms) -> Mat:
 def identity_plus_outer_mul(s: int, terms, m: Mat) -> Mat:
     """(s I + sum_k b_k c_k^T) @ m = s m + sum_k b_k (c_k^T m), in O(n^2)
     per term instead of the O(n^3) of mat_mul."""
-    n = len(m[0]) if m else 0
-    outer = []
-    for b, c in terms:
-        cm = [0] * n
-        for ci, row in zip(c, m):
-            if ci:
-                cm = [x + ci * y for x, y in zip(cm, row)]
-        outer.append((b, cm))
+    outer = [(b, mat_mul((c,), m)[0]) for b, c in terms]
     rows = []
     for i, row in enumerate(m):
         out = [s * x for x in row]
@@ -146,13 +156,26 @@ def det(m: Mat) -> int:
                     break
             else:
                 return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
+        _bareiss_step(a, k, prev)
+        prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def _bareiss_step(a: list, k: int, prev: int) -> None:
+    """One fraction-free elimination step below the pivot p = a[k][k]: each
+    later row's entries right of column k become (p x - a_ik y) / prev, y
+    the pivot row's, an exact division.  A row with a_ik = 0 is only
+    rescaled by p / prev, and left as it is when p == prev.  Column k below
+    the pivot is not cleared; no later step reads it."""
+    rk = a[k][k + 1:]
+    p = a[k][k]
+    for ri in a[k + 1:]:
+        c = ri[k]
+        if c:
+            ri[k + 1:] = [(p * x - c * y) // prev
+                          for x, y in zip(ri[k + 1:], rk)]
+        elif p != prev:
+            ri[k + 1:] = [p * x // prev for x in ri[k + 1:]]
 
 
 def _clear_denominators(m) -> tuple[int, list]:
@@ -379,12 +402,7 @@ def signature(gram: Mat) -> tuple[int, int, int]:
             pos += 1
         else:
             neg += 1
-        rk = a[k]
-        for i in range(k + 1, n):
-            ri = a[i]
-            c = ri[k]
-            ri[k + 1:] = [(p * x - c * y) // prev
-                          for x, y in zip(ri[k + 1:], rk[k + 1:])]
+        _bareiss_step(a, k, prev)
         prev = p
     return pos, neg, zero
 

@@ -104,15 +104,14 @@ class VPerpModel:
             raise LatticeError("expected an isometry of the Mukai lattice")
         if not g.fixes(self.v.coords()):
             raise NotInGammaV("isometry does not fix v")
-        cols = []
-        n = self.lattice.rank
-        for j in range(n):
-            basis = self.from_perp_coords(
-                tuple(1 if i == j else 0 for i in range(n))
-            )
-            image = MukaiVector.from_coords(g.apply(basis.coords()))
-            cols.append(self.to_perp_coords(image))
-        return Isometry(self.lattice, linalg.transpose(linalg.freeze(cols)))
+        # the images of the K3 basis vectors are g's first k columns, and
+        # g(w) = g(h0) + m g(h4); each image (c, r, s) lies in v-perp iff
+        # s = m r, and then has coordinates (c, r)
+        k, m = self.k3.rank, self.m
+        rows = [r[:k] + (r[k] + m * r[k + 1],) for r in g.matrix]
+        if rows[k + 1] != tuple(m * x for x in rows[k]):
+            raise LatticeError("vector is not orthogonal to v")
+        return Isometry(self.lattice, tuple(rows[:k + 1]))
 
     def extend_k3(self, h: Isometry) -> Isometry:
         """Extend an isometry of the K3 block by the identity on h0, h4."""

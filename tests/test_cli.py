@@ -51,16 +51,28 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
     (["lattice", "disc", "--spec", "K3,diag(-6:4:10)"],
      "lattice_disc_K3_diag-6-4-10.json"),
     (["stab", "model", "--m", "30"], "stab_model_m30.json"),
+    (["char", "--lattice", "mukai", "--isometry", "inputs/char_m7.json"],
+     "char_m7.json"),
+    (["fm", "mon", "--m", "2", "--isometry", "inputs/mon_m2.json"],
+     "fm_mon_m2.json"),
+    (["fm", "mon", "--m", "2", "--isometry", "inputs/mon_m2_not_fixing.json"],
+     "fm_mon_m2_not_fixing.json"),
+    (["stab", "factor", "--m", "3", "--isometry", "inputs/factor_m3.json",
+      "--normalize"], "stab_factor_m3_normalize.json"),
+    (["fm", "verify-phi", "--n", "37"], "fm_verify_phi_n37.json"),
 ])
 def test_cli_stdout_is_golden(argv, golden):
-    # stdout and exit code of a fresh `python -m mukailat.cli` process,
-    # byte for byte as recorded in tests/golden
+    # stdout and exit code of a fresh `python -m mukailat.cli` process run
+    # in tests/golden, byte for byte as recorded there; the exit code is the
+    # report's "status"
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-m", "mukailat.cli", *argv],
-                          env=env, capture_output=True, timeout=120)
-    assert proc.returncode == 0
-    assert proc.stdout == (GOLDEN / golden).read_bytes()
+                          env=env, cwd=GOLDEN, capture_output=True,
+                          timeout=120)
+    expected = (GOLDEN / golden).read_bytes()
+    assert proc.returncode == json.loads(expected)["status"]
+    assert proc.stdout == expected
 
 
 class TestChar(object):

@@ -22,7 +22,12 @@ from mukailat.lattices import (
     orthogonal_complement,
 )
 from mukailat.mukai import MukaiVector, dualize, mukai_pairing
-from mukailat.stabilizer import generator_family, vperp_model, w_membership
+from mukailat.stabilizer import (
+    NotInGammaV,
+    generator_family,
+    vperp_model,
+    w_membership,
+)
 
 from conftest import label_vector
 
@@ -142,6 +147,17 @@ class TestMonTwist:
         out = mon_twist(model, sigma_u)
         true_refl = general_reflection(model.lattice, model.to_perp_coords(u))
         assert out.matrix == true_refl.negate().matrix
+
+    def test_non_fixing_isometry_checked_once(self, mukai, monkeypatch):
+        # restrict checks that g fixes v; mon_twist adds no check of its own
+        model = vperp_model(2)
+        calls = []
+        fixes = Isometry.fixes
+        monkeypatch.setattr(Isometry, "fixes",
+                            lambda g, v: calls.append(v) or fixes(g, v))
+        with pytest.raises(NotInGammaV, match="^isometry does not fix v$"):
+            mon_twist(model, Isometry.identity(mukai).negate())
+        assert calls == [model.v.coords()]
 
     def test_mon_kernel_at_m1(self, mukai):
         model = vperp_model(1)

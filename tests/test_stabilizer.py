@@ -106,6 +106,47 @@ class TestModel:
             assert m3.to_perp_coords(image) == restricted.apply(coords)
 
 
+def restrict_by_unit_vectors(model, g):
+    """The restriction of g to v-perp, one basis vector at a time: the image
+    of each v-perp basis vector under g, in v-perp coordinates."""
+    n = model.lattice.rank
+    cols = []
+    for j in range(n):
+        basis = model.from_perp_coords(
+            tuple(1 if i == j else 0 for i in range(n)))
+        image = MukaiVector.from_coords(g.apply(basis.coords()))
+        cols.append(model.to_perp_coords(image))
+    return linalg.transpose(linalg.freeze(cols))
+
+
+class TestRestrict:
+    @pytest.mark.parametrize("m", [1, 7, 30, 10**12])
+    def test_matches_unit_vector_images(self, m, rng):
+        model = vperp_model(m)
+        fam = generator_family(m)
+        for length in (0, 1, 3, 8):
+            g = fam.sample_word(rng, length).product()
+            restricted = model.restrict(g)
+            assert restricted.lattice == model.lattice
+            assert restricted.matrix == restrict_by_unit_vectors(model, g)
+
+    def test_non_fixing_isometry(self, m3):
+        with pytest.raises(NotInGammaV, match="does not fix v"):
+            m3.restrict(Isometry.identity(m3.mukai).negate())
+
+    def test_image_outside_v_perp(self, m3):
+        # e.1 -> e.1 + h4 fixes v = h0 - m h4 (an unchecked matrix, not an
+        # isometry), but the image of e.1 has s = 1 != m r = 0
+        labels = m3.mukai.basis_labels
+        rows = [list(r) for r in linalg.identity(m3.mukai.rank)]
+        rows[labels.index("h4")][labels.index("e.1")] = 1
+        g = Isometry(m3.mukai, linalg.freeze(rows))
+        assert g.fixes(m3.v.coords())
+        with pytest.raises(LatticeError, match="not orthogonal to v") as exc:
+            m3.restrict(g)
+        assert exc.type is LatticeError
+
+
 class TestDiscAction:
     def test_identity(self, m3):
         assert disc_action(m3, Isometry.identity(m3.lattice)) == 1

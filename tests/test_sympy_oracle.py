@@ -1,6 +1,7 @@
 """The exact kernels of `linalg`, checked against sympy as an independent
 oracle: determinants, Smith normal forms, saturated kernels, span
-membership, signatures and the integer Gram inverse."""
+membership, signatures and the integer Gram inverse.  The products that
+skip zero entries are checked against the plain sums of all products."""
 
 from fractions import Fraction
 
@@ -376,3 +377,109 @@ def test_signature_of_mukai_complement(sample):
     p, n, z = sympy_signature(g3)
     assert z == 0 and len(basis) == 21
     assert linalg.signature(gram) == (4 - p, 20 - n, 0)
+
+
+# -- products and determinants that skip zero entries -------------------------
+
+BIG = 10**40
+ENTRIES = {
+    "small": st.integers(-9, 9),
+    "big": st.integers(-BIG, BIG),
+    "fraction": st.fractions(min_value=-BIG, max_value=BIG,
+                             max_denominator=10**6),
+}
+
+
+@st.composite
+def sparse_matrices(draw, rows, cols, entry, share=0.3):
+    """rows x cols with at most a `share` of the entries nonzero: every
+    entry outside a drawn set of positions is 0, so at the default 30 %
+    whole rows and columns (and whole matrices) are often 0."""
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    chosen = draw(st.sets(st.sampled_from(cells),
+                          max_size=int(len(cells) * share)))
+    return linalg.freeze([[draw(entry) if (i, j) in chosen else 0
+                           for j in range(cols)] for i in range(rows)])
+
+
+def shapes_and_entries(dims):
+    return st.tuples(*(st.integers(1, 6) for _ in range(dims)),
+                     st.sampled_from(sorted(ENTRIES)))
+
+
+def naive_mat_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                 for row in a)
+
+
+def assert_int_if_int_input(out, *inputs):
+    if all(type(x) is int for m in inputs for row in m for x in row):
+        assert all(type(x) is int for row in out for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), shapes_and_entries(2))
+def test_sparse_mat_vec(data, shape):
+    rows, cols, kind = shape
+    m = data.draw(sparse_matrices(rows, cols, ENTRIES[kind]))
+    # a vector with any number of zeros, wherever they fall
+    v = data.draw(sparse_matrices(1, cols, ENTRIES[kind], share=1))[0]
+    out = linalg.mat_vec(m, v)
+    assert out == tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    assert_int_if_int_input((out,), m, (v,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), shapes_and_entries(3))
+def test_sparse_mat_mul(data, shape):
+    rows, inner, cols, kind = shape
+    a = data.draw(sparse_matrices(rows, inner, ENTRIES[kind]))
+    b = data.draw(sparse_matrices(inner, cols, ENTRIES[kind]))
+    out = linalg.mat_mul(a, b)
+    assert out == naive_mat_mul(a, b)
+    assert len(out) == rows and all(len(row) == cols for row in out)
+    assert_int_if_int_input(out, a, b)
+
+
+def test_zero_vectors_rows_and_columns():
+    m = ((0, 3, 0), (0, 0, 0), (0, -7, 0))
+    assert linalg.mat_vec(m, (0, 0, 0)) == (0, 0, 0)
+    assert linalg.mat_vec(m, (5, 0, 5)) == (0, 0, 0)
+    assert linalg.mat_vec(m, (0, 2, 0)) == (6, 0, -14)
+    # v's first entry is 0 and its only nonzero entry comes after it
+    assert linalg.mat_vec(((1, 2), (3, 4)), (0, 1)) == (2, 4)
+    assert linalg.mat_mul(m, m) == naive_mat_mul(m, m)
+    assert linalg.mat_mul(((0, 0),), ((1, 2, 3), (4, 5, 6))) == ((0, 0, 0),)
+    # with no nonzero term the sum is the int 0, for Fraction input too
+    half = ((Fraction(1, 2), Fraction(0)),)
+    assert [type(x) for x in linalg.mat_vec(half, (0, 0))] == [int]
+    assert linalg.mat_vec(half, (Fraction(2), 0)) == (1,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 6), st.sampled_from(("small", "big")),
+       st.sampled_from((0.3, 0.6)))
+def test_sparse_det(data, n, kind, share):
+    # at 30 % nonzero most determinants are 0; at 60 % rows with a zero
+    # multiplier below a pivot that differs from the previous one are common
+    a = data.draw(sparse_matrices(n, n, ENTRIES[kind], share))
+    assert linalg.det(a) == Matrix(a).det()
+
+
+@pytest.mark.parametrize("a, expected", [
+    # a zero pivot at k = 0 forces a row swap
+    (((0, 1, 2), (3, 0, 1), (1, 1, 0)), 7),
+    # at k = 0 row 2 has multiplier 0 while the pivot 2 != prev 1: it must
+    # still be scaled by 2, or the next step's exact division goes wrong
+    (((2, 1, 0), (1, 3, 1), (0, 1, 4)), 18),
+    # at k = 1 (pivot 5, prev 2) rows 2 and 3 have multiplier 0
+    (((2, 1, 0, 0), (1, 3, 0, 0), (0, 0, 4, 1), (0, 0, 1, 3)), 55),
+    # pivot == prev == 1 everywhere: zero multipliers leave rows as they are
+    (((1, 0, 0), (0, 1, 0), (0, 1, 1)), 1),
+    (((0, 0), (0, 0)), 0),
+    (((BIG, 0, 1), (0, 0, BIG), (1, BIG, 0)), -BIG**3),
+], ids=["swap", "scale_row", "scale_rows_later", "pivot_is_prev", "zero",
+        "big"])
+def test_det_zero_multipliers_and_swaps(a, expected):
+    assert Matrix(a).det() == expected
+    assert linalg.det(a) == expected

@@ -40,9 +40,7 @@ from .mukai import (
     unit_class,
 )
 from .characters import (
-    ReferenceOrientation,
     covariance,
-    default_reference,
     general_reflection,
     orientation_char,
     reflection,

@@ -3,15 +3,15 @@
 For (u,u) = +-2 the isometry rho_u(w) = (-2/(u,u)) w + (w,u) u is the
 reflection in u when (u,u) = -2, and minus the reflection when (u,u) = +2.
 The orientation character records the sign of an isometry's action on the
-orientation of a maximal positive definite subspace; on the Mukai lattice
-with the default reference it is the covariance character, with cov(-id) = 0,
-cov(D) = 1, cov(rho_{-2}) = 0, cov(rho_{+2}) = 1.
+orientation of a maximal positive definite subspace.  The sign does not
+depend on the subspace or its basis, so each lattice fixes one reference:
+e + f per hyperbolic block and h0 - h4 per H04 block.  On the Mukai lattice
+it is the covariance character, with cov(-id) = 0, cov(D) = 1,
+cov(rho_{-2}) = 0, cov(rho_{+2}) = 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
@@ -55,56 +55,35 @@ def general_reflection(lattice: Lattice, u) -> Isometry:
     return Isometry.from_outer(lattice, 1, ((u, coefs),))
 
 
-@dataclass(frozen=True)
-class ReferenceOrientation:
-    """An ordered rational basis of a maximal positive definite subspace."""
-
-    lattice: Lattice
-    vectors: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        def canonical(x):
-            f = Fraction(x)
-            return int(f) if f.denominator == 1 else f
-
-        vecs = tuple(tuple(canonical(x) for x in v) for v in self.vectors)
-        object.__setattr__(self, "vectors", vecs)
-        gram = self._gram()
-        if not linalg.is_positive_definite(gram):
-            raise LatticeError("reference vectors must span a positive definite space")
-        n_plus = self.lattice.signature()[0]
-        if len(vecs) != n_plus:
-            raise LatticeError(
-                f"reference must have {n_plus} vectors (the positive index)"
-            )
-
-    def _gram(self):
-        vecs = self.vectors
-        return linalg.freeze([[self.lattice.pair(a, b) for b in vecs]
-                              for a in vecs])
+@lru_cache(maxsize=None)
+def _reference(lattice: Lattice) -> tuple[tuple[int, ...], ...]:
+    """e + f per hyperbolic block and h0 - h4 = (1, 0, -1) per H04 block,
+    checked once to be a basis of a maximal positive definite subspace."""
+    vectors = [lattice.plane_vector(block, 1, sign)
+               for name, sign in (("U", 1), ("H04", -1))
+               for block in lattice.blocks_named(name)]
+    gram = linalg.freeze([[lattice.pair(a, b) for b in vectors]
+                          for a in vectors])
+    if not linalg.is_positive_definite(gram):
+        raise LatticeError("reference vectors must span a positive definite space")
+    n_plus = lattice.signature()[0]
+    if len(vectors) != n_plus:
+        raise LatticeError(
+            f"reference must have {n_plus} vectors (the positive index)"
+        )
+    return tuple(vectors)
 
 
-def default_reference(lattice: Lattice) -> ReferenceOrientation:
-    """e_i + f_i over the hyperbolic blocks, plus (1,0,-1) on the Mukai lattice.
-
-    The Mukai vector (1,0,-1) is h0 - h4 in coordinates; the three e + f
-    classes are a fixed positive 3-space standing in for {Re(sigma),
-    Im(sigma), kappa}.
-    """
-    return _cached_default_reference(lattice)
-
-
-def orientation_char(reference: ReferenceOrientation, g: Isometry) -> int:
+def orientation_char(g: Isometry) -> int:
     """0 if g preserves the orientation of the positive part, 1 otherwise.
 
     The matrix of (projection onto span(ref)) o g in the reference basis is
     B^{-1} C with B the reference Gram and C the pairing of references with
-    their images; since det B > 0 only the sign of det C matters.
+    their images; since det B > 0 only the sign of det C matters.  That sign
+    is the same for every basis of every maximal positive definite subspace.
     """
-    lat = reference.lattice
-    if g.lattice.gram != lat.gram:
-        raise LatticeError("isometry lives on a different lattice")
-    refs = reference.vectors
+    lat = g.lattice
+    refs = _reference(lat)
     images = [g.apply(v) for v in refs]
     c = linalg.freeze([[lat.pair(ref, img) for img in images] for ref in refs])
     d = linalg.det_q(c)
@@ -114,23 +93,6 @@ def orientation_char(reference: ReferenceOrientation, g: Isometry) -> int:
     return 0 if d > 0 else 1
 
 
-@lru_cache(maxsize=None)
-def _cached_default_reference(lattice: Lattice) -> ReferenceOrientation:
-    n = lattice.rank
-    vectors = []
-    for block in lattice.blocks_named("U"):
-        v = [0] * n
-        v[block.start] = 1
-        v[block.start + 1] = 1
-        vectors.append(tuple(v))
-    for block in lattice.blocks_named("H04"):
-        v = [0] * n
-        v[block.start] = 1
-        v[block.start + 1] = -1
-        vectors.append(tuple(v))
-    return ReferenceOrientation(lattice, tuple(vectors))
-
-
 def covariance(g: Isometry) -> int:
-    """The covariance character on the Mukai lattice (default reference)."""
-    return orientation_char(default_reference(g.lattice), g)
+    """The covariance character: the Mukai lattice's orientation character."""
+    return orientation_char(g)

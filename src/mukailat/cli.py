@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import jsonio, linalg
-from .characters import covariance, default_reference, orientation_char
+from .characters import covariance, orientation_char
 from .elliptic import even_stabilizer
 from .embeddings import DEFAULT_RADIUS, WitnessNotFound, embed_rank2, \
     verify_embedding
@@ -39,7 +39,6 @@ from .stabilizer import (
     factor,
     in_gamma_v,
     vperp_model,
-    w_membership,
 )
 
 
@@ -186,8 +185,7 @@ def _run_char(args):
     # isometry_from_json rejects a matrix that does not preserve the form
     iso = jsonio.isometry_from_json(_load_json(args.isometry))
     det = iso.det()
-    cov = orientation_char(default_reference(iso.lattice), iso)
-    outputs = {"det": det, "cov": cov}
+    outputs = {"det": det, "cov": orientation_char(iso)}
     verification = [
         _check("is_isometry", True),
         _check("det_is_unit", det in (1, -1)),
@@ -305,8 +303,11 @@ def _run_stab(args):
                    disc_action(model, restricted) == 1 % (2 * args.m)),
             _check("in_gamma_v",
                    in_gamma_v(model, restricted) is ExtensionKind.IN_GAMMA_V),
+            # mon_twist raises unless its image preserves orientation, so
+            # W membership comes down to the discriminant action
             _check("mon_image_in_W",
-                   w_membership(model, mon_twist(model, product))),
+                   in_gamma_v(model, mon_twist(model, product))
+                   is not ExtensionKind.DOES_NOT_EXTEND),
         ]
         return _report("stab sample",
                        {"m": args.m, "length": args.length,
@@ -341,10 +342,11 @@ def _run_fm(args):
             "twisted": jsonio.isometry_to_json(twisted, f"vperp:{args.m}"),
         }
         verification = [
-            _check("orientation_preserving",
-                   orientation_char(default_reference(model.lattice),
-                                    twisted) == 0),
-            _check("in_W", w_membership(model, twisted)),
+            # mon_twist raises unless twisted preserves orientation, so
+            # W membership comes down to the discriminant action
+            _check("orientation_preserving", True),
+            _check("in_W", in_gamma_v(model, twisted)
+                   is not ExtensionKind.DOES_NOT_EXTEND),
         ]
         return _report("fm mon", {"m": args.m, "isometry": args.isometry},
                        outputs, verification)
@@ -362,8 +364,7 @@ def _run_elliptic(args):
                linalg.mat_vec(stab.generator, (r, d)) == (r, d)),
     ]
     if args.test:
-        mat = linalg.freeze([[int(x) for x in row]
-                             for row in _load_json(args.test)])
+        mat = jsonio.matrix_from_json(_load_json(args.test))
         k = stab.is_power(mat)
         outputs["is_power"] = k is not None
         outputs["exponent"] = k

@@ -71,6 +71,8 @@ class EvenStabilizer:
         iff it equals t_v^k.
         """
         mat = linalg.freeze(mat)
+        if len(mat) != 2 or any(len(row) != 2 for row in mat):
+            raise LatticeError("expected a 2x2 matrix")
         if not fixes_vector(mat, self.v):
             raise LatticeError("matrix does not fix v")
         n = self._nilpotent

@@ -174,21 +174,15 @@ class _Clearer:
             if k == 0:
                 return False
             # a = e_l + k f_l has a^2/2 = k, so alpha shifts by about -k beta
-            a = [0] * n
-            a[helper_block.start] = 1
-            a[helper_block.start + 1] = k
+            a = lat.plane_vector(helper_block, 1, k)
             # (a, u) = coeff pairing: (e_l + k f_l, u) = u_f + k u_e
-            iso = eichler_transvection(lat, _unit_vec(n, block.start),
-                                       tuple(a))
+            iso = eichler_transvection(lat, _unit_vec(n, block.start), a)
         else:
             k = _round_div(beta, alpha)
             if k == 0:
                 return False
-            a = [0] * n
-            a[helper_block.start] = 1
-            a[helper_block.start + 1] = k
-            iso = eichler_transvection(lat, _unit_vec(n, block.start + 1),
-                                       tuple(a))
+            a = lat.plane_vector(helper_block, 1, k)
+            iso = eichler_transvection(lat, _unit_vec(n, block.start + 1), a)
         image = iso.apply(self.v)
         if _measure(lat, image) < _measure(lat, self.v):
             self.push(iso, image)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from . import linalg
 from .characters import (
     covariance,
-    default_reference,
     general_reflection,
     orientation_char,
     reflection,
@@ -236,12 +235,7 @@ def elliptic_phi(n: int) -> tuple[FMIsometry, dict]:
 def _beta_class(mukai: Lattice, n: int):
     """beta = e2 + (n-2) f2: orthogonal to the designated sigma, f (which
     live in the third hyperbolic block) with beta^2 = 2n - 4."""
-    b = mukai.blocks_named("U")[1]
-    rank = mukai.rank
-    beta = [0] * rank
-    beta[b.start] = 1
-    beta[b.start + 1] = n - 2
-    return tuple(beta)
+    return mukai.plane_vector(mukai.blocks_named("U")[1], 1, n - 2)
 
 
 def mon_twist(model: VPerpModel, g: Isometry) -> Isometry:
@@ -249,8 +243,7 @@ def mon_twist(model: VPerpModel, g: Isometry) -> Isometry:
     Gamma_v to v-perp and multiply by (-1)^cov(g); lands in the
     orientation-preserving group O_+(v-perp)."""
     restricted = model.restrict(g)  # NotInGammaV unless g fixes v
-    cov = covariance(g)
-    out = restricted.negate() if cov else restricted
-    if orientation_char(default_reference(model.lattice), out) != 0:
+    out = restricted.negate() if covariance(g) else restricted
+    if orientation_char(out) != 0:
         raise InvariantError("twisted restriction must preserve orientation")
     return out

@@ -10,6 +10,8 @@ Formats:
                            {"kind": "gamma0", "matrix": [[...]]}]}
 
 Lattice ids: "mukai", "k3", "U", "E8_minus", "vperp:<m>".
+
+The readers raise LatticeError on JSON of the wrong shape.
 """
 
 from __future__ import annotations
@@ -35,12 +37,38 @@ def resolve_lattice(identifier: str) -> Lattice:
         return k3_lattice()
     if identifier in ("U", "E8_minus"):
         return build_lattice((identifier,))
-    if identifier.startswith("vperp:"):
+    if isinstance(identifier, str) and identifier.startswith("vperp:"):
         from .stabilizer import vperp_model
 
         m = int(identifier.split(":", 1)[1])
         return vperp_model(m).lattice
     raise LatticeError(f"unknown lattice id {identifier!r}")
+
+
+def _field(data, key: str):
+    if not isinstance(data, dict) or key not in data:
+        raise LatticeError(f"expected a JSON object with key {key!r}")
+    return data[key]
+
+
+def _array(data) -> list:
+    if not isinstance(data, list):
+        raise LatticeError(f"expected a JSON array, got {type(data).__name__}")
+    return data
+
+
+def _int(x) -> int:
+    if type(x) is not int:
+        raise LatticeError(f"expected an integer, got {type(x).__name__}")
+    return x
+
+
+def vector_from_json(data) -> tuple:
+    return tuple(map(_int, _array(data)))
+
+
+def matrix_from_json(data):
+    return linalg.freeze(map(vector_from_json, _array(data)))
 
 
 def lattice_to_json(lattice: Lattice) -> dict:
@@ -54,21 +82,21 @@ def vector_to_json(v) -> list:
     return [int(x) for x in v]
 
 
-def vector_from_json(data) -> tuple:
-    return tuple(int(x) for x in data)
-
-
 def mukai_vector_to_json(v: MukaiVector) -> dict:
     return {"r": v.r, "c": list(v.c), "s": v.s}
 
 
 def mukai_vector_from_json(data) -> MukaiVector:
+    # also accepts a bare Mukai-lattice coordinate vector [c..., r, s]
     if isinstance(data, dict):
-        return MukaiVector(int(data["r"]),
-                           tuple(int(x) for x in data["c"]),
-                           int(data["s"]))
-    # accept a bare Mukai-lattice coordinate vector [c..., r, s]
-    return MukaiVector.from_coords(tuple(int(x) for x in data))
+        c = vector_from_json(_field(data, "c"))
+        data = [*c, _field(data, "r"), _field(data, "s")]
+    coords = vector_from_json(data)
+    rank = mukai_lattice().rank
+    if len(coords) != rank:
+        raise LatticeError(
+            f"expected {rank} Mukai coordinates, got {len(coords)}")
+    return MukaiVector.from_coords(coords)
 
 
 def isometry_to_json(iso: Isometry, identifier: str) -> dict:
@@ -76,9 +104,8 @@ def isometry_to_json(iso: Isometry, identifier: str) -> dict:
 
 
 def isometry_from_json(data) -> Isometry:
-    lattice = resolve_lattice(data["lattice"])
-    matrix = linalg.freeze([[int(x) for x in row] for row in data["matrix"]])
-    return Isometry.checked(lattice, matrix)
+    lattice = resolve_lattice(_field(data, "lattice"))
+    return Isometry.checked(lattice, matrix_from_json(_field(data, "matrix")))
 
 
 def _fraction_to_str(x: Fraction) -> str:
@@ -125,14 +152,14 @@ def word_from_json(model, data):
     from .stabilizer import Gamma0Letter, GeneratorWord, TauLetter
 
     letters = []
-    for item in data["letters"]:
-        if item["kind"] == "tau":
-            letters.append(TauLetter(mukai_vector_from_json(item["v0"])))
-        elif item["kind"] == "gamma0":
+    for item in _array(_field(data, "letters")):
+        kind = _field(item, "kind")
+        if kind == "tau":
+            letters.append(TauLetter(mukai_vector_from_json(
+                _field(item, "v0"))))
+        elif kind == "gamma0":
             letters.append(Gamma0Letter(
-                linalg.freeze([[int(x) for x in row]
-                               for row in item["matrix"]])
-            ))
+                matrix_from_json(_field(item, "matrix"))))
         else:
-            raise LatticeError(f"unknown letter kind {item['kind']!r}")
+            raise LatticeError(f"unknown letter kind {kind!r}")
     return GeneratorWord.checked(model, letters)

@@ -108,6 +108,12 @@ class Lattice:
         i = self.basis_labels.index(label)
         return tuple(1 if j == i else 0 for j in range(self.rank))
 
+    def plane_vector(self, block: Block, a: int, b: int) -> Vec:
+        """a e + b f, for the basis (e, f) of a rank-2 block."""
+        v = [0] * self.rank
+        v[block.start], v[block.start + 1] = a, b
+        return tuple(v)
+
     def blocks_named(self, name: str) -> tuple[Block, ...]:
         return tuple(b for b in self.blocks if b.name == name)
 

@@ -68,7 +68,7 @@ def dualize(x: MukaiVector) -> MukaiVector:
     return MukaiVector(x.r, linalg.vec_neg(x.c), x.s)
 
 
-class IntegralityError(ValueError):
+class IntegralityError(LatticeError):
     """A calculus result that must be integral came out fractional."""
 
 

@@ -21,12 +21,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .characters import (
-    default_reference,
-    general_reflection,
-    orientation_char,
-    reflection,
-)
+from .characters import general_reflection, orientation_char, reflection
 from .embeddings import DEFAULT_RADIUS, embed_rank2
 from .lattices import (
     Block,
@@ -195,11 +190,12 @@ def in_gamma_v(model: VPerpModel, g: Isometry) -> ExtensionKind:
 
 
 def w_membership(model: VPerpModel, g: Isometry) -> bool:
-    """Membership in the reflection group W(v-perp): orientation preserving
-    and acting by +-1 on the discriminant group."""
-    if orientation_char(default_reference(model.lattice), g) != 0:
+    """Membership in the reflection group W(v-perp): acting by +-1 on the
+    discriminant group and orientation preserving.  The discriminant action
+    comes first: it rejects an isometry of another lattice."""
+    if in_gamma_v(model, g) is ExtensionKind.DOES_NOT_EXTEND:
         return False
-    return in_gamma_v(model, g) is not ExtensionKind.DOES_NOT_EXTEND
+    return orientation_char(g) == 0
 
 
 class Minus2Orbit(enum.Enum):
@@ -225,11 +221,8 @@ def aplus_witness(m: int) -> MukaiVector | None:
     if m % 4 != 1:
         return None
     k3 = k3_lattice()
-    block = k3.blocks_named("U")[0]
-    c = [0] * k3.rank
-    c[block.start] = 2
-    c[block.start + 1] = 2 * ((m - 1) // 4)
-    v0 = MukaiVector(1, tuple(c), m)
+    c = k3.plane_vector(k3.blocks_named("U")[0], 2, 2 * ((m - 1) // 4))
+    v0 = MukaiVector(1, c, m)
     _ensure(mukai_pairing(v0, v0) == -2, "A_+ witness is not a -2 vector")
     return v0
 
@@ -395,11 +388,7 @@ class GeneratorWord:
 def _canonical_tau_class(model: VPerpModel) -> tuple:
     """L = e + (m-1) f in the first hyperbolic block: primitive, square 2m-2."""
     k3 = model.k3
-    block = k3.blocks_named("U")[0]
-    c = [0] * k3.rank
-    c[block.start] = 1
-    c[block.start + 1] = model.m - 1
-    return tuple(c)
+    return k3.plane_vector(k3.blocks_named("U")[0], 1, model.m - 1)
 
 
 class GeneratorFamily:

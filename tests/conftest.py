@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, strategies as st
@@ -28,6 +29,20 @@ def label_vector(lattice, **coeffs):
     for label, c in coeffs.items():
         v[lattice.basis_labels.index(label)] = c
     return tuple(v)
+
+
+def mixed_mukai_reference(mukai):
+    """A rational, orientation-preserving base change of the Mukai lattice's
+    orientation reference e.i + f.i (i = 1, 2, 3), h0 - h4: the first
+    vector gains a third of the second and the third is doubled."""
+    e1, e2, e3 = (label_vector(mukai, **{f"e.{i}": 1, f"f.{i}": 1})
+                  for i in (1, 2, 3))
+    return [
+        [a + Fraction(1, 3) * b for a, b in zip(e1, e2)],
+        list(e2),
+        [2 * x for x in e3],
+        list(label_vector(mukai, h0=1, h4=-1)),
+    ]
 
 
 def random_vector(lattice, rng, bound=5, density=0.5):

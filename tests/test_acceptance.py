@@ -11,7 +11,6 @@ from fractions import Fraction
 from mukailat import linalg
 from mukailat.characters import (
     covariance,
-    default_reference,
     general_reflection,
     orientation_char,
     reflection,
@@ -326,9 +325,7 @@ def test_criterion_10_w_membership():
             g = fam.sample_word(rng, rng.randint(0, 5)).product()
             twisted = mon_twist(model, g)
             assert w_membership(model, twisted)
-            assert orientation_char(
-                default_reference(model.lattice), twisted
-            ) == 0
+            assert orientation_char(twisted) == 0
             count += 1
     assert count >= 100
     _report(10, f"mon_twist images of {count} samples verified inside W")

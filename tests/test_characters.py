@@ -10,19 +10,23 @@ import pytest
 
 from mukailat import linalg
 from mukailat.characters import (
-    ReferenceOrientation,
     ReflectionError,
     covariance,
-    default_reference,
     general_reflection,
     orientation_char,
     reflection,
 )
-from mukailat.lattices import Isometry, LatticeError, build_lattice
+from mukailat.lattices import (
+    Block,
+    Isometry,
+    Lattice,
+    LatticeError,
+    build_lattice,
+)
 from mukailat.mukai import MukaiVector
 from mukailat.stabilizer import generator_family
 
-from conftest import label_vector, random_vector
+from conftest import label_vector, mixed_mukai_reference, random_vector
 
 
 @pytest.fixture(scope="module")
@@ -150,46 +154,47 @@ class TestOrientationChar:
             assert product.det() == det_prod
 
     def test_reference_base_change_invariance(self, mukai, family, rng):
-        ref = default_reference(mukai)
-        # orientation-preserving rational base change of the same span
-        vectors = [list(v) for v in ref.vectors]
-        mixed = [
-            [a + Fraction(1, 3) * b for a, b in zip(vectors[0], vectors[1])],
-            vectors[1],
-            [Fraction(2) * x for x in vectors[2]],
-            vectors[3],
-        ]
-        ref2 = ReferenceOrientation(mukai, tuple(tuple(v) for v in mixed))
+        # the sign of det[(r_i, g r_j)] over a rational, orientation-
+        # preserving base change of the reference, worked out here
+        mixed = mixed_mukai_reference(mukai)
         model = family.model
-        for _ in range(10):
+        plus = reflection(mukai, label_vector(mukai, **{"e.1": 1, "f.1": 1}))
+        seen = set()
+        for i in range(10):
             u = family.sample_pm2_vector(rng)
             g = model.extend_k3(reflection(family.k3, u))
-            assert orientation_char(ref, g) == orientation_char(ref2, g)
+            if i % 2:
+                g = g @ plus
+            c = [[mukai.pair(r, g.apply(s)) for s in mixed] for r in mixed]
+            assert any(Fraction(x).denominator > 1 for row in c for x in row)
+            expected = 0 if linalg.det_q(c) > 0 else 1
+            assert orientation_char(g) == expected
+            seen.add(expected)
+        assert seen == {0, 1}
 
-    def test_reference_must_be_positive_definite(self, mukai):
-        bad = [label_vector(mukai, **{"e.1": 1})] * 4
-        with pytest.raises(LatticeError):
-            ReferenceOrientation(mukai, tuple(tuple(v) for v in bad))
-
-    def test_reference_of_wrong_length_rejected(self, mukai):
-        # one entry too many is rejected, not dropped
-        vectors = default_reference(mukai).vectors
-        with pytest.raises(LatticeError, match="does not match"):
-            ReferenceOrientation(mukai, tuple(v + (0,) for v in vectors))
+    def test_reference_must_span_the_positive_part(self):
+        # diag(1) + U has positive index 2, but only U gives a reference
+        # vector (e + f)
+        lattice = build_lattice((("diag", (1,)), "U"))
+        with pytest.raises(LatticeError, match="2 vectors"):
+            orientation_char(Isometry.identity(lattice))
+        # a block named U on a negative definite plane: e + f is negative
+        fake = Lattice(((-2, 0), (0, -2)), ("e", "f"), (Block("U", 0, 2),))
+        with pytest.raises(LatticeError, match="positive definite"):
+            orientation_char(Isometry.identity(fake))
 
     def test_singular_projection_raises_under_optimize(self):
         # the zero matrix is not an isometry; the check must hold with
         # assertions switched off
         code = (
-            "from mukailat.characters import default_reference, "
-            "orientation_char\n"
+            "from mukailat.characters import orientation_char\n"
             "from mukailat.lattices import Isometry, LatticeError, "
             "mukai_lattice\n"
             "assert False\n"
             "mukai = mukai_lattice()\n"
             "zero = Isometry(mukai, ((0,) * 24,) * 24)\n"
             "try:\n"
-            "    print(orientation_char(default_reference(mukai), zero))\n"
+            "    print(orientation_char(zero))\n"
             "except LatticeError as exc:\n"
             "    print('LatticeError:', exc)\n"
         )
@@ -204,8 +209,7 @@ class TestOrientationChar:
         from mukailat.stabilizer import vperp_model
 
         model = vperp_model(3)
-        ref = default_reference(model.lattice)
-        assert len(ref.vectors) == 3
+        assert model.lattice.signature()[0] == 3
         minus = Isometry.identity(model.lattice).negate()
         # det of -I on a 3-dimensional positive part: orientation reversed
-        assert orientation_char(ref, minus) == 1
+        assert orientation_char(minus) == 1

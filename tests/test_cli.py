@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from mukailat import jsonio
+from mukailat import characters, jsonio
 from mukailat.cli import run
 from mukailat.stabilizer import generator_family, vperp_model
 
@@ -94,6 +94,22 @@ class TestChar(object):
         path.write_text(json.dumps({"lattice": "mukai", "matrix": matrix}))
         report, status = invoke(["char", "--isometry", str(path)])
         assert status == 2
+
+    def test_bare_matrix_is_a_usage_error(self, tmp_path):
+        # a matrix without its lattice id: exit 2 and a JSON report on
+        # stdout, no traceback
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps([[1, 0], [0, 1]]))
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mukailat.cli", "char", "--isometry",
+             str(path)], env=env, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout) == {
+            "error": "expected a JSON object with key 'lattice'", "status": 2}
 
 
 class TestStab:
@@ -222,6 +238,38 @@ class TestFm:
         back = jsonio.isometry_from_json(report["outputs"]["twisted"])
         assert back.lattice.rank == 23
 
+    def _count_characters(self, monkeypatch):
+        """Route every module's `orientation_char` through a counter; the
+        list gets the rank of each isometry's lattice."""
+        real = characters.orientation_char
+        calls = []
+
+        def counting(g):
+            calls.append(g.lattice.rank)
+            return real(g)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "mukailat" and \
+                    getattr(module, "orientation_char", None) is real:
+                monkeypatch.setattr(module, "orientation_char", counting)
+        return calls
+
+    def test_mon_computes_three_characters(self, monkeypatch):
+        # cov of the Mukai input inside mon_twist and for the report, and
+        # mon_twist's check on the twisted map of v-perp (rank 23)
+        calls = self._count_characters(monkeypatch)
+        report, status = invoke(["fm", "mon", "--m", "2", "--isometry",
+                                 str(GOLDEN / "inputs" / "mon_m2.json")])
+        assert status == 0
+        assert sorted(calls) == [23, 24, 24]
+
+    def test_sample_computes_two_characters(self, monkeypatch):
+        calls = self._count_characters(monkeypatch)
+        report, status = invoke(["--seed", "5", "stab", "sample", "--m", "2",
+                                 "--length", "3"])
+        assert status == 0
+        assert sorted(calls) == [23, 24]
+
 
 class TestElliptic:
     def test_stab(self):
@@ -240,6 +288,15 @@ class TestElliptic:
                                  "--test", str(path)])
         assert status == 0
         assert report["outputs"]["exponent"] == 4
+
+    @pytest.mark.parametrize("matrix", [[[1]], [1, 0], [[1, 0], [0, 1.0]]])
+    def test_power_test_of_wrong_shape_is_a_usage_error(self, tmp_path,
+                                                        matrix):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(matrix))
+        report, status = invoke(["elliptic", "stab", "--v", "2,3",
+                                 "--test", str(path)])
+        assert status == 2
 
 
 class TestHarness:

@@ -7,7 +7,8 @@ a `.gram` to `linalg.mat_vec` or `linalg.mat_mul` again.
 
 The K3 and Mukai forms are read from `lattices.k3_lattice()` and
 `mukai_lattice()` where they are used, so no function takes the K3 lattice
-as a `k3` parameter."""
+as a `k3` parameter.  Likewise the orientation reference is fixed by the
+lattice, so no function takes it as a `reference` parameter."""
 
 import ast
 import pathlib
@@ -51,8 +52,8 @@ def test_guard_sees_a_dense_product(tmp_path):
     assert _dense_gram_products(probe) == [1, 3]
 
 
-def _k3_parameters(path):
-    """Line numbers of functions with a parameter named `k3`."""
+def _parameters_named(path, name):
+    """Line numbers of functions with a parameter called `name`."""
     hits = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -61,23 +62,38 @@ def _k3_parameters(path):
         args = node.args
         params = args.posonlyargs + args.args + args.kwonlyargs + \
             [a for a in (args.vararg, args.kwarg) if a]
-        if any(a.arg == "k3" for a in params):
+        if any(a.arg == name for a in params):
             hits.append(node.lineno)
     return sorted(hits)
 
 
-def test_no_function_takes_a_k3_parameter():
-    offenders = {
+def _package_functions_taking(name):
+    return {
         path.name: lines
         for path in sorted(PACKAGE.glob("*.py"))
-        if (lines := _k3_parameters(path))
+        if (lines := _parameters_named(path, name))
     }
-    assert offenders == {}
+
+
+def _probe_hits(tmp_path, name):
+    probe = tmp_path / "probe.py"
+    probe.write_text(f"def cup(x, y, {name}=None):\n    pass\n"
+                     f"def pair(x, *, {name}):\n    pass\n"
+                     f"def square(x, {name}_rank):\n    pass\n")
+    return _parameters_named(probe, name)
+
+
+def test_no_function_takes_a_k3_parameter():
+    assert _package_functions_taking("k3") == {}
+
+
+def test_no_function_takes_a_reference_parameter():
+    assert _package_functions_taking("reference") == {}
 
 
 def test_guard_sees_a_k3_parameter(tmp_path):
-    probe = tmp_path / "probe.py"
-    probe.write_text("def cup(x, y, k3=None):\n    pass\n"
-                     "def pair(x, *, k3):\n    pass\n"
-                     "def square(x, k3_rank):\n    pass\n")
-    assert _k3_parameters(probe) == [1, 3]
+    assert _probe_hits(tmp_path, "k3") == [1, 3]
+
+
+def test_guard_sees_a_reference_parameter(tmp_path):
+    assert _probe_hits(tmp_path, "reference") == [1, 3]

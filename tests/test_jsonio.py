@@ -3,7 +3,13 @@
 import pytest
 
 from mukailat import linalg
-from mukailat.jsonio import resolve_lattice, word_from_json
+from mukailat.jsonio import (
+    isometry_from_json,
+    mukai_vector_from_json,
+    resolve_lattice,
+    vector_from_json,
+    word_from_json,
+)
 from mukailat.lattices import (
     LatticeError,
     build_lattice,
@@ -49,3 +55,37 @@ class TestWordFromJson:
         matrix[0][0] = 2
         with pytest.raises(LatticeError):
             self._word({"kind": "gamma0", "matrix": matrix})
+
+
+def word_at_m3(data):
+    return word_from_json(vperp_model(3), data)
+
+
+IDENTITY = [list(r) for r in linalg.identity(24)]
+
+
+@pytest.mark.parametrize("read, data", [
+    (isometry_from_json, [[1, 0], [0, 1]]),
+    (isometry_from_json, {"matrix": IDENTITY}),
+    (isometry_from_json, {"lattice": 7, "matrix": IDENTITY}),
+    (isometry_from_json, {"lattice": "mukai", "matrix": 1}),
+    (isometry_from_json, {"lattice": "mukai", "matrix": [1] * 24}),
+    (isometry_from_json, {"lattice": "mukai",
+                          "matrix": [[0.5] * 24] * 24}),
+    (mukai_vector_from_json, [1, 0]),
+    (mukai_vector_from_json, {"r": 1, "c": [0] * 21, "s": 0}),
+    (mukai_vector_from_json, {"r": "1", "c": [0] * 22, "s": 0}),
+    (mukai_vector_from_json, {"r": 1, "s": 0}),
+    (mukai_vector_from_json, 5),
+    (vector_from_json, {"x": 1}),
+    (vector_from_json, [1, None]),
+    (vector_from_json, [True, 0]),
+    (word_at_m3, []),
+    (word_at_m3, {"letters": {"kind": "tau"}}),
+    (word_at_m3, {"letters": [["tau"]]}),
+    (word_at_m3,
+     {"letters": [{"kind": "gamma0", "matrix": "I"}]}),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_wrong_shape_is_a_lattice_error(read, data):
+    with pytest.raises(LatticeError):
+        read(data)

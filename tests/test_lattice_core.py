@@ -90,6 +90,13 @@ class TestPair:
 
 
 class TestPrimitive:
+    def test_plane_vector(self, k3, mukai):
+        u2 = k3.blocks_named("U")[1]
+        assert k3.plane_vector(u2, 2, -3) == \
+            label_vector(k3, **{"e.2": 2, "f.2": -3})
+        h = mukai.blocks_named("H04")[0]
+        assert mukai.plane_vector(h, 1, -1) == label_vector(mukai, h0=1, h4=-1)
+
     def test_basis_vector(self, k3):
         assert is_primitive(k3, label_vector(k3, **{"e.1": 1}))
 

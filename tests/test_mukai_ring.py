@@ -9,6 +9,7 @@ from mukailat.lattices import LatticeError
 from mukailat.mukai import (
     Effectivity,
     GradedSurfaceClass,
+    IntegralityError,
     MukaiVector,
     ch_to_chern,
     cup,
@@ -136,6 +137,12 @@ class TestChToChern:
         ch = GradedSurfaceClass(Fraction(1, 2), (0,) * 22, 0)
         with pytest.raises(Exception):
             ch_to_chern(ch)
+
+    def test_integrality_error_is_a_lattice_error(self):
+        ch = GradedSurfaceClass(Fraction(1, 2), (0,) * 22, 0)
+        with pytest.raises(LatticeError) as info:
+            ch_to_chern(ch)
+        assert type(info.value) is IntegralityError
 
 
 class TestDegreeTwoLength:

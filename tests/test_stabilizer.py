@@ -266,6 +266,14 @@ class TestWMembership:
         g = Isometry.identity(m3.lattice).negate()
         assert not w_membership(m3, g)
 
+    def test_mukai_isometry_rejected(self, m3, mukai):
+        # the lattice is checked before the orientation character, which is
+        # 1 here and would otherwise answer False
+        plus = reflection(mukai, mukai.plane_vector(
+            mukai.blocks_named("U")[0], 1, 1))
+        with pytest.raises(LatticeError, match="isometry of v-perp"):
+            w_membership(m3, plus)
+
 
 class TestOrbits:
     def test_m1_lattice_class(self):

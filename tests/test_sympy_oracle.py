@@ -16,7 +16,6 @@ from sympy.matrices.normalforms import (
 )
 
 from mukailat import linalg
-from mukailat.characters import default_reference
 from mukailat.lattices import (
     e8_minus,
     hyperbolic_plane,
@@ -25,7 +24,7 @@ from mukailat.lattices import (
 )
 from mukailat.stabilizer import vperp_model
 
-from conftest import mukai_complements
+from conftest import mixed_mukai_reference, mukai_complements
 
 LATTICES = {"U": hyperbolic_plane(), "E8_minus": e8_minus(),
             "K3": k3_lattice(), "Mukai": mukai_lattice()}
@@ -303,13 +302,7 @@ def test_rational_signature_small():
 
 def test_rational_signature_of_mixed_reference(mukai):
     # the rational base change of test_reference_base_change_invariance
-    vectors = [list(v) for v in default_reference(mukai).vectors]
-    mixed = [
-        [a + Fraction(1, 3) * b for a, b in zip(vectors[0], vectors[1])],
-        vectors[1],
-        [Fraction(2) * x for x in vectors[2]],
-        vectors[3],
-    ]
+    mixed = mixed_mukai_reference(mukai)
     gram = linalg.freeze([[mukai.pair(a, b) for b in mixed] for a in mixed])
     assert any(Fraction(x).denominator > 1 for row in gram for x in row)
     assert linalg.signature(gram) == (4, 0, 0)

@@ -184,6 +184,9 @@ def _run_lattice(args):
 def _run_char(args):
     # isometry_from_json rejects a matrix that does not preserve the form
     iso = jsonio.isometry_from_json(_load_json(args.isometry))
+    if jsonio.resolve_lattice(args.lattice) != iso.lattice:
+        raise LatticeError(f"the isometry is not on the lattice "
+                           f"{args.lattice!r}")
     det = iso.det()
     outputs = {"det": det, "cov": orientation_char(iso)}
     verification = [

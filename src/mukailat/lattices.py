@@ -57,6 +57,8 @@ class Lattice:
     # per row of G, the (j, g_ij) with g_ij != 0: the only form in which
     # G multiplies a vector
     _rows: tuple = field(init=False, repr=False, compare=False)
+    # the hash of the compared fields, formed once: lattices key caches
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.gram)
@@ -68,6 +70,11 @@ class Lattice:
             raise LatticeError("Gram matrix must be symmetric")
         object.__setattr__(self, "_rows", tuple(
             tuple((j, g) for j, g in enumerate(r) if g) for r in self.gram))
+        object.__setattr__(self, "_hash", hash(
+            (self.gram, self.basis_labels, self.blocks, self.name)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def rank(self) -> int:
@@ -388,10 +395,14 @@ def orthogonal_complement(lattice: Lattice, vectors) -> tuple[tuple[Vec, ...], M
         return basis, lattice.gram
     rows = tuple(lattice.covector(v) for v in vectors)
     basis = linalg.kernel_basis(rows)
-    covectors = tuple(map(lattice.covector, basis))
-    gram = freeze([[sum(x * y for x, y in zip(c, b) if x) for b in basis]
-                   for c in covectors])
-    return basis, gram
+    # (b_i, b_j) = (G b_i) . b_j, formed for j >= i and mirrored
+    n = len(basis)
+    gram = [[0] * n for _ in range(n)]
+    for i, c in enumerate(map(lattice.covector, basis)):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = sum(
+                x * y for x, y in zip(c, basis[j]) if x)
+    return basis, freeze(gram)
 
 
 @dataclass(frozen=True)
@@ -414,25 +425,25 @@ class DiscGroup:
 
 def discriminant_group(lattice: Lattice) -> DiscGroup:
     g = lattice.gram
-    d, t = linalg.smith_normal_form(g)
+    d, log = linalg.smith_elimination(g)
     n = lattice.rank
     diag = [d[i][i] for i in range(n)]
     if any(x == 0 for x in diag):
         raise LatticeError("degenerate Gram matrix")
-    cols_t = linalg.transpose(t)
+    # a unit d_i gives the trivial group, so only the other columns of the
+    # Smith transform are built
+    nonunit = [i for i in range(n) if diag[i] != 1]
     divisors = []
     lifts = []
     q_values = []
-    for i in range(n):
+    for i, col in zip(nonunit, linalg.smith_columns(log, n, nonunit)):
         di = diag[i]
-        if di == 1:
-            continue
         divisors.append(di)
-        lifts.append(tuple(Fraction(x, di) for x in cols_t[i]))
+        lifts.append(tuple(Fraction(x, di) for x in col))
         # q(c / d) mod 2 is (c^T G c mod 2d^2) / d^2, and c^T G c mod 2d^2
         # only depends on c mod 2d^2
         modulus = 2 * di * di
-        c = tuple(x % modulus for x in cols_t[i])
+        c = tuple(x % modulus for x in col)
         q_values.append(Fraction(lattice.square(c) % modulus, di * di))
     order = 1
     for x in diag:

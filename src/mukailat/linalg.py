@@ -7,7 +7,11 @@ no floating point anywhere in this package; every result below is exact.
 The workhorses are the Smith normal form with its unimodular column
 transform (used for discriminant groups and saturated kernels) and
 fraction-free (Bareiss) elimination (used for determinants and signatures;
-a rational matrix is first scaled to an integer one).
+a rational matrix is first scaled to an integer one).  The Smith
+elimination records the transform as the column operations it made, and
+only the columns that are read are built from that log: all of them for a
+kernel, the few with d_i != 1 for a discriminant group, none for the
+elementary divisors.
 
 Isometries here are mostly zeros, so the products skip zero entries:
 `mat_vec` sums the columns of the nonzero entries of the vector, `mat_mul`
@@ -244,25 +248,24 @@ def xgcd_vector(coeffs) -> tuple[int, Vec]:
     return g, tuple(combo)
 
 
-def smith_normal_form(mat: Mat):
-    """Smith normal form with its column transform.
+def smith_elimination(mat: Mat):
+    """Smith normal form, with its column transform kept as a log.
 
-    Returns (d, t) with d = s @ mat @ t for some unimodular s (not built), t
-    unimodular, d diagonal with non-negative entries d_1 | d_2 | ... .
+    Returns (d, log): d = s @ mat @ t for some unimodular s and t, neither
+    built, d diagonal with non-negative entries d_1 | d_2 | ... .  log lists
+    the column operations that make t = E_1 E_2 ... E_K from I, in order:
+    (k, j, None) swaps columns k and j, (k, j, c) adds c * column k to
+    column j.  `smith_columns` builds the columns of t that are read.
     """
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     d = [list(row) for row in mat]
-    t_cols = [list(row) for row in identity(ncols)]  # t, column by column
-
-    def add_col(src, dst, c):
-        for row in d:
-            if row[src]:
-                row[dst] += c * row[src]
-        t_cols[dst] = [a + c * b for a, b in zip(t_cols[dst], t_cols[src])]
+    log = []
 
     def clear_position(k):
-        # Euclid on row k / column k until the pivot divides everything there.
+        # Euclid on row k / column k until the pivot divides everything
+        # there.  Rows k.. are zero left of column k, and so are columns
+        # k.. above row k: each operation touches only that block.
         while True:
             # pivot: the smallest nonzero entry of the remaining block, the
             # first in row-major order on a tie (the tie-break fixes t)
@@ -275,22 +278,32 @@ def smith_normal_form(mat: Mat):
                 return False
             d[k], d[piv_i] = d[piv_i], d[k]
             j = next(j for j in range(k, ncols) if abs(d[k][j]) == best)
-            for row in d:
-                row[k], row[j] = row[j], row[k]
-            t_cols[k], t_cols[j] = t_cols[j], t_cols[k]
+            if j != k:
+                for row in d[k:]:
+                    row[k], row[j] = row[j], row[k]
+                log.append((k, j, None))
+            pivot_row = d[k][k:]
+            p = pivot_row[0]
             dirty = False
-            for i in range(k + 1, nrows):
-                if d[i][k]:
-                    q = d[i][k] // d[k][k]
-                    d[i] = [a - q * b for a, b in zip(d[i], d[k])]
-                    if d[i][k]:
+            for row in d[k + 1:]:
+                if row[k]:
+                    q = row[k] // p
+                    row[k:] = [a - q * b for a, b in zip(row[k:], pivot_row)]
+                    if row[k]:
                         dirty = True
-            for j in range(k + 1, ncols):
-                if d[k][j]:
-                    q = d[k][j] // d[k][k]
-                    add_col(k, j, -q)
-                    if d[k][j]:
-                        dirty = True
+            # column j += c_j * column k for each j > k, in order.  They
+            # leave column k as it is, so every c_j is read off the pivot
+            # row now, and a row changes only if its column-k entry is
+            # nonzero.  c_j == 0 exactly where the entry is 0.
+            cs = [-(x // p) for x in d[k][k + 1:]]
+            if any(cs):
+                for row in d[k:]:
+                    r = row[k]
+                    if r:
+                        row[k + 1:] = [a + c * r
+                                       for a, c in zip(row[k + 1:], cs)]
+                log.extend((k, j, c) for j, c in enumerate(cs, k + 1) if c)
+                dirty = dirty or any(d[k][k + 1:])
             if not dirty:
                 return True
 
@@ -317,11 +330,45 @@ def smith_normal_form(mat: Mat):
             break
         d[bad] = [a + b for a, b in zip(d[bad], d[bad + 1])]
         rank = diagonalize()
-    return freeze(d), transpose(t_cols)
+    return freeze(d), log
+
+
+def smith_columns(log, n: int, cols) -> tuple[Vec, ...]:
+    """Columns cols of the n x n transform t = E_1 ... E_K that
+    `smith_elimination` logged, without forming the others.
+
+    Column j is E_1 (E_2 (... (E_K e_j))): the log is applied from last to
+    first to e_j, and on a vector the column operation "column dst += c *
+    column src" is x_src += c x_dst.  That is O(K) per column read, against
+    O(K n) for all of t."""
+    out = []
+    for j in cols:
+        x = [0] * n
+        x[j] = 1
+        for src, dst, c in reversed(log):
+            if c is None:
+                x[src], x[dst] = x[dst], x[src]
+            elif x[dst]:
+                x[src] += c * x[dst]
+        out.append(tuple(x))
+    return tuple(out)
+
+
+def smith_normal_form(mat: Mat):
+    """Smith normal form with its whole column transform.
+
+    Returns (d, t) with d = s @ mat @ t for some unimodular s (not built), t
+    unimodular, d diagonal with non-negative entries d_1 | d_2 | ... .  t is
+    every column replayed from the log of `smith_elimination`; a caller that
+    reads only some columns asks `smith_columns` for those.
+    """
+    d, log = smith_elimination(mat)
+    n = len(d[0]) if d else 0
+    return d, transpose(smith_columns(log, n, range(n)))
 
 
 def elementary_divisors(mat: Mat) -> tuple[int, ...]:
-    d, _ = smith_normal_form(mat)
+    d, _ = smith_elimination(mat)
     n = min(len(d), len(d[0]) if d else 0)
     return tuple(d[i][i] for i in range(n) if d[i][i] != 0)
 

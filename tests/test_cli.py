@@ -88,6 +88,23 @@ class TestChar(object):
         assert status == 0
         assert report["outputs"] == {"det": 1, "cov": 1}
 
+    def test_lattice_must_match_the_file(self, tmp_path):
+        from mukailat.fourier_mukai import duality_isometry
+
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(
+            jsonio.isometry_to_json(duality_isometry(), "mukai")
+        ))
+        report, status = invoke(["char", "--lattice", "k3",
+                                 "--isometry", str(path)])
+        assert status == 2
+        assert report == {"error": "the isometry is not on the lattice 'k3'",
+                          "status": 2}
+        # another id of the same lattice is no mismatch
+        report, status = invoke(["char", "--lattice", "Mukai",
+                                 "--isometry", str(path)])
+        assert status == 0
+
     def test_non_isometry_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         matrix = [[1] * 24 for _ in range(24)]

@@ -342,7 +342,10 @@ def test_sparse_rows_leave_identity_alone(name):
     lat = PAIRING_LATTICES[name]
     twin = Lattice(lat.gram, lat.basis_labels, lat.blocks, lat.name)
     assert twin == lat and hash(twin) == hash(lat)
+    assert hash(lat) == hash((lat.gram, lat.basis_labels, lat.blocks,
+                              lat.name))
     assert repr(twin) == repr(lat) and "_rows" not in repr(lat)
+    assert "_hash" not in repr(lat)
     short = (1,) * (lat.rank - 1)
     ok = (0,) * lat.rank
     for call in (lambda: lat.pair(short, ok), lambda: lat.pair(ok, short),

@@ -15,9 +15,11 @@ from mukailat.lattices import (
     e8_minus,
     hyperbolic_plane,
     is_primitive,
+    mukai_lattice,
     orthogonal_complement,
 )
 from mukailat.mukai import MukaiVector
+from mukailat.stabilizer import vperp_model
 
 from conftest import label_vector, mukai_complements, random_vector
 
@@ -246,21 +248,41 @@ def _q_direct(lattice, lift):
     return value - 2 * (value / 2).__floor__()
 
 
+def _disc_from_whole_transform(lattice):
+    """(divisors, lifts) read off the whole Smith transform t of the Gram:
+    column i of t over d_i, for each d_i != 1."""
+    d, t = linalg.smith_normal_form(lattice.gram)
+    found = [(d[i][i], col) for i, col in enumerate(linalg.transpose(t))
+             if d[i][i] != 1]
+    return (tuple(di for di, _ in found),
+            tuple(tuple(Fraction(x, di) for x in col) for di, col in found))
+
+
 def assert_disc_pinned(lattice):
     dg = discriminant_group(lattice)
     assert len(dg.divisors) == len(dg.lifts) == len(dg.q_values)
     for d, lift, q in zip(dg.divisors, dg.lifts, dg.q_values):
         assert all((d * x).denominator == 1 for x in lift)
         assert q == _q_direct(lattice, lift)
+    assert (dg.divisors, dg.lifts) == _disc_from_whole_transform(lattice)
     return dg
 
 
 @settings(max_examples=25, deadline=None)
 @given(mukai_complements())
 def test_disc_q_values_match_direct_square(sample):
-    _, _, gram = sample
+    _, basis, gram = sample
+    # the complement Gram is the full matrix of pairings of its basis
+    mukai = mukai_lattice()
+    assert gram == tuple(tuple(mukai.pair(a, b) for b in basis)
+                         for a in basis)
     lattice = Lattice(gram, tuple(f"b{i}" for i in range(len(gram))))
     assert_disc_pinned(lattice)
+
+
+@pytest.mark.parametrize("m", [1, 30, 10**12 + 2])
+def test_disc_of_vperp_pinned(m):
+    assert assert_disc_pinned(vperp_model(m).lattice).divisors == (2 * m,)
 
 
 def test_disc_lifts_with_mixed_denominators():
@@ -269,3 +291,26 @@ def test_disc_lifts_with_mixed_denominators():
     assert dg.divisors == (2, 2, 60)
     assert dg.lifts[2][-3:] == (Fraction(1, 6), Fraction(-1, 4),
                                 Fraction(1, 10))
+
+
+@pytest.mark.parametrize("make, built", [
+    (lambda: build_lattice(("K3", ("diag", (-6, 4, 10)))), [22, 23, 24]),
+    (lambda: vperp_model(30).lattice, [22]),
+    (mukai_lattice, []),
+], ids=["K3,diag(-6:4:10)", "vperp30", "mukai"])
+def test_disc_builds_only_the_nonunit_columns(monkeypatch, make, built):
+    lattice = make()
+    asked = []
+    replay = linalg.smith_columns
+
+    def recording(log, n, cols):
+        asked.append(list(cols))
+        return replay(log, n, cols)
+
+    monkeypatch.setattr(linalg, "smith_columns", recording)
+    dg = discriminant_group(lattice)
+    d, _ = linalg.smith_elimination(lattice.gram)
+    assert built == [i for i in range(lattice.rank) if d[i][i] != 1]
+    assert asked == [built] and len(dg.divisors) == len(built)
+    linalg.elementary_divisors(lattice.gram)
+    assert asked == [built]

@@ -59,6 +59,56 @@ def test_kernel_basis_is_trailing_columns_of_t(a):
     assert linalg.kernel_basis(a) == linalg.transpose(t)[rank:]
 
 
+@st.composite
+def snf_with_columns(draw, bound=10**12):
+    """(a, cols): a rectangular or square matrix with entries up to bound,
+    sometimes singular, with zero rows and columns spliced in, and any
+    columns of its Smith transform, in any order."""
+    rows = draw(st.integers(1, 5))
+    ncols = rows if draw(st.booleans()) else draw(st.integers(1, 6))
+    entry = st.integers(-bound, bound) | st.just(0)
+    a = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                      min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        # singular: one row a multiple of another
+        src = a[draw(st.integers(0, rows - 1))]
+        a.append([draw(st.integers(-3, 3)) * x for x in src])
+    for _ in range(draw(st.integers(0, 2))):
+        a.insert(draw(st.integers(0, len(a))), [0] * ncols)
+    for _ in range(draw(st.integers(0, 2))):
+        j = draw(st.integers(0, ncols))
+        a = [row[:j] + [0] + row[j:] for row in a]
+        ncols += 1
+    cols = draw(st.lists(st.integers(0, ncols - 1), unique=True))
+    return linalg.freeze(a), cols
+
+
+def _transform_from_log(log, n):
+    """The columns of t, the logged column operations applied to I in
+    order (the log read forwards, unlike `smith_columns`)."""
+    t_cols = [list(col) for col in linalg.identity(n)]
+    for k, j, c in log:
+        if c is None:
+            t_cols[k], t_cols[j] = t_cols[j], t_cols[k]
+        else:
+            t_cols[j] = [x + c * y for x, y in zip(t_cols[j], t_cols[k])]
+    return tuple(map(tuple, t_cols))
+
+
+@settings(max_examples=80, deadline=None)
+@given(snf_with_columns(bound=9) | snf_with_columns())
+def test_replayed_columns_are_columns_of_t(sample):
+    a, cols = sample
+    n = len(a[0])
+    d, log = linalg.smith_elimination(a)
+    d_full, t = linalg.smith_normal_form(a)
+    assert d == d_full
+    t_cols = linalg.transpose(t)
+    assert t_cols == _transform_from_log(log, n)
+    assert linalg.smith_columns(log, n, cols) == \
+        tuple(t_cols[j] for j in cols)
+
+
 def test_snf_known_example():
     # divisors of [[2,4],[6,8]]: gcd of entries 2, |det| = |16-24| = 8 => (2, 4)
     d, t = linalg.smith_normal_form(((2, 4), (6, 8)))

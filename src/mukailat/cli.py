@@ -200,7 +200,7 @@ def _run_char(args):
 def _run_stab(args):
     if args.action == "model":
         model = vperp_model(args.m)
-        dg = discriminant_group(model.lattice)
+        dg = model.disc_group
         outputs = {
             "m": args.m,
             "rank": model.lattice.rank,

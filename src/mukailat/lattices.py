@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from . import linalg
 from .linalg import Mat, Vec, freeze
@@ -410,7 +411,10 @@ class DiscGroup:
     """(L*/L, q): elementary divisors with rational generator lifts.
 
     lifts[i] has order divisors[i] in L*/L; d * lift lies in L and every lift
-    pairs integrally with L.  For an even lattice q(lift) is recorded mod 2.
+    pairs integrally with L.  Each lift is reduced into [0, 1), as c / d
+    with 0 <= c < d.  q(lift) is recorded mod 2; that is an invariant of the
+    class for an even lattice, while for an odd one q mod 2 depends on the
+    representative and only q mod 1 does not.
     """
 
     divisors: tuple[int, ...]
@@ -424,30 +428,38 @@ class DiscGroup:
 
 
 def discriminant_group(lattice: Lattice) -> DiscGroup:
+    """L*/L and q from the Smith form of G taken mod M = D^2, D = |det G|.
+
+    The elimination gives G t = s^-1 diag(d) (mod M), s and t invertible
+    mod M.  So G t_i / d_i is integral, and it differs from column i of
+    s^-1 by (M / d_i) z, with z integral and M / d_i a multiple of D, which
+    lies in G Z^n.  The t_i / d_i with d_i != 1 therefore generate L*/L
+    with orders d_i.  t_i mod d_i is the same class; it is replayed mod
+    d_n, which every d_i divides.
+    """
     g = lattice.gram
-    d, log = linalg.smith_elimination(g)
-    n = lattice.rank
-    diag = [d[i][i] for i in range(n)]
-    if any(x == 0 for x in diag):
+    order = abs(linalg.det(g))
+    if order == 0:
         raise LatticeError("degenerate Gram matrix")
+    if order == 1:
+        return DiscGroup((), (), (), 1)
+    diag, log = linalg.smith_elimination_mod(g, order * order)
+    product = prod(diag)
+    if product != order:
+        raise LatticeError(f"discriminant order {product} is not |det G|")
     # a unit d_i gives the trivial group, so only the other columns of the
-    # Smith transform are built
-    nonunit = [i for i in range(n) if diag[i] != 1]
+    # transform are built
+    nonunit = [i for i, x in enumerate(diag) if x != 1]
     divisors = []
     lifts = []
     q_values = []
-    for i, col in zip(nonunit, linalg.smith_columns(log, n, nonunit)):
+    for i, col in zip(nonunit, linalg.smith_columns(
+            log, lattice.rank, nonunit, diag[-1])):
         di = diag[i]
+        c = tuple(x % di for x in col)
         divisors.append(di)
-        lifts.append(tuple(Fraction(x, di) for x in col))
-        # q(c / d) mod 2 is (c^T G c mod 2d^2) / d^2, and c^T G c mod 2d^2
-        # only depends on c mod 2d^2
+        lifts.append(tuple(Fraction(x, di) for x in c))
+        # q(c / d) mod 2 is (c^T G c mod 2d^2) / d^2
         modulus = 2 * di * di
-        c = tuple(x % modulus for x in col)
         q_values.append(Fraction(lattice.square(c) % modulus, di * di))
-    order = 1
-    for x in diag:
-        order *= x
-    if order != abs(linalg.det(g)):
-        raise LatticeError(f"discriminant order {order} is not |det G|")
     return DiscGroup(tuple(divisors), tuple(lifts), tuple(q_values), order)

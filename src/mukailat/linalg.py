@@ -5,13 +5,13 @@ Python ints (or ``fractions.Fraction`` where a function says so).  There is
 no floating point anywhere in this package; every result below is exact.
 
 The workhorses are the Smith normal form with its unimodular column
-transform (used for discriminant groups and saturated kernels) and
-fraction-free (Bareiss) elimination (used for determinants and signatures;
-a rational matrix is first scaled to an integer one).  The Smith
-elimination records the transform as the column operations it made, and
-only the columns that are read are built from that log: all of them for a
-kernel, the few with d_i != 1 for a discriminant group, none for the
-elementary divisors.
+transform (used for saturated kernels), the same form taken mod a modulus
+(used for discriminant groups, mod det^2) and fraction-free (Bareiss)
+elimination (used for determinants and signatures; a rational matrix is
+first scaled to an integer one).  Both Smith eliminations record the
+transform as the 2x2 column steps they made, and only the columns that are
+read are built from that log: all of them for a kernel, the few with
+d_i != 1 for a discriminant group, none for the elementary divisors.
 
 Isometries here are mostly zeros, so the products skip zero entries:
 `mat_vec` sums the columns of the nonzero entries of the vector, `mat_mul`
@@ -253,9 +253,10 @@ def smith_elimination(mat: Mat):
 
     Returns (d, log): d = s @ mat @ t for some unimodular s and t, neither
     built, d diagonal with non-negative entries d_1 | d_2 | ... .  log lists
-    the column operations that make t = E_1 E_2 ... E_K from I, in order:
-    (k, j, None) swaps columns k and j, (k, j, c) adds c * column k to
-    column j.  `smith_columns` builds the columns of t that are read.
+    the column operations that make t = E_1 E_2 ... E_K from I, in order,
+    each as the 2x2 step (k, j, a, b, c, e) of `smith_columns`: a swap of
+    columns k and j is (k, j, 0, 1, 1, 0), and adding c * column k to
+    column j is (k, j, 1, 0, c, 1).
     """
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
@@ -281,7 +282,7 @@ def smith_elimination(mat: Mat):
             if j != k:
                 for row in d[k:]:
                     row[k], row[j] = row[j], row[k]
-                log.append((k, j, None))
+                log.append((k, j, 0, 1, 1, 0))
             pivot_row = d[k][k:]
             p = pivot_row[0]
             dirty = False
@@ -302,7 +303,8 @@ def smith_elimination(mat: Mat):
                     if r:
                         row[k + 1:] = [a + c * r
                                        for a, c in zip(row[k + 1:], cs)]
-                log.extend((k, j, c) for j, c in enumerate(cs, k + 1) if c)
+                log.extend((k, j, 1, 0, c, 1)
+                           for j, c in enumerate(cs, k + 1) if c)
                 dirty = dirty or any(d[k][k + 1:])
             if not dirty:
                 return True
@@ -333,23 +335,115 @@ def smith_elimination(mat: Mat):
     return freeze(d), log
 
 
-def smith_columns(log, n: int, cols) -> tuple[Vec, ...]:
-    """Columns cols of the n x n transform t = E_1 ... E_K that
-    `smith_elimination` logged, without forming the others.
+def _gcd_step(p: int, r: int):
+    """(a, b, c, e) with a p + b r = gcd(p, r), c p + e r = 0 and
+    a e - b c = 1: the 2x2 step that folds the entry r into the pivot p.
+    When p divides r it is the elementary step (1, 0, -r // p, 1), which
+    leaves the pivot as it is."""
+    if p and r % p == 0:
+        return 1, 0, -(r // p), 1
+    g, x, y = xgcd(p, r)
+    return x, y, -(r // g), p // g
 
-    Column j is E_1 (E_2 (... (E_K e_j))): the log is applied from last to
-    first to e_j, and on a vector the column operation "column dst += c *
-    column src" is x_src += c x_dst.  That is O(K) per column read, against
-    O(K n) for all of t."""
+
+def smith_elimination_mod(mat: Mat, modulus: int):
+    """Smith normal form of a square integer matrix over Z/modulus, with its
+    column transform kept as a log.
+
+    Returns (divisors, log): divisors d_1 | d_2 | ... | d_n, each a divisor
+    of modulus (an invariant that is 0 mod modulus reads as modulus), and
+    the log of the 2x2 steps (k, j, a, b, c, e) that make t = E_1 ... E_K
+    from I (see `smith_columns`).  t is unimodular and
+    mat @ t = s^-1 @ diag(d) (mod modulus) for some s invertible mod
+    modulus, which is not built.
+
+    Every entry is kept in [0, modulus).  At position k one extended-gcd
+    step on rows k, i clears each nonzero entry below the pivot; the rows
+    are not recorded.  Then one logged step on columns k, j clears each
+    nonzero entry right of it, and the two passes repeat only if such a
+    step refilled column k.  Each repeat replaces the pivot by a proper
+    divisor of it, so they end.  The cleared pivot p becomes
+    gcd(p, modulus), p times a unit mod modulus, as a row scaling.
+    """
+    n = len(mat)
+    d = [[x % modulus for x in row] for row in mat]
+    log = []
+
+    def clear_position(k):
+        while True:
+            pivot_row = d[k]
+            for row in d[k + 1:]:
+                if row[k]:
+                    a, b, c, e = _gcd_step(pivot_row[k], row[k])
+                    u, v = pivot_row[k:], row[k:]
+                    if b:
+                        pivot_row[k:] = [(a * x + b * y) % modulus
+                                         for x, y in zip(u, v)]
+                    row[k:] = [(c * x + e * y) % modulus
+                               for x, y in zip(u, v)]
+            for j in range(k + 1, n):
+                if pivot_row[j]:
+                    a, b, c, e = _gcd_step(pivot_row[k], pivot_row[j])
+                    if b:
+                        for row in d[k:]:
+                            x, y = row[k], row[j]
+                            row[k] = (a * x + b * y) % modulus
+                            row[j] = (c * x + e * y) % modulus
+                    else:
+                        # column k stays; only rows with a nonzero entry
+                        # in it change
+                        for row in d[k:]:
+                            if row[k]:
+                                row[j] = (row[j] + c * row[k]) % modulus
+                    log.append((k, j, a, b, c, e))
+            if not any(row[k] for row in d[k + 1:]):
+                pivot_row[k] = gcd(pivot_row[k], modulus)
+                return
+
+    for k in range(n):
+        clear_position(k)
+    # enforce the chain d_i | d_{i+1}: adding row i + 1 to row i puts
+    # d_{i+1} beside d_i, and clearing again makes d_i their gcd
+    while True:
+        bad = next(
+            (i for i in range(n - 1) if d[i + 1][i + 1] % d[i][i]), None
+        )
+        if bad is None:
+            return tuple(d[i][i] for i in range(n)), log
+        d[bad] = [(a + b) % modulus for a, b in zip(d[bad], d[bad + 1])]
+        for k in range(bad, n):
+            clear_position(k)
+
+
+def smith_columns(log, n: int, cols, modulus: int | None = None
+                  ) -> tuple[Vec, ...]:
+    """Columns cols of the n x n transform t = E_1 ... E_K that
+    `smith_elimination` or `smith_elimination_mod` logged, without forming
+    the others; each entry is reduced into [0, modulus) when a modulus is
+    given.
+
+    A logged step (k, j, a, b, c, e) replaces column k by a col_k + b col_j
+    and column j by c col_k + e col_j.  Column j of t is
+    E_1 (E_2 (... (E_K e_j))): the log is applied from last to first to
+    e_j, and on a vector the step sends (x_k, x_j) to
+    (a x_k + c x_j, b x_k + e x_j).  A step with b = 0 is elementary
+    (a = e = 1) and changes x_k only, by c x_j.  That is O(K) per column
+    read, against O(K n) for all of t."""
     out = []
-    for j in cols:
+    for col in cols:
         x = [0] * n
-        x[j] = 1
-        for src, dst, c in reversed(log):
-            if c is None:
-                x[src], x[dst] = x[dst], x[src]
-            elif x[dst]:
-                x[src] += c * x[dst]
+        x[col] = 1 % modulus if modulus else 1
+        for k, j, a, b, c, e in reversed(log):
+            xj = x[j]
+            if b:
+                xk = x[k]
+                xk, xj = a * xk + c * xj, b * xk + e * xj
+                if modulus:
+                    xk, xj = xk % modulus, xj % modulus
+                x[k], x[j] = xk, xj
+            elif xj:
+                xk = x[k] + c * xj
+                x[k] = xk % modulus if modulus else xk
         out.append(tuple(x))
     return tuple(out)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -25,6 +25,7 @@ from .characters import general_reflection, orientation_char, reflection
 from .embeddings import DEFAULT_RADIUS, embed_rank2
 from .lattices import (
     Block,
+    DiscGroup,
     Isometry,
     Lattice,
     LatticeError,
@@ -73,6 +74,8 @@ class VPerpModel:
     k3: Lattice
     lattice: Lattice  # rank 23, Gram K3 + <-2m>
     disc: DiscForm
+    # the discriminant group of lattice, as vperp_model cross-checked it
+    disc_group: DiscGroup = field(compare=False, repr=False)
 
     @property
     def v(self) -> MukaiVector:
@@ -139,13 +142,13 @@ def vperp_model(m: int) -> VPerpModel:
     blocks = k3.blocks + (Block(f"W{-2*m}", k3.rank, 1),)
     labels = k3.basis_labels + ("w",)
     lattice = Lattice(linalg.freeze(gram), labels, blocks, name=f"vperp:{m}")
-    model = VPerpModel(m, mukai, k3, lattice, DiscForm(2 * m))
 
     # cross-checks: the discriminant group is cyclic of order 2m and the
     # canonical generator w/2m has q = -1/2m mod 2
     dg = discriminant_group(lattice)
     if dg.divisors != (2 * m,) or dg.order != 2 * m:
         raise LatticeError(f"v-perp discriminant group is not Z/{2 * m}")
+    model = VPerpModel(m, mukai, k3, lattice, DiscForm(2 * m), dg)
     lift = tuple(Fraction(0) if i < k3.rank else Fraction(1, 2 * m)
                  for i in range(n))
     if (lattice.square(lift) - model.disc.q(1)) % 2:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from mukailat import characters, jsonio
+from mukailat import characters, jsonio, lattices
 from mukailat.cli import run
 from mukailat.stabilizer import generator_family, vperp_model
 
@@ -270,6 +270,24 @@ class TestFm:
                     getattr(module, "orientation_char", None) is real:
                 monkeypatch.setattr(module, "orientation_char", counting)
         return calls
+
+    def test_model_computes_one_discriminant_group(self, monkeypatch):
+        # vperp_model's cross-check; the report reads the group it keeps
+        real = lattices.discriminant_group
+        calls = []
+
+        def counting(lattice):
+            calls.append(lattice.rank)
+            return real(lattice)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "mukailat" and \
+                    getattr(module, "discriminant_group", None) is real:
+                monkeypatch.setattr(module, "discriminant_group", counting)
+        report, status = invoke(["stab", "model", "--m", "30"])
+        assert status == 0
+        assert report["outputs"]["disc_divisors"] == [60]
+        assert calls == [23]
 
     def test_mon_computes_three_characters(self, monkeypatch):
         # cov of the Mukai input inside mon_twist and for the report, and

@@ -1,9 +1,16 @@
 """Lattice construction, pairing, isometry checks, complements, discriminants."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import invariant_factors
 
 from mukailat import linalg
 from mukailat.lattices import (
@@ -248,23 +255,34 @@ def _q_direct(lattice, lift):
     return value - 2 * (value / 2).__floor__()
 
 
-def _disc_from_whole_transform(lattice):
-    """(divisors, lifts) read off the whole Smith transform t of the Gram:
-    column i of t over d_i, for each d_i != 1."""
-    d, t = linalg.smith_normal_form(lattice.gram)
-    found = [(d[i][i], col) for i, col in enumerate(linalg.transpose(t))
-             if d[i][i] != 1]
-    return (tuple(di for di, _ in found),
-            tuple(tuple(Fraction(x, di) for x in col) for di, col in found))
+def _index_over_zn(lifts, n):
+    """[Z^n + sum Z lift : Z^n]: the lattice Lambda they span, scaled by a
+    common denominator den into Z^n, has index den^n / [Lambda : Z^n]
+    there, the product of its elementary divisors."""
+    den = lcm(*(x.denominator for lift in lifts for x in lift))
+    rows = [tuple(den if i == j else 0 for j in range(n)) for i in range(n)]
+    rows += [tuple(int(den * x) for x in lift) for lift in lifts]
+    return den ** n // prod(linalg.elementary_divisors(linalg.freeze(rows)))
 
 
 def assert_disc_pinned(lattice):
+    """The group against properties that do not depend on how it was found:
+    each lift x lies in L* = {x : G x in Z^n}, is reduced into [0, 1) and
+    has order exactly d_i mod Z^n; the lifts together with Z^n span a
+    lattice of index |det G|, so they generate L*/L; and q is the Fraction
+    square of the lift mod 2."""
     dg = discriminant_group(lattice)
+    det = abs(lattice.determinant())
     assert len(dg.divisors) == len(dg.lifts) == len(dg.q_values)
+    assert all(d > 1 for d in dg.divisors)
+    assert all(b % a == 0 for a, b in zip(dg.divisors, dg.divisors[1:]))
     for d, lift, q in zip(dg.divisors, dg.lifts, dg.q_values):
-        assert all((d * x).denominator == 1 for x in lift)
+        assert all(0 <= x < 1 for x in lift)
+        assert all(y.denominator == 1 for y in lattice.covector(lift))
+        assert lcm(*(x.denominator for x in lift)) == d
         assert q == _q_direct(lattice, lift)
-    assert (dg.divisors, dg.lifts) == _disc_from_whole_transform(lattice)
+    assert dg.order == det
+    assert _index_over_zn(dg.lifts, lattice.rank) == det
     return dg
 
 
@@ -277,7 +295,11 @@ def test_disc_q_values_match_direct_square(sample):
     assert gram == tuple(tuple(mukai.pair(a, b) for b in basis)
                          for a in basis)
     lattice = Lattice(gram, tuple(f"b{i}" for i in range(len(gram))))
-    assert_disc_pinned(lattice)
+    dg = assert_disc_pinned(lattice)
+    # sympy's invariant factors, an oracle outside this package
+    invariants = (abs(int(x))
+                  for x in invariant_factors(Matrix(gram), domain=ZZ))
+    assert dg.divisors == tuple(x for x in invariants if x != 1)
 
 
 @pytest.mark.parametrize("m", [1, 30, 10**12 + 2])
@@ -289,28 +311,94 @@ def test_disc_lifts_with_mixed_denominators():
     lattice = build_lattice(("K3", ("diag", (-6, 4, 10))))
     dg = assert_disc_pinned(lattice)
     assert dg.divisors == (2, 2, 60)
-    assert dg.lifts[2][-3:] == (Fraction(1, 6), Fraction(-1, 4),
+    assert dg.lifts[2][-3:] == (Fraction(1, 6), Fraction(3, 4),
                                 Fraction(1, 10))
 
 
 @pytest.mark.parametrize("make, built", [
     (lambda: build_lattice(("K3", ("diag", (-6, 4, 10)))), [22, 23, 24]),
     (lambda: vperp_model(30).lattice, [22]),
+    (lambda: build_lattice((("diag", (2, 4, 6, 12)),)), [0, 1, 2, 3]),
     (mukai_lattice, []),
-], ids=["K3,diag(-6:4:10)", "vperp30", "mukai"])
+], ids=["K3,diag(-6:4:10)", "vperp30", "diag(2:4:6:12)", "mukai"])
 def test_disc_builds_only_the_nonunit_columns(monkeypatch, make, built):
+    # one replay, of the columns with d_i != 1, mod the largest divisor;
+    # none for a unimodular Gram
     lattice = make()
     asked = []
     replay = linalg.smith_columns
 
-    def recording(log, n, cols):
-        asked.append(list(cols))
-        return replay(log, n, cols)
+    def recording(log, n, cols, modulus=None):
+        asked.append((list(cols), modulus))
+        return replay(log, n, cols, modulus)
 
     monkeypatch.setattr(linalg, "smith_columns", recording)
     dg = discriminant_group(lattice)
-    d, _ = linalg.smith_elimination(lattice.gram)
-    assert built == [i for i in range(lattice.rank) if d[i][i] != 1]
-    assert asked == [built] and len(dg.divisors) == len(built)
+    det = abs(lattice.determinant())
+    diag, _ = linalg.smith_elimination_mod(lattice.gram, det * det)
+    assert built == [i for i, x in enumerate(diag) if x != 1]
+    expected = [(built, dg.divisors[-1])] if built else []
+    assert asked == expected and len(dg.divisors) == len(built)
     linalg.elementary_divisors(lattice.gram)
-    assert asked == [built]
+    assert asked == expected
+
+
+@pytest.mark.parametrize("lattice", [mukai_lattice(), e8_minus(),
+                                     hyperbolic_plane()],
+                         ids=["mukai", "E8_minus", "U"])
+def test_disc_of_unimodular_lattice_does_not_eliminate(monkeypatch, lattice):
+    def eliminate(*args):
+        raise AssertionError("a unimodular Gram was eliminated")
+
+    monkeypatch.setattr(linalg, "smith_elimination_mod", eliminate)
+    monkeypatch.setattr(linalg, "smith_columns", eliminate)
+    dg = discriminant_group(lattice)
+    assert dg.is_trivial
+    assert (dg.divisors, dg.lifts, dg.q_values) == ((), (), ())
+
+
+@pytest.mark.parametrize("gram", [
+    ((2, 4), (4, 8)),
+    ((1, 2, 3), (2, 4, 6), (3, 6, 10)),
+], ids=["rank-1", "dependent-rows"])
+def test_disc_of_degenerate_gram_raises(gram):
+    lattice = Lattice(gram, tuple(f"b{i}" for i in range(len(gram))))
+    with pytest.raises(LatticeError, match="degenerate"):
+        discriminant_group(lattice)
+
+
+@pytest.mark.parametrize("entries, divisors", [
+    ((2, 4, 6, 12), (2, 2, 12, 12)),
+    ((6, 4), (2, 12)),
+    ((3, 2, 5, 7), (210,)),
+    ((-4, 8, 12, 18), (2, 4, 12, 72)),
+])
+def test_disc_of_non_cyclic_diagonal(entries, divisors):
+    # the entries do not form a chain, so the elimination repairs it
+    lattice = build_lattice((("diag", entries), "U"))
+    assert assert_disc_pinned(lattice).divisors == divisors
+
+
+def test_disc_of_vperp_under_python_O():
+    # the order check and the lattice errors are not asserts, so the group
+    # is the same with assertions stripped
+    m = 10**12 + 2
+    code = ("from mukailat.stabilizer import vperp_model\n"
+            "from mukailat.lattices import Lattice, LatticeError, "
+            "discriminant_group\n"
+            f"dg = vperp_model({m}).disc_group\n"
+            "try:\n"
+            "    discriminant_group(Lattice(((2, 4), (4, 8)), ('a', 'b')))\n"
+            "except LatticeError:\n"
+            "    print('degenerate')\n"
+            "print(dg.divisors, dg.order, [str(x) for x in dg.lifts[0]],"
+            " dg.q_values)\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lift = ["0"] * 22 + [f"1/{2 * m}"]
+    q = Fraction(-1, 2 * m) % 2
+    assert proc.stdout == (f"degenerate\n({2 * m},) {2 * m} {lift} "
+                           f"({q!r},)\n")

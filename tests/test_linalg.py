@@ -87,11 +87,10 @@ def _transform_from_log(log, n):
     """The columns of t, the logged column operations applied to I in
     order (the log read forwards, unlike `smith_columns`)."""
     t_cols = [list(col) for col in linalg.identity(n)]
-    for k, j, c in log:
-        if c is None:
-            t_cols[k], t_cols[j] = t_cols[j], t_cols[k]
-        else:
-            t_cols[j] = [x + c * y for x, y in zip(t_cols[j], t_cols[k])]
+    for k, j, a, b, c, e in log:
+        u, v = t_cols[k], t_cols[j]
+        t_cols[k] = [a * x + b * y for x, y in zip(u, v)]
+        t_cols[j] = [c * x + e * y for x, y in zip(u, v)]
     return tuple(map(tuple, t_cols))
 
 
@@ -107,6 +106,25 @@ def test_replayed_columns_are_columns_of_t(sample):
     assert t_cols == _transform_from_log(log, n)
     assert linalg.smith_columns(log, n, cols) == \
         tuple(t_cols[j] for j in cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(snf_with_columns(bound=9) | snf_with_columns(),
+       st.integers(1, 10**30))
+def test_replayed_columns_mod_are_columns_of_t(sample, modulus):
+    # the mod elimination logs steps of determinant 1, and its replay mod M
+    # is the transform built forwards, reduced mod M
+    a, cols = sample
+    n = len(a)
+    a = linalg.freeze(row[:n] + (0,) * (n - len(row)) for row in a)
+    cols = [j for j in cols if j < n]
+    diag, log = linalg.smith_elimination_mod(a, modulus)
+    assert all(modulus % x == 0 for x in diag)
+    assert all(y % x == 0 for x, y in zip(diag, diag[1:]))
+    assert all(a_ * e - b * c == 1 for _, _, a_, b, c, e in log)
+    t_cols = _transform_from_log(log, n)
+    assert linalg.smith_columns(log, n, cols, modulus) == \
+        tuple(tuple(x % modulus for x in t_cols[j]) for j in cols)
 
 
 def test_snf_known_example():

@@ -3,6 +3,7 @@ oracle: determinants, Smith normal forms, saturated kernels, span
 membership, signatures and the integer Gram inverse.  The products that
 skip zero entries are checked against the plain sums of all products."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,21 @@ def test_snf_diagonal(a):
 @given(matrices(max_rows=4, max_cols=4, bound=10**12))
 def test_snf_diagonal_large_entries(a):
     assert snf_diagonal(a) == sympy_invariants(a)
+
+
+@settings(max_examples=120, deadline=None)
+@given(square_matrices(n_max=5, bound=9)
+       | square_matrices(n_max=4, bound=10**12),
+       st.integers(1, 10**6) | st.just(None))
+def test_snf_mod_diagonal(a, modulus):
+    # over Z/M the Smith form of a is diag(gcd(e_i, M)) for its invariant
+    # factors e_i over Z; M = det^2 (None) leaves every e_i as it is
+    invariants = sympy_invariants(a)
+    invariants += (0,) * (len(a) - len(invariants))
+    if modulus is None:
+        modulus = linalg.det(a) ** 2 or 1
+    diag, _ = linalg.smith_elimination_mod(a, modulus)
+    assert diag == tuple(math.gcd(e, modulus) for e in invariants)
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 from . import linalg
 from .lattices import Isometry, Lattice, LatticeError
+from .linalg import Vec
 
 
 class ReflectionError(LatticeError):
@@ -56,9 +57,11 @@ def general_reflection(lattice: Lattice, u) -> Isometry:
 
 
 @lru_cache(maxsize=None)
-def _reference(lattice: Lattice) -> tuple[tuple[int, ...], ...]:
+def _reference(lattice: Lattice) -> tuple[tuple[Vec, ...], tuple]:
     """e + f per hyperbolic block and h0 - h4 = (1, 0, -1) per H04 block,
-    checked once to be a basis of a maximal positive definite subspace."""
+    checked once to be a basis of a maximal positive definite subspace.
+    Returned as the vectors r_i and, per r_i, the (j, (G r_i)_j) with
+    (G r_i)_j != 0, the only entries a pairing (r_i, y) reads."""
     vectors = [lattice.plane_vector(block, 1, sign)
                for name, sign in (("U", 1), ("H04", -1))
                for block in lattice.blocks_named(name)]
@@ -71,7 +74,10 @@ def _reference(lattice: Lattice) -> tuple[tuple[int, ...], ...]:
         raise LatticeError(
             f"reference must have {n_plus} vectors (the positive index)"
         )
-    return tuple(vectors)
+    supports = tuple(
+        tuple((j, x) for j, x in enumerate(lattice.covector(v)) if x)
+        for v in vectors)
+    return tuple(vectors), supports
 
 
 def orientation_char(g: Isometry) -> int:
@@ -81,11 +87,14 @@ def orientation_char(g: Isometry) -> int:
     B^{-1} C with B the reference Gram and C the pairing of references with
     their images; since det B > 0 only the sign of det C matters.  That sign
     is the same for every basis of every maximal positive definite subspace.
+    The images g r_k come from `Isometry.apply`, so a g kept in outer form
+    never builds its matrix, and C_ik = (r_i, g r_k) reads only the cached
+    nonzero entries of G r_i.
     """
-    lat = g.lattice
-    refs = _reference(lat)
+    refs, supports = _reference(g.lattice)
     images = [g.apply(v) for v in refs]
-    c = linalg.freeze([[lat.pair(ref, img) for img in images] for ref in refs])
+    c = linalg.freeze([[sum(x * img[j] for j, x in support)
+                        for img in images] for support in supports])
     d = linalg.det_q(c)
     if d == 0:
         raise LatticeError(

@@ -5,7 +5,9 @@ status} on stdout; the verification block re-checks the mathematical claims
 of the output and any failed assertion forces a nonzero exit.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 witness
-search exhausted (the radius is echoed in the report).
+search exhausted (the radius is echoed in the report), 4 internal error: an
+`InvariantError` (a library bug) or any other unexpected exception, reported
+as {"error": "<Type>: <message>", "status": 4}, with the traceback on stderr.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .mukai import mukai_pairing
 from .stabilizer import (
     ExtensionKind,
     GeneratorFamily,
+    InvariantError,
     classify_minus2,
     aplus_witness,
     disc_action,
@@ -406,9 +409,21 @@ def run(argv) -> tuple[dict, int]:
             "status": 3,
         }
         return report, 3
+    except InvariantError as exc:
+        return _internal_error(exc)
     except (LatticeError, FileNotFoundError, KeyError, ValueError) as exc:
         return {"error": str(exc), "status": 2}, 2
+    except Exception as exc:
+        return _internal_error(exc)
     return report, report["status"]
+
+
+def _internal_error(exc: Exception) -> tuple[dict, int]:
+    """The exit-4 report of a library bug; its traceback goes to stderr."""
+    import traceback  # only on this path: a cold start does not pay for it
+
+    traceback.print_exception(exc, file=sys.stderr)
+    return {"error": f"{type(exc).__name__}: {exc}", "status": 4}, 4
 
 
 def main() -> None:

@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import prod
+from operator import mul
 
 from . import linalg
 from .linalg import Mat, Vec, freeze
@@ -101,16 +103,26 @@ class Lattice:
     def pair(self, x: Vec, y: Vec):
         """(x, y) = x^T G y, for int or Fraction entries."""
         self._check_length(x, y)
-        return sum(a * g * y[j]
-                   for a, row in zip(x, self._rows) if a for j, g in row)
+        total = 0
+        for a, row in zip(x, self._rows):
+            if a:
+                for j, g in row:
+                    total += a * g * y[j]
+        return total
 
     def square(self, x: Vec):
         return self.pair(x, x)
 
     def covector(self, x: Vec) -> Vec:
-        """G x, the row covector y -> (x, y)."""
+        """G x, the row covector y -> (x, y), as sum_j x_j G[:, j] over the
+        nonzero x_j; column j of the symmetric G is its row j."""
         self._check_length(x)
-        return tuple(sum(g * x[j] for j, g in row) for row in self._rows)
+        out = [0] * self.rank
+        for a, row in zip(x, self._rows):
+            if a:
+                for j, g in row:
+                    out[j] += a * g
+        return tuple(out)
 
     def basis_vector(self, label: str) -> Vec:
         i = self.basis_labels.index(label)
@@ -381,11 +393,27 @@ def pull_back(lattice: Lattice, steps, v: Vec) -> Vec:
 
 
 def check_isometry(lattice: Lattice, matrix) -> IsometryCheck:
+    """Whether M^T G M == G.  Both sides are symmetric, since `Lattice`
+    makes G so, and so only the upper triangle is compared: row i of
+    M^T (G M) from column i on, as sum_k m_ki (G M)[k, i:] over the nonzero
+    m_ki, and the first row that differs ends the check.  G M comes from
+    `linalg.mat_mul`, which reads only G's nonzero entries."""
     matrix = freeze(matrix)
-    if len(matrix) != lattice.rank or any(len(r) != lattice.rank for r in matrix):
+    n = lattice.rank
+    if len(matrix) != n or any(len(r) != n for r in matrix):
         raise LatticeError("matrix must be square of the lattice rank")
-    mt_g = tuple(map(lattice.covector, linalg.transpose(matrix)))  # M^T G
-    return IsometryCheck(linalg.mat_mul(mt_g, matrix) == lattice.gram, matrix)
+    gm = linalg.mat_mul(lattice.gram, matrix)
+    for i, (col, grow) in enumerate(zip(zip(*matrix), lattice.gram)):
+        # islice, not slicing: the sliced tuples pile up on the
+        # interpreter's tuple free lists and raise a run's peak memory
+        row = [0] * (n - i)
+        for x, gm_row in zip(col, gm):
+            if x:
+                row = [y + x * z
+                       for y, z in zip(row, islice(gm_row, i, None))]
+        if row != list(islice(grow, i, None)):
+            return IsometryCheck(False, matrix)
+    return IsometryCheck(True, matrix)
 
 
 def orthogonal_complement(lattice: Lattice, vectors) -> tuple[tuple[Vec, ...], Mat]:
@@ -401,8 +429,7 @@ def orthogonal_complement(lattice: Lattice, vectors) -> tuple[tuple[Vec, ...], M
     gram = [[0] * n for _ in range(n)]
     for i, c in enumerate(map(lattice.covector, basis)):
         for j in range(i, n):
-            gram[i][j] = gram[j][i] = sum(
-                x * y for x, y in zip(c, basis[j]) if x)
+            gram[i][j] = gram[j][i] = sum(map(mul, c, basis[j]))
     return basis, freeze(gram)
 
 

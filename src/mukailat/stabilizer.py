@@ -638,31 +638,61 @@ def _normalize_tau(model: VPerpModel, v0: MukaiVector,
 # -- the discriminant isometry count ------------------------------------------
 
 
-def distinct_prime_count(m: int) -> int:
-    count = 0
+def _prime_powers(m: int) -> dict[int, int]:
+    """{p: e} with m = prod p^e, for m >= 1, by trial division up to sqrt m."""
+    factors = {}
     p = 2
     while p * p <= m:
-        if m % p == 0:
-            count += 1
-            while m % p == 0:
-                m //= p
-        p += 1
-    return count + (1 if m > 1 else 0)
+        while m % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            m //= p
+        p += 1 if p == 2 else 2
+    if m > 1:
+        factors[m] = factors.get(m, 0) + 1
+    return factors
+
+
+def distinct_prime_count(m: int) -> int:
+    return len(_prime_powers(m))
+
+
+def _square_roots_of_one(m: int) -> list[int]:
+    """The u in [1, 2m) with u^2 = 1 mod 4m, sorted.  A root mod 4m is one
+    root mod each prime power of 4m, glued by CRT: +-1 mod an odd p^e, 1
+    and 3 mod 4, +-1 and 2^(e-1) +- 1 mod 2^e for e >= 3.  u^2 mod 4m
+    depends only on u mod 2m, so the roots mod 4m are read mod 2m; each one
+    is checked."""
+    factors = _prime_powers(4 * m)
+    roots, modulus = [0], 1
+    for p, e in factors.items():
+        q = p ** e
+        if p != 2:
+            local = (1, q - 1)
+        elif e == 2:
+            local = (1, 3)
+        else:
+            local = (1, q // 2 - 1, q // 2 + 1, q - 1)
+        # r = r0 mod modulus and r = s mod q
+        inv = pow(modulus, -1, q)
+        roots = [r0 + modulus * ((s - r0) * inv % q)
+                 for r0 in roots for s in local]
+        modulus *= q
+    two_m = 2 * m
+    roots = sorted({r % two_m for r in roots})
+    _ensure(all((u * u - 1) % modulus == 0 for u in roots),
+            "a CRT root is not a square root of 1 mod 4m")
+    return roots
 
 
 def disc_group_order(m: int) -> dict:
-    """|O(disc)| by brute force: #{u in (Z/2m)^x : u^2 = 1 mod 4m}.
+    """|O(disc)| = #{u in (Z/2m)^x : u^2 = 1 mod 4m}, counted from the roots
+    built by CRT (`_square_roots_of_one`) in O(sqrt m) steps.
 
     The count equals 2^rho with rho the number of distinct primes of m, and
     it is the index of Gamma_v in O(v-perp)."""
     if m < 1:
         raise LatticeError("m must be a positive integer")
-    two_m = 2 * m
-    four_m = 4 * m
-    order = sum(
-        1 for u in range(1, two_m + 1)
-        if gcd(u, two_m) == 1 and (u * u - 1) % four_m == 0
-    )
+    order = len(_square_roots_of_one(m))
     rho = distinct_prime_count(m)
     _ensure(order == 2 ** rho, f"|O(disc)| = {order} is not 2^{rho}")
     return {"order": order, "rho": rho, "index_O_vperp_over_GammaV": order}
@@ -711,7 +741,7 @@ def nontrivial_disc_isometry(model: VPerpModel) -> Isometry | None:
     """The lift of the least u in (1, 2m - 1) with u^2 = 1 mod 4m, an
     isometry of v-perp whose disc action is not +-1; None when there is no
     such u, which is exactly when m is a prime power."""
-    two_m = 2 * model.m
-    u = next((u for u in range(3, two_m - 1, 2)
-              if (u * u - 1) % (2 * two_m) == 0), None)
+    m = model.m
+    u = next((u for u in _square_roots_of_one(m) if 1 < u < 2 * m - 1),
+             None)
     return None if u is None else disc_lift(model, u)

@@ -109,6 +109,33 @@ class TestReflection:
             assert rho.det() == -1
 
 
+def old_orientation_char(g):
+    """The formula the cached supports replaced, as the oracle: the sign of
+    det_q[(r_i, g r_j)], from `apply` and `pair`, with the reference checked
+    the same way."""
+    lat = g.lattice
+    refs = [lat.plane_vector(block, 1, sign)
+            for name, sign in (("U", 1), ("H04", -1))
+            for block in lat.blocks_named(name)]
+    gram = linalg.freeze([[lat.pair(a, b) for b in refs] for a in refs])
+    if not linalg.is_positive_definite(gram):
+        raise LatticeError("positive definite")
+    if len(refs) != lat.signature()[0]:
+        raise LatticeError("the positive index")
+    images = [g.apply(v) for v in refs]
+    d = linalg.det_q([[lat.pair(r, img) for img in images] for r in refs])
+    if d == 0:
+        raise LatticeError("singular")
+    return 0 if d > 0 else 1
+
+
+def _pinned_outcome(char, g):
+    try:
+        return char(g)
+    except LatticeError as exc:
+        return type(exc)
+
+
 class TestOrientationChar:
     def test_cov_minus_id(self, mukai):
         minus = Isometry.identity(mukai).negate()
@@ -204,6 +231,61 @@ class TestOrientationChar:
                               capture_output=True, text=True, check=True)
         assert proc.stdout.startswith(
             "LatticeError: projected map is singular")
+
+    @pytest.mark.parametrize("name", ["Mukai", "vperp:1", "vperp:2",
+                                      "vperp:30", "diag(1)+U"])
+    def test_matches_old_formula(self, name, rng):
+        from mukailat.stabilizer import (nontrivial_disc_isometry,
+                                         vperp_model)
+
+        if name == "diag(1)+U":
+            # positive index 2 with one reference vector: both raise
+            lat = build_lattice((("diag", (1,)), "U"))
+            structured = [reflection(lat, (0, 1, -1)),
+                          general_reflection(lat, (1, 0, 0))]
+            dense = []
+        else:
+            m = 2 if name == "Mukai" else int(name.split(":")[1])
+            model = vperp_model(m)
+            fam = generator_family(m)
+            words = [fam.sample_word(rng, k).product() for k in (1, 3, 6, 9)]
+            if name == "Mukai":
+                lat = model.mukai
+                structured = [
+                    reflection(lat, fam.sample_pm2_vector(rng) + (0, 0))
+                    for _ in range(6)]
+                structured.append(fam.tau_letter(rng).to_isometry(model))
+                dense = words
+            else:
+                lat = model.lattice
+                structured = [
+                    general_reflection(lat, fam.sample_pm2_vector(rng) + (0,))
+                    for _ in range(6)]
+                dense = [model.restrict(w) for w in words]
+                lift = nontrivial_disc_isometry(model)
+                if lift is not None:
+                    dense.append(lift)
+            # a matrix that is not an isometry reads the same formula
+            dense.append(Isometry(lat, linalg.freeze(
+                [[rng.randint(-3, 3) for _ in range(lat.rank)]
+                 for _ in range(lat.rank)])))
+        identity = Isometry.identity(lat)
+        dense += [identity, identity.negate()]
+        for g in structured:
+            assert g.outer is not None
+            new = _pinned_outcome(orientation_char, g)
+            # the images come from the outer form, not from a built matrix
+            assert g._matrix is None
+            assert new == _pinned_outcome(old_orientation_char, g)
+        seen = set()
+        for g in dense:
+            new = _pinned_outcome(orientation_char, g)
+            assert new == _pinned_outcome(old_orientation_char, g)
+            seen.add(new)
+        if name == "diag(1)+U":
+            assert seen == {LatticeError}
+        else:
+            assert {0, 1} <= seen
 
     def test_vperp_reference(self):
         from mukailat.stabilizer import vperp_model

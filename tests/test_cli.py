@@ -8,9 +8,9 @@ import sys
 
 import pytest
 
-from mukailat import characters, jsonio, lattices
+from mukailat import characters, cli, jsonio, lattices
 from mukailat.cli import run
-from mukailat.stabilizer import generator_family, vperp_model
+from mukailat.stabilizer import InvariantError, generator_family, vperp_model
 
 
 def invoke(argv):
@@ -349,6 +349,55 @@ class TestHarness:
             report, status = invoke(argv)
             assert status == 0
             assert report["verification"]
+
+
+class TestInternalError:
+    # a library bug is neither a failed verification (1) nor a usage
+    # error (2): it exits 4 with a JSON report naming the exception
+    @pytest.mark.parametrize("exc, expected", [
+        (RuntimeError("boom"), "RuntimeError: boom"),
+        (InvariantError("identity broken"), "InvariantError: identity broken"),
+        (ZeroDivisionError("division by zero"),
+         "ZeroDivisionError: division by zero"),
+    ])
+    def test_unexpected_exception_exits_4(self, monkeypatch, exc, expected):
+        def handler(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_run_stab", handler)
+        report, status = invoke(["stab", "disc-order", "--m", "6"])
+        assert status == 4
+        assert report == {"error": expected, "status": 4}
+
+    def test_usage_error_still_exits_2(self, monkeypatch):
+        def handler(args):
+            raise lattices.LatticeError("bad input")
+
+        monkeypatch.setattr(cli, "_run_stab", handler)
+        assert invoke(["stab", "disc-order", "--m", "6"]) == \
+            ({"error": "bad input", "status": 2}, 2)
+
+    def test_exit_code_of_the_process(self, tmp_path):
+        # main() prints the report on stdout and exits with its status
+        code = (
+            "import sys\n"
+            "from mukailat import cli\n"
+            "def boom(args):\n"
+            "    raise RuntimeError('boom')\n"
+            "cli._run_stab = boom\n"
+            "sys.argv = ['mukailat', 'stab', 'disc-order', '--m', '6']\n"
+            "cli.main()\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 4
+        assert json.loads(proc.stdout) == {"error": "RuntimeError: boom",
+                                           "status": 4}
+        # the traceback is kept, on stderr
+        assert proc.stderr.startswith("Traceback")
+        assert proc.stderr.endswith("RuntimeError: boom\n")
 
 
 class TestEnvRadius:

@@ -4,6 +4,7 @@ Gram rows behind `Lattice.pair`, `square` and `covector`."""
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from mukailat.lattices import (
     Lattice,
     LatticeError,
     build_lattice,
+    check_isometry,
     e8_minus,
     hyperbolic_plane,
     k3_lattice,
@@ -361,3 +363,96 @@ def test_pair_with_fraction_lift():
     lift = (Fraction(0),) * 22 + (Fraction(1, 60),)
     assert lat.square(lift) == Fraction(-1, 60)
     assert lat.covector(lift) == (0,) * 22 + (-1,)
+
+
+# -- check_isometry against the dense M^T G M ---------------------------------
+
+
+def dense_preserves(gram, m):
+    """The oracle: M^T G M == G, every entry formed densely."""
+    cols = list(zip(*m))
+    mt_g = [[sum(map(mul, c, gc)) for gc in zip(*gram)] for c in cols]
+    return [[sum(map(mul, r, c)) for c in cols]
+            for r in mt_g] == [list(r) for r in gram]
+
+
+def _reflection_generators(lat):
+    """Reflections, as dense matrices, in the basis vectors b_i and the
+    b_i +- b_j (i < j) that give an integral reflection."""
+    n = lat.rank
+    basis = linalg.identity(n)
+    candidates = list(basis) + [
+        tuple(a + s * b for a, b in zip(basis[i], basis[j]))
+        for i in range(n) for j in range(i + 1, n) for s in (1, -1)]
+    gens = []
+    for u in candidates:
+        try:
+            gens.append(general_reflection(lat, u).matrix)
+        except LatticeError:
+            pass
+    return gens
+
+
+GENERATORS = {name: _reflection_generators(lat)
+              for name, lat in PAIRING_LATTICES.items()}
+
+
+def _sampled_isometry(name, data, max_letters=6):
+    gens = GENERATORS[name]
+    m = linalg.identity(PAIRING_LATTICES[name].rank)
+    for k in data.draw(st.lists(st.integers(0, len(gens) - 1),
+                                max_size=max_letters)):
+        m = linalg.mat_mul(m, gens[k])
+    return m
+
+
+def _perturbed(m, i, j, delta):
+    rows = [list(r) for r in m]
+    rows[i][j] += delta
+    return linalg.freeze(rows)
+
+
+@pytest.mark.parametrize("name", sorted(PAIRING_LATTICES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_check_isometry_is_dense_check(name, data):
+    lat = PAIRING_LATTICES[name]
+    n = lat.rank
+    m = _sampled_isometry(name, data)
+    assert dense_preserves(lat.gram, m)
+    check = check_isometry(lat, m)
+    assert check.is_isometry and check.matrix == m
+    positions = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        min_size=1, max_size=12))
+    for i, j in positions:
+        delta = data.draw(st.one_of(st.integers(-3, 3),
+                                    st.integers(-10**40, 10**40))
+                          .filter(bool))
+        bad = _perturbed(m, i, j, delta)
+        assert check_isometry(lat, bad).is_isometry == \
+            dense_preserves(lat.gram, bad), (i, j, delta)
+
+
+@pytest.mark.parametrize("name", sorted(PAIRING_LATTICES))
+def test_check_isometry_perturbed_at_every_position(name):
+    # one entry of an isometry moved, at each position in turn: above,
+    # on and below the diagonal, and in the zero row of diag(1:-3:0),
+    # where the change keeps M an isometry
+    lat = PAIRING_LATTICES[name]
+    n = lat.rank
+    rng = random.Random(name)
+    m = linalg.identity(n)
+    for _ in range(5):
+        m = linalg.mat_mul(m, rng.choice(GENERATORS[name]))
+    assert check_isometry(lat, m).is_isometry
+    outcomes = set()
+    for i in range(n):
+        for j in range(n):
+            bad = _perturbed(m, i, j, rng.choice((-2, -1, 1, 2)))
+            expected = dense_preserves(lat.gram, bad)
+            assert check_isometry(lat, bad).is_isometry == expected, (i, j)
+            outcomes.add(expected)
+    assert False in outcomes
+    if name == "diag(1:-3:0)":
+        assert True in outcomes

@@ -39,8 +39,15 @@ from mukailat.stabilizer import (
     vperp_model,
     w_membership,
 )
+from mukailat.stabilizer import _prime_powers, _square_roots_of_one
 
 from conftest import label_vector
+
+
+def brute_force_roots(m):
+    """The oracle: the u in [1, 2m) with u^2 = 1 mod 4m, found by trying
+    every odd u (an even u has u^2 = 0 mod 4)."""
+    return [u for u in range(1, 2 * m, 2) if u * u % (4 * m) == 1]
 
 
 @pytest.fixture(scope="module")
@@ -226,7 +233,19 @@ class TestNontrivialDiscIsometry:
             g = nontrivial_disc_isometry(model)
             assert (g is None) == (distinct_prime_count(m) <= 1)
             if g is not None:
-                assert disc_action(model, g) not in (1, 2 * m - 1)
+                # the lift of the least root in (1, 2m - 1)
+                least = min(u for u in brute_force_roots(m)
+                            if 1 < u < 2 * m - 1)
+                assert disc_action(model, g) == least
+
+    def test_large_m(self):
+        m = 2 * 3 * (10**12 + 39)  # 10^12 + 39 is prime
+        assert _prime_powers(m) == {2: 1, 3: 1, 10**12 + 39: 1}
+        model = vperp_model(m)
+        g = nontrivial_disc_isometry(model)
+        u = disc_action(model, g)
+        assert 1 < u < 2 * m - 1
+        assert (u * u - 1) % (4 * m) == 0
 
 
 class TestDiscLift:
@@ -544,6 +563,23 @@ class TestDiscGroupOrder:
         for m in range(1, 200):
             data = disc_group_order(m)
             assert data["order"] == 2 ** distinct_prime_count(m)
+
+    def test_crt_roots_match_brute_force(self):
+        for m in range(1, 5001):
+            roots = brute_force_roots(m)
+            assert _square_roots_of_one(m) == roots, m
+            assert disc_group_order(m)["order"] == len(roots), m
+
+    @pytest.mark.parametrize("m, rho", [
+        (10**12, 2),                        # 2^12 5^12
+        (10**12 + 39, 1),                   # a prime
+        (2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31, 11),
+        (2**40, 1),
+    ])
+    def test_large_m(self, m, rho):
+        # trial division to sqrt m; counting the units would take days
+        assert disc_group_order(m) == \
+            {"order": 2 ** rho, "rho": rho, "index_O_vperp_over_GammaV": 2 ** rho}
 
     def test_kernel_criterion_on_samples(self, rng):
         for m in (1, 2, 3, 4, 6):

@@ -4,10 +4,13 @@ Every verb emits a JSON report {command, inputs, outputs, verification,
 status} on stdout; the verification block re-checks the mathematical claims
 of the output and any failed assertion forces a nonzero exit.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 witness
-search exhausted (the radius is echoed in the report), 4 internal error: an
-`InvariantError` (a library bug) or any other unexpected exception, reported
-as {"error": "<Type>: <message>", "status": 4}, with the traceback on stderr.
+Exit codes: 0 success, 1 verification failure, 2 usage error (a
+`LatticeError`, which every parser of arguments, environment variables and
+JSON files raises on malformed input, or a missing file), 3 witness search
+exhausted (the radius is echoed in the report), 4 internal error: an
+`InvariantError` (a library bug) or any other unexpected exception, a
+`KeyError` or `ValueError` included, reported as
+{"error": "<Type>: <message>", "status": 4}, with the traceback on stderr.
 """
 
 from __future__ import annotations
@@ -50,23 +53,39 @@ def _parse_block_spec(text: str):
     for item in text.split(","):
         item = item.strip()
         if item.startswith("diag(") and item.endswith(")"):
-            entries = tuple(int(x) for x in item[5:-1].split(":"))
+            entries = tuple(jsonio.int_from_text(x, "a diag entry")
+                            for x in item[5:-1].split(":"))
             spec.append(("diag", entries))
         else:
             spec.append(item)
     return tuple(spec)
 
 
+def _int_list(text: str, what: str, count: int) -> tuple[int, ...]:
+    """The `count` comma-separated ints of text; LatticeError otherwise."""
+    values = tuple(jsonio.int_from_text(x, f"an entry of {what}")
+                   for x in text.split(","))
+    if len(values) != count:
+        raise LatticeError(f"{what} needs {count} comma-separated integers, "
+                           f"got {text!r}")
+    return values
+
+
 def _load_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise LatticeError(f"{path} is not a JSON file: {exc}") from None
 
 
 def _default_radius(args) -> int:
     if getattr(args, "radius", None) is not None:
         return args.radius
     env = os.environ.get("MUKAI_SEARCH_RADIUS")
-    return int(env) if env else DEFAULT_RADIUS
+    if not env:
+        return DEFAULT_RADIUS
+    return jsonio.int_from_text(env, "MUKAI_SEARCH_RADIUS")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,7 +301,7 @@ def _run_stab(args):
     if args.action == "embed":
         lattice = jsonio.resolve_lattice(args.lattice)
         lam1 = jsonio.vector_from_json(_load_json(args.lambda1))
-        two_a, b, two_d = (int(x) for x in args.target.split(","))
+        two_a, b, two_d = _int_list(args.target, "--target", 3)
         radius = _default_radius(args)
         lam2 = embed_rank2(lattice, lam1, (two_a, b, two_d), radius=radius)
         outputs = {"lambda2": jsonio.vector_to_json(lam2)}
@@ -361,7 +380,7 @@ def _run_fm(args):
 
 
 def _run_elliptic(args):
-    r, d = (int(x) for x in args.v.split(","))
+    r, d = _int_list(args.v, "--v", 2)
     stab = even_stabilizer((r, d))
     outputs = {"generator": [list(row) for row in stab.generator]}
     verification = [
@@ -411,7 +430,7 @@ def run(argv) -> tuple[dict, int]:
         return report, 3
     except InvariantError as exc:
         return _internal_error(exc)
-    except (LatticeError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (LatticeError, FileNotFoundError) as exc:
         return {"error": str(exc), "status": 2}, 2
     except Exception as exc:
         return _internal_error(exc)

@@ -40,7 +40,8 @@ def resolve_lattice(identifier: str) -> Lattice:
     if isinstance(identifier, str) and identifier.startswith("vperp:"):
         from .stabilizer import vperp_model
 
-        m = int(identifier.split(":", 1)[1])
+        m = int_from_text(identifier.split(":", 1)[1],
+                          f"the m of lattice id {identifier!r}")
         return vperp_model(m).lattice
     raise LatticeError(f"unknown lattice id {identifier!r}")
 
@@ -55,6 +56,16 @@ def _array(data) -> list:
     if not isinstance(data, list):
         raise LatticeError(f"expected a JSON array, got {type(data).__name__}")
     return data
+
+
+def int_from_text(text: str, what: str) -> int:
+    """The int written in text, a command-line argument or a lattice id;
+    LatticeError, naming `what`, when text is not one."""
+    try:
+        return int(text)
+    except ValueError:
+        raise LatticeError(f"{what} must be an integer, got {text!r}") \
+            from None
 
 
 def _int(x) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import chain
 from math import prod
 from operator import mul
 
@@ -71,6 +71,8 @@ class Lattice:
             raise LatticeError("basis labels must match the rank")
         if self.gram != linalg.transpose(self.gram):
             raise LatticeError("Gram matrix must be symmetric")
+        if not all(isinstance(g, int) for row in self.gram for g in row):
+            raise LatticeError("Gram matrix must have integer entries")
         object.__setattr__(self, "_rows", tuple(
             tuple((j, g) for j, g in enumerate(r) if g) for r in self.gram))
         object.__setattr__(self, "_hash", hash(
@@ -393,27 +395,27 @@ def pull_back(lattice: Lattice, steps, v: Vec) -> Vec:
 
 
 def check_isometry(lattice: Lattice, matrix) -> IsometryCheck:
-    """Whether M^T G M == G.  Both sides are symmetric, since `Lattice`
-    makes G so, and so only the upper triangle is compared: row i of
-    M^T (G M) from column i on, as sum_k m_ki (G M)[k, i:] over the nonzero
-    m_ki, and the first row that differs ends the check.  G M comes from
-    `linalg.mat_mul`, which reads only G's nonzero entries."""
+    """Whether M^T G M == G, M integer (else LatticeError).  Row x is read
+    as P(x) = sum_j x_j 2^(s j): P(row i of M^T G M) = sum_k m_ki sum_j g_kj
+    P(row j of M), summed over nonzero m_ki, g_kj.  For |m_ij| < 2^b, rank n
+    and r = max_k sum_j |g_kj|, the entries of M^T G M (below n r 4^b) and
+    of G (at most r) lie in (-2^(s-1), 2^(s-1)), s = 2b + bitlength(nr) + 1.
+    P is injective there: if two such rows first differ at slot j, by
+    0 < |d| < 2^s, their P differ by d 2^(s j) != 0 mod 2^(s (j+1))."""
     matrix = freeze(matrix)
-    n = lattice.rank
-    if len(matrix) != n or any(len(r) != n for r in matrix):
+    if {len(matrix), *map(len, matrix)} != {lattice.rank}:
         raise LatticeError("matrix must be square of the lattice rank")
-    gm = linalg.mat_mul(lattice.gram, matrix)
-    for i, (col, grow) in enumerate(zip(zip(*matrix), lattice.gram)):
-        # islice, not slicing: the sliced tuples pile up on the
-        # interpreter's tuple free lists and raise a run's peak memory
-        row = [0] * (n - i)
-        for x, gm_row in zip(col, gm):
-            if x:
-                row = [y + x * z
-                       for y, z in zip(row, islice(gm_row, i, None))]
-        if row != list(islice(grow, i, None)):
-            return IsometryCheck(False, matrix)
-    return IsometryCheck(True, matrix)
+    try:
+        b = max(map(int.bit_length, chain(*matrix)), default=0)
+    except TypeError:
+        raise LatticeError("an isometry check needs integer entries") from None
+    r = max((sum(abs(g) for _, g in row) for row in lattice._rows), default=0)
+    s = 2 * b + (lattice.rank * r).bit_length() + 1
+    rows = [sum(x << s * j for j, x in enumerate(row) if x) for row in matrix]
+    gm = [sum(g * rows[j] for j, g in row) for row in lattice._rows]
+    return IsometryCheck(all(sum(x * p for x, p in zip(col, gm) if x) ==
+                             sum(g << s * j for j, g in grow) for col, grow
+                             in zip(zip(*matrix), lattice._rows)), matrix)
 
 
 def orthogonal_complement(lattice: Lattice, vectors) -> tuple[tuple[Vec, ...], Mat]:

@@ -17,7 +17,10 @@ Isometries here are mostly zeros, so the products skip zero entries:
 `mat_vec` sums the columns of the nonzero entries of the vector, `mat_mul`
 builds each row from the rows of b picked by its nonzero entries, and an
 elimination step only rescales a row whose multiplier is 0.  An entry with
-no nonzero term is the int 0, whatever the type of the other entries.
+no nonzero term is the int 0, whatever the type of the other entries.  An
+isometry also fixes many basis vectors e_i (column i is e_i) or coordinates
+x_i (row i is e_i); `det` drops those indices and eliminates only the
+block the matrix moves.
 """
 
 from __future__ import annotations
@@ -144,11 +147,23 @@ def is_zero_vec(v: Vec) -> bool:
 
 
 def det(m: Mat) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
+    """Determinant of an integer matrix by fraction-free (Bareiss) elimination.
+
+    Every index i whose row i or column i is the unit vector e_i is dropped
+    first.  Expanding along that row or column leaves the principal minor
+    without i, with sign (-1)^(i+i) = +.  Dropping i keeps row j (column j)
+    of every other such index j equal to e_j on the indices that remain, so
+    all of them are dropped in one pass, and Bareiss runs on the rest."""
     n = len(m)
+    keep = [i for i, (row, col) in enumerate(zip(m, zip(*m)))
+            if row[i] != 1 or (row.count(0) < n - 1 and col.count(0) < n - 1)]
+    n = len(keep)
     if n == 0:
         return 1
-    a = [list(row) for row in m]
+    if n == len(m):
+        a = [list(row) for row in m]
+    else:
+        a = [[m[i][j] for j in keep] for i in keep]
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -359,6 +359,11 @@ class TestInternalError:
         (InvariantError("identity broken"), "InvariantError: identity broken"),
         (ZeroDivisionError("division by zero"),
          "ZeroDivisionError: division by zero"),
+        # the parsers raise LatticeError on malformed input, so a KeyError
+        # or ValueError from the library is a bug, not a usage error
+        (KeyError("lifts"), "KeyError: 'lifts'"),
+        (ValueError("too many values to unpack"),
+         "ValueError: too many values to unpack"),
     ])
     def test_unexpected_exception_exits_4(self, monkeypatch, exc, expected):
         def handler(args):
@@ -398,6 +403,54 @@ class TestInternalError:
         # the traceback is kept, on stderr
         assert proc.stderr.startswith("Traceback")
         assert proc.stderr.endswith("RuntimeError: boom\n")
+
+
+class TestMalformedArguments:
+    # each parser raises a LatticeError that names what it could not read
+    # (exit 2), where it used to let int() or json.load raise
+    EMBED = ["stab", "embed", "--lattice", "U", "--lambda1", "{lam}"]
+
+    @pytest.mark.parametrize("argv, env, expected", [
+        (["lattice", "build", "--spec", "U,diag(-6:x)"], None,
+         "a diag entry must be an integer, got 'x'"),
+        (["lattice", "disc", "--spec", "diag()"], None,
+         "a diag entry must be an integer, got ''"),
+        (EMBED + ["--target", "0,1"], None,
+         "--target needs 3 comma-separated integers, got '0,1'"),
+        (EMBED + ["--target", "0,1,0,4"], None,
+         "--target needs 3 comma-separated integers, got '0,1,0,4'"),
+        (EMBED + ["--target", "0,b,0"], None,
+         "an entry of --target must be an integer, got 'b'"),
+        (["stab", "embed", "--lattice", "vperp:x", "--lambda1", "{lam}",
+          "--target", "0,1,0"], None,
+         "the m of lattice id 'vperp:x' must be an integer, got 'x'"),
+        (EMBED + ["--target", "0,1,0"], "4.5",
+         "MUKAI_SEARCH_RADIUS must be an integer, got '4.5'"),
+        (["elliptic", "stab", "--v", "1"], None,
+         "--v needs 2 comma-separated integers, got '1'"),
+        (["elliptic", "stab", "--v", "1,r"], None,
+         "an entry of --v must be an integer, got 'r'"),
+        (["char", "--isometry", "{truncated}"], None,
+         "is not a JSON file: Expecting property name"),
+        (["stab", "classify", "--m", "2", "--vector", "{binary}"], None,
+         "is not a JSON file: 'utf-8' codec can't decode"),
+    ])
+    def test_exits_2_naming_the_argument(self, tmp_path, monkeypatch, argv,
+                                         env, expected):
+        files = {"lam": "[1, 0]", "truncated": '{"lattice": "mukai", '}
+        paths = {name: tmp_path / f"{name}.json" for name in files}
+        for name, text in files.items():
+            paths[name].write_text(text)
+        paths["binary"] = tmp_path / "binary.json"
+        paths["binary"].write_bytes(b"\xff\xfe[1]")
+        argv = [a.format(**paths) for a in argv]
+        if env is None:
+            monkeypatch.delenv("MUKAI_SEARCH_RADIUS", raising=False)
+        else:
+            monkeypatch.setenv("MUKAI_SEARCH_RADIUS", env)
+        report, status = invoke(argv)
+        assert status == 2
+        assert expected in report["error"]
 
 
 class TestEnvRadius:

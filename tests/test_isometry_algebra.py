@@ -425,9 +425,15 @@ def test_check_isometry_is_dense_check(name, data):
     positions = data.draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
         min_size=1, max_size=12))
+    # check_isometry packs each row into slots of s bits; deltas of exactly
+    # +-2^k, k up to twice that width, move an entry onto slot boundaries
+    s = 2 * max(x.bit_length() for row in m for x in row) \
+        + (n * max(sum(map(abs, row)) for row in lat.gram)).bit_length() + 1
+    powers = st.builds(lambda k, sign: sign * 2**k, st.integers(0, 2 * s),
+                       st.sampled_from((1, -1)))
     for i, j in positions:
         delta = data.draw(st.one_of(st.integers(-3, 3),
-                                    st.integers(-10**40, 10**40))
+                                    st.integers(-10**40, 10**40), powers)
                           .filter(bool))
         bad = _perturbed(m, i, j, delta)
         assert check_isometry(lat, bad).is_isometry == \
@@ -456,3 +462,45 @@ def test_check_isometry_perturbed_at_every_position(name):
     assert False in outcomes
     if name == "diag(1:-3:0)":
         assert True in outcomes
+
+
+def test_check_isometry_slots_are_wide_enough():
+    # on U, M_w = ((-(2^w + 1), 1), (4^w, -(2^w + 1))) is no isometry, yet
+    # packed into slots of w bits the rows of M^T G M equal those of G:
+    # the slot width check_isometry picks from M's entries must not be w
+    u = hyperbolic_plane()
+    for w in range(1, 80):
+        m = ((-(2**w + 1), 1), (4**w, -(2**w + 1)))
+        assert not dense_preserves(u.gram, m)
+        mtgm = [[sum(m[k][i] * u.gram[k][l] * m[l][j]
+                     for k in range(2) for l in range(2)) for j in range(2)]
+                for i in range(2)]
+        packed = [[row[0] + (row[1] << w) for row in x]
+                  for x in (mtgm, u.gram)]
+        assert packed[0] == packed[1]
+        assert not check_isometry(u, m).is_isometry
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(1), 1.0, 0.0,
+                                   "1", None])
+def test_check_isometry_needs_integer_entries(entry):
+    # rows are packed with <<, which only ints support: any other entry
+    # is refused as a LatticeError, and so as a usage error by the CLI
+    lat = mukai_lattice()
+    rows = [list(r) for r in linalg.identity(lat.rank)]
+    rows[3][5] = entry
+    with pytest.raises(LatticeError, match="integer entries"):
+        check_isometry(lat, rows)
+    with pytest.raises(LatticeError, match="integer entries"):
+        Isometry.checked(lat, rows)
+
+
+@pytest.mark.parametrize("gram", [
+    ((Fraction(1, 2), 0), (0, 1)),
+    ((2, 1.0), (1.0, 2)),
+    ((2, 1), (1, Fraction(2))),
+], ids=["half", "float", "integral-fraction"])
+def test_lattice_needs_an_integer_gram(gram):
+    # so the Gram matrix check_isometry packs is integral too
+    with pytest.raises(LatticeError, match="integer entries"):
+        Lattice(gram, ("a", "b"))

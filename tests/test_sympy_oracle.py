@@ -4,6 +4,7 @@ membership, signatures and the integer Gram inverse.  The products that
 skip zero entries are checked against the plain sums of all products."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from mukailat.lattices import (
     k3_lattice,
     mukai_lattice,
 )
-from mukailat.stabilizer import vperp_model
+from mukailat.stabilizer import GeneratorFamily, vperp_model
 
 from conftest import mixed_mukai_reference, mukai_complements
 
@@ -492,3 +493,91 @@ def test_sparse_det(data, n, kind, share):
 def test_det_zero_multipliers_and_swaps(a, expected):
     assert Matrix(a).det() == expected
     assert linalg.det(a) == expected
+
+
+# -- determinants with unit rows and columns on the diagonal ------------------
+
+
+def unit(n, i):
+    return [int(i == j) for j in range(n)]
+
+
+@st.composite
+def planted_unit_matrices(draw):
+    """An n x n matrix, n <= 24, some of whose rows i or columns i are set
+    to e_i (the indices `det` drops).  The other rows are dense, and some
+    are decoys it must keep: e_j at i != j, -e_i, or 1 at (i, i) beside
+    other nonzero entries."""
+    n = draw(st.integers(1, 8) | st.integers(16, 24))
+    a = [list(row) for row in
+         draw(shaped(n, n, draw(st.sampled_from((9, BIG)))))]
+    kinds = draw(st.lists(st.sampled_from((
+        "keep", "keep", "row", "column", "decoy", "minus", "diagonal")),
+        min_size=n, max_size=n))
+    for i, kind in enumerate(kinds):
+        if kind == "row":
+            a[i] = unit(n, i)
+        elif kind == "column":
+            for j in range(n):
+                a[j][i] = int(i == j)
+        elif kind == "decoy":
+            a[i] = unit(n, draw(st.integers(0, n - 1)))
+        elif kind == "minus":
+            a[i] = [-x for x in unit(n, i)]
+        else:
+            a[i][i] = 1
+    return linalg.freeze(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_unit_matrices())
+def test_det_with_planted_unit_rows_and_columns(a):
+    assert linalg.det(a) == Matrix(a).det()
+
+
+@pytest.mark.parametrize("a, expected", [
+    (linalg.identity(24), 1),
+    (linalg.identity(1), 1),
+    # rows 0 and 1 are e_1 and e_0: unit vectors off the diagonal, which
+    # must stay (dropping them would give +1); row 2 is e_2 and goes
+    (((0, 1, 0), (1, 0, 0), (0, 0, 1)), -1),
+    # column 0 is e_0 and goes, row 0 is not e_0; the rest is a swap
+    (((1, BIG, 3), (0, 0, 1), (0, 1, 0)), -1),
+    # row 1 is e_1 and column 2 is e_2, both go; a_00 = 7 stays
+    (((7, BIG, 0), (0, 1, 0), (BIG, -BIG, 1)), 7),
+    # -e_1 is not e_1: the sign has to come from the elimination
+    (((2, 5), (0, -1)), -2),
+], ids=["identity-24", "identity-1", "off-diagonal-units", "unit-column",
+        "row-and-column", "minus-unit"])
+def test_det_drops_only_unit_rows_and_columns_on_the_diagonal(a, expected):
+    assert Matrix(a).det() == expected
+    assert linalg.det(a) == expected
+
+
+@pytest.mark.parametrize("m, length", [(1, 5), (2, 15), (7, 30)])
+def test_det_eliminates_only_the_rest(monkeypatch, m, length):
+    # a Gamma_v element with k indices i whose row or column is e_i: the
+    # Bareiss elimination runs on the other n - k rows, in n - k - 1 steps.
+    # Such an element has indices whose row is e_i but whose column is
+    # not; its transpose has the converse.
+    word = GeneratorFamily(vperp_model(m)).sample_word(random.Random(m),
+                                                       length)
+    g = word.product().matrix
+    n = len(g)
+    sizes = []
+    step = linalg._bareiss_step
+
+    def counted(a, k, prev):
+        sizes.append(len(a))
+        step(a, k, prev)
+
+    monkeypatch.setattr(linalg, "_bareiss_step", counted)
+    rows = {i for i in range(n) if list(g[i]) == unit(n, i)}
+    cols = {i for i, col in enumerate(zip(*g)) if list(col) == unit(n, i)}
+    assert rows - cols
+    for a in (g, linalg.transpose(g)):
+        sizes.clear()
+        assert linalg.det(a) == (-1) ** len(word.letters)
+        k = len(rows | cols)
+        assert 0 < k < n - 1
+        assert sizes == [n - k] * (n - k - 1)

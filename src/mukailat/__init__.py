@@ -73,8 +73,6 @@ from .stabilizer import (
     w_membership,
 )
 from .fourier_mukai import (
-    FMIsometry,
-    FMTag,
     duality_isometry,
     elliptic_phi,
     mon_twist,

@@ -346,7 +346,7 @@ def _run_fm(args):
     if args.action == "verify-phi":
         phi, checks = elliptic_phi(args.n)
         outputs = {
-            "phi": jsonio.isometry_to_json(phi.isometry, "mukai"),
+            "phi": jsonio.isometry_to_json(phi, "mukai"),
         }
         verification = [_check(name, value)
                         for name, value in checks.items() if name != "all"]

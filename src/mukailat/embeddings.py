@@ -336,6 +336,9 @@ def _enumerate_witness(lattice: Lattice, lam1, two_a, b, two_d, radius: int):
 def embed_rank2(lattice: Lattice, lam1, target, radius: int = DEFAULT_RADIUS):
     """lambda_2 with (lam1, lam2) = b, (lam2, lam2) = 2d and span{lam1, lam2}
     primitive; target = (2a, b, 2d) = the Gram entries of the rank-2 form."""
+    if radius < 0:
+        raise LatticeError(
+            f"the search radius must be non-negative, got {radius}")
     lam1 = tuple(lam1)
     two_a, b, two_d = target
     c, _ = primitive_part(lam1)

@@ -5,13 +5,12 @@ Only the induced isometries of the Mukai lattice are modeled: the shift
 the +2 reflection sigma_{u0}(x) = x - (x, u0) u0, the elliptic-fibration
 isometry phi with its printed 4x4 matrix on span{(1,0,0), sigma, f,
 (0,0,1)} and -1 on the complement, and the weight-2 monodromy twist
-g -> (-1)^cov(g) g restricted to v-perp.
+g -> (-1)^cov(g) g restricted to v-perp.  Each is returned as an
+`Isometry`, built by the library's trusted path from a known isometry.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from . import linalg
 from .characters import (
     covariance,
@@ -30,47 +29,18 @@ from .mukai import MukaiVector, dualize, mukai_pairing
 from .stabilizer import InvariantError, VPerpModel
 
 
-class FMTag(enum.Enum):
-    SHIFT = "Shift"
-    SPHERICAL = "Spherical"
-    SIGMA_U0 = "SigmaU0"
-    ELLIPTIC_PHI = "EllipticPhi"
-    COMPOSITE = "Composite"
-
-
-@dataclass(frozen=True)
-class FMIsometry:
-    """A Mukai-lattice isometry tagged with the equivalence it shadows.  The
-    isometry is not re-checked: every function in this module that returns
-    one makes it from a known isometry."""
-
-    isometry: Isometry
-    tag: FMTag
-    spherical_class: MukaiVector | None = None
-
-    def compose(self, other: "FMIsometry") -> "FMIsometry":
-        return FMIsometry(self.isometry @ other.isometry, FMTag.COMPOSITE)
-
-    def __matmul__(self, other: "FMIsometry") -> "FMIsometry":
-        return self.compose(other)
-
-    def apply(self, v: MukaiVector) -> MukaiVector:
-        return MukaiVector.from_coords(self.isometry.apply(v.coords()))
-
-
-def spherical_reflection(v0: MukaiVector) -> FMIsometry:
+def spherical_reflection(v0: MukaiVector) -> Isometry:
     """tau_{v0}: w -> w + (v0, w) v0, the lattice shadow of the reflection
     functor of a spherical object with Mukai vector v0."""
     mukai = mukai_lattice()
     if mukai_pairing(v0, v0) != -2:
         raise LatticeError("a spherical class must have square -2")
-    return FMIsometry(reflection(mukai, v0.coords()), FMTag.SPHERICAL, v0)
+    return reflection(mukai, v0.coords())
 
 
-def shift_isometry() -> FMIsometry:
+def shift_isometry() -> Isometry:
     """The shift auto-equivalence corresponds to -id; cov(-id) = 0."""
-    mukai = mukai_lattice()
-    return FMIsometry(Isometry.identity(mukai).negate(), FMTag.SHIFT)
+    return Isometry.identity(mukai_lattice()).negate()
 
 
 def duality_isometry() -> Isometry:
@@ -83,14 +53,15 @@ def duality_isometry() -> Isometry:
               for j in range(n))
         for i in range(n)
     ]
-    return Isometry(mukai, linalg.freeze(rows))
+    # -1 on K3 and 1 on H04 preserve the orthogonal sum K3 + H04
+    return Isometry._trusted(mukai, linalg.freeze(rows))
 
 
-def sigma_u0_isometry() -> FMIsometry:
+def sigma_u0_isometry() -> Isometry:
     """sigma_{u0}(w) = w - (w, u0) u0 for the +2 vector u0 = (1, 0, -1)."""
     mukai = mukai_lattice()
     u0 = MukaiVector(1, linalg.zero_vec(mukai.rank - 2), -1)
-    return FMIsometry(general_reflection(mukai, u0.coords()), FMTag.SIGMA_U0)
+    return general_reflection(mukai, u0.coords())
 
 
 def verify_sigma_tau_duality() -> dict:
@@ -100,8 +71,8 @@ def verify_sigma_tau_duality() -> dict:
     k = mukai.rank - 2
     u0 = MukaiVector(1, linalg.zero_vec(k), -1)
     v0 = MukaiVector(1, linalg.zero_vec(k), 1)
-    sigma = sigma_u0_isometry().isometry
-    tau = spherical_reflection(v0).isometry
+    sigma = sigma_u0_isometry()
+    tau = spherical_reflection(v0)
     d = duality_isometry()
     checks = {}
     checks["u0_square_plus2"] = mukai_pairing(u0, u0) == 2
@@ -150,7 +121,7 @@ def _section_and_fiber(mukai: Lattice):
     return sigma, f
 
 
-def elliptic_phi(n: int) -> tuple[FMIsometry, dict]:
+def elliptic_phi(n: int) -> tuple[Isometry, dict]:
     """The isometry phi acting by the printed matrix on Lambda =
     span{(1,0,0), sigma, f, (0,0,1)} and by -1 on its complement, plus the
     n-dependent verification identities."""
@@ -229,7 +200,7 @@ def elliptic_phi(n: int) -> tuple[FMIsometry, dict]:
     rho = reflection(mukai, alpha_class.coords())
     checks["conjugation"] = (phi @ g).matrix == (rho @ phi).matrix
     checks["all"] = all(checks.values())
-    return FMIsometry(phi, FMTag.ELLIPTIC_PHI), checks
+    return phi, checks
 
 
 def _beta_class(mukai: Lattice, n: int):

@@ -27,7 +27,7 @@ from .lattices import (
     k3_lattice,
     mukai_lattice,
 )
-from .mukai import GradedSurfaceClass, MukaiVector
+from .mukai import GradedSurfaceClass, MukaiVector, mukai_pairing
 
 
 def resolve_lattice(identifier: str) -> Lattice:
@@ -116,7 +116,7 @@ def isometry_to_json(iso: Isometry, identifier: str) -> dict:
 
 def isometry_from_json(data) -> Isometry:
     lattice = resolve_lattice(_field(data, "lattice"))
-    return Isometry.checked(lattice, matrix_from_json(_field(data, "matrix")))
+    return Isometry(lattice, matrix_from_json(_field(data, "matrix")))
 
 
 def _fraction_to_str(x: Fraction) -> str:
@@ -160,17 +160,23 @@ def word_to_json(word) -> dict:
 
 
 def word_from_json(model, data):
+    """The word, each letter checked as it is read: a tau class must be a -2
+    vector of v-perp, a gamma0 matrix an isometry of the K3 block."""
     from .stabilizer import Gamma0Letter, GeneratorWord, TauLetter
 
     letters = []
     for item in _array(_field(data, "letters")):
         kind = _field(item, "kind")
         if kind == "tau":
-            letters.append(TauLetter(mukai_vector_from_json(
-                _field(item, "v0"))))
+            v0 = mukai_vector_from_json(_field(item, "v0"))
+            if mukai_pairing(v0, v0) != -2:
+                raise LatticeError("tau letter class must have square -2")
+            if v0.s != v0.r * model.m:
+                raise LatticeError("tau letter class must lie in v-perp")
+            letters.append(TauLetter(v0))
         elif kind == "gamma0":
-            letters.append(Gamma0Letter(
-                matrix_from_json(_field(item, "matrix"))))
+            h = Isometry(model.k3, matrix_from_json(_field(item, "matrix")))
+            letters.append(Gamma0Letter(h.matrix))
         else:
             raise LatticeError(f"unknown letter kind {kind!r}")
-    return GeneratorWord.checked(model, letters)
+    return GeneratorWord(model, tuple(letters))

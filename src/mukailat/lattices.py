@@ -277,6 +277,11 @@ class IsometryCheck:
 class Isometry:
     """An integer matrix M with M^T G M = G; columns are images of basis vectors.
 
+    `Isometry(lattice, matrix)` is the one public door, for matrices from
+    outside the library: it verifies M^T G M = G (`check_isometry`) and
+    raises LatticeError otherwise.  The library's own constructions go
+    through `_trusted`, each stating why its result preserves the form.
+
     `outer` is (s, terms) when M = s I + sum_k b_k c_k^T was built that way
     (see `from_outer`).  Then `.matrix` is formed only when first read, and
     `apply`, `apply_transpose` and `compose` with M on the left use the terms
@@ -284,12 +289,24 @@ class Isometry:
 
     __slots__ = ("lattice", "outer", "_matrix")
 
-    def __init__(self, lattice: Lattice, matrix: Mat):
-        if len(matrix) != lattice.rank:
-            raise LatticeError("matrix size does not match lattice rank")
+    def __init__(self, lattice: Lattice, matrix):
+        check = check_isometry(lattice, matrix)
+        if not check.is_isometry:
+            raise LatticeError("matrix does not preserve the Gram form")
         self.lattice = lattice
         self.outer = None
-        self._matrix = matrix
+        self._matrix = check.matrix
+
+    @classmethod
+    def _trusted(cls, lattice: Lattice, matrix: Mat | None = None,
+                 outer=None) -> "Isometry":
+        """The isometry with this frozen matrix, or with outer = (s, terms),
+        not verified: the caller knows it preserves the form."""
+        iso = cls.__new__(cls)
+        iso.lattice = lattice
+        iso.outer = outer
+        iso._matrix = matrix
+        return iso
 
     @property
     def matrix(self) -> Mat:
@@ -309,30 +326,21 @@ class Isometry:
         return f"Isometry(lattice={self.lattice!r}, matrix={self.matrix!r})"
 
     @classmethod
-    def checked(cls, lattice: Lattice, matrix) -> "Isometry":
-        matrix = freeze(matrix)
-        check = check_isometry(lattice, matrix)
-        if not check.is_isometry:
-            raise LatticeError("matrix does not preserve the Gram form")
-        return cls(lattice, matrix)
-
-    @classmethod
     def identity(cls, lattice: Lattice) -> "Isometry":
-        return cls(lattice, linalg.identity(lattice.rank))
+        # I^T G I = G
+        return cls._trusted(lattice, linalg.identity(lattice.rank))
 
     @classmethod
     def from_outer(cls, lattice: Lattice, s: int, terms) -> "Isometry":
         """s I + sum_k b_k c_k^T (see `linalg.identity_plus_outer`), kept in
-        that form; the matrix is built when `.matrix` is first read."""
+        that form; the matrix is built when `.matrix` is first read.  Not
+        verified, as `_trusted`: each caller (a reflection, a transvection,
+        phi) builds terms that preserve the form."""
         terms = tuple(terms)
         if not terms or any(len(b) != lattice.rank or len(c) != lattice.rank
                             for b, c in terms):
             raise LatticeError("outer terms must be vectors of the lattice rank")
-        iso = cls.__new__(cls)
-        iso.lattice = lattice
-        iso.outer = (s, terms)
-        iso._matrix = None
-        return iso
+        return cls._trusted(lattice, outer=(s, terms))
 
     def apply(self, v: Vec) -> Vec:
         self.lattice._check_length(v)
@@ -353,27 +361,31 @@ class Isometry:
         """self after other (matrix product self.matrix @ other.matrix)."""
         if other.lattice.gram != self.lattice.gram:
             raise LatticeError("isometries live on different lattices")
+        # (AB)^T G (AB) = B^T (A^T G A) B = B^T G B = G
         if self.outer is not None:
-            return Isometry(self.lattice, linalg.identity_plus_outer_mul(
-                *self.outer, other.matrix))
-        return Isometry(self.lattice, linalg.mat_mul(self.matrix, other.matrix))
+            product = linalg.identity_plus_outer_mul(*self.outer, other.matrix)
+        else:
+            product = linalg.mat_mul(self.matrix, other.matrix)
+        return Isometry._trusted(self.lattice, product)
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
         return self.compose(other)
 
     def inverse(self) -> "Isometry":
         # M^{-1} = G^{-1} M^T G for an isometry, with G^{-1} = A / d; the
-        # rows of M^T G are the covectors G m_j of the columns m_j of M
+        # rows of M^T G are the covectors G m_j of the columns m_j of M.  The
+        # inverse of an isometry is an isometry
         a, d = self.lattice.gram_inverse()
         mt_g = tuple(map(self.lattice.covector, linalg.transpose(self.matrix)))
         rows = (_divide_exact(row, d) for row in linalg.mat_mul(a, mt_g))
-        return Isometry(self.lattice, freeze(rows))
+        return Isometry._trusted(self.lattice, freeze(rows))
 
     def det(self) -> int:
         return linalg.det(self.matrix)
 
     def negate(self) -> "Isometry":
-        return Isometry(self.lattice, linalg.mat_neg(self.matrix))
+        # (-M)^T G (-M) = M^T G M
+        return Isometry._trusted(self.lattice, linalg.mat_neg(self.matrix))
 
     def fixes(self, v: Vec) -> bool:
         return self.apply(v) == tuple(v)

@@ -11,7 +11,7 @@ elimination (used for determinants and signatures; a rational matrix is
 first scaled to an integer one).  Both Smith eliminations record the
 transform as the 2x2 column steps they made, and only the columns that are
 read are built from that log: all of them for a kernel, the few with
-d_i != 1 for a discriminant group, none for the elementary divisors.
+d_i != 1 for a discriminant group.
 
 Isometries here are mostly zeros, so the products skip zero entries:
 `mat_vec` sums the columns of the nonzero entries of the vector, `mat_mul`
@@ -476,16 +476,11 @@ def smith_normal_form(mat: Mat):
     return d, transpose(smith_columns(log, n, range(n)))
 
 
-def elementary_divisors(mat: Mat) -> tuple[int, ...]:
-    d, _ = smith_elimination(mat)
-    n = min(len(d), len(d[0]) if d else 0)
-    return tuple(d[i][i] for i in range(n) if d[i][i] != 0)
-
-
 def is_saturated_pair(u: Vec, v: Vec) -> bool:
     """Whether u, v span a saturated rank-2 sublattice of Z^n, i.e.
-    elementary_divisors([u; v]) == (1, 1): the gcd of the 2x2 minors of a
-    2 x n matrix is d_1 d_2 of its Smith form.  Stops at the first gcd 1."""
+    the Smith form of [u; v] has diagonal (1, 1): the gcd of the 2x2 minors
+    of a 2 x n matrix is d_1 d_2 of its Smith form.  Stops at the first gcd
+    1."""
     g = 0
     for i in range(len(u)):
         for j in range(i + 1, len(u)):
@@ -508,15 +503,6 @@ def kernel_basis(mat: Mat) -> tuple[Vec, ...]:
     rank = sum(1 for i in range(min(nrows, ncols)) if d[i][i] != 0)
     cols = transpose(t)
     return tuple(cols[rank:])
-
-
-def in_span(vec: Vec, basis: tuple[Vec, ...]) -> bool:
-    """Is vec an integer combination of the given vectors (independent or
-    not)?  Adding vec to them keeps their span, and so their elementary
-    divisors, iff it lies in that span."""
-    basis = freeze(basis)
-    return elementary_divisors(basis) == \
-        elementary_divisors(basis + (tuple(vec),))
 
 
 def signature(gram: Mat) -> tuple[int, int, int]:

@@ -29,7 +29,6 @@ from .lattices import (
     Isometry,
     Lattice,
     LatticeError,
-    check_isometry,
     discriminant_group,
     is_primitive,
     k3_lattice,
@@ -109,7 +108,9 @@ class VPerpModel:
         rows = [r[:k] + (r[k] + m * r[k + 1],) for r in g.matrix]
         if rows[k + 1] != tuple(m * x for x in rows[k]):
             raise LatticeError("vector is not orthogonal to v")
-        return Isometry(self.lattice, tuple(rows[:k + 1]))
+        # g fixes v, so it maps v-perp onto itself and preserves the form
+        # there
+        return Isometry._trusted(self.lattice, tuple(rows[:k + 1]))
 
     def extend_k3(self, h: Isometry) -> Isometry:
         """Extend an isometry of the K3 block by the identity on h0, h4."""
@@ -125,7 +126,8 @@ class VPerpModel:
             else:
                 row[i] = 1
             rows.append(tuple(row))
-        return Isometry(self.mukai, linalg.freeze(rows))
+        # h + id preserves the orthogonal sum K3 + <h0, h4>
+        return Isometry._trusted(self.mukai, linalg.freeze(rows))
 
 
 def vperp_model(m: int) -> VPerpModel:
@@ -221,6 +223,8 @@ def classify_minus2(model: VPerpModel, v0: MukaiVector) -> Minus2Orbit:
 def aplus_witness(m: int) -> MukaiVector | None:
     """(1, 2 L0, m) with L0 = e + ((m-1)/4) f when m = 1 mod 4; else None
     (the orbit A_+ is empty in that case)."""
+    if m < 1:
+        raise LatticeError("m must be a positive integer")
     if m % 4 != 1:
         return None
     k3 = k3_lattice()
@@ -324,12 +328,16 @@ def sym3_triple(m: int, v1: MukaiVector, v2: MukaiVector) -> dict:
 
 @dataclass(frozen=True)
 class Gamma0Letter:
-    """An isometry of the K3 block, extended by the identity on h0, h4."""
+    """An isometry of the K3 block, extended by the identity on h0, h4.
+
+    The matrix is not verified: the library builds it from K3 reflections
+    or as the K3 block of an isometry fixing v and w, and
+    `jsonio.word_from_json` verifies one read from outside."""
 
     k3_matrix: linalg.Mat
 
     def to_isometry(self, model: VPerpModel) -> Isometry:
-        return model.extend_k3(Isometry(model.k3, self.k3_matrix))
+        return model.extend_k3(Isometry._trusted(model.k3, self.k3_matrix))
 
 
 @dataclass(frozen=True)
@@ -348,29 +356,11 @@ Letter = Gamma0Letter | TauLetter
 @dataclass(frozen=True)
 class GeneratorWord:
     """A word in the Gamma_v generators; the product (in list order) is the
-    isometry the word factors.  The constructor trusts its letters; use
-    `checked` for letters from outside the library."""
+    isometry the word factors.  The letters are not verified: the library
+    makes them, and `jsonio.word_from_json` checks each letter it reads."""
 
     model: VPerpModel
     letters: tuple[Letter, ...]
-
-    @classmethod
-    def checked(cls, model: VPerpModel, letters) -> "GeneratorWord":
-        """The word, after checking that every tau class is a -2 vector of
-        v-perp and every gamma0 matrix an isometry of the K3 block."""
-        letters = tuple(letters)
-        for letter in letters:
-            if isinstance(letter, TauLetter):
-                v0 = letter.v0
-                if mukai_pairing(v0, v0) != -2:
-                    raise LatticeError("tau letter class must have square -2")
-                if v0.s != v0.r * model.m:
-                    raise LatticeError("tau letter class must lie in v-perp")
-            elif not check_isometry(model.k3, letter.k3_matrix).is_isometry:
-                raise LatticeError(
-                    "gamma0 letter must be an isometry of the K3 block"
-                )
-        return cls(model, letters)
 
     def product(self) -> Isometry:
         # folded from the right, starting at the last letter, so that each
@@ -465,6 +455,9 @@ class GeneratorFamily:
             else self.tau_letter(rng)
 
     def sample_word(self, rng: random.Random, length: int) -> GeneratorWord:
+        if length < 0:
+            raise LatticeError(
+                f"the word length must be non-negative, got {length}")
         letters = tuple(self.letter(rng) for _ in range(length))
         return GeneratorWord(self.model, letters)
 
@@ -734,7 +727,9 @@ def disc_lift(model: VPerpModel, u: int) -> Isometry:
     cols[e] = image(a, u * b - k * a, b)
     cols[f] = image(p, u * q - k * p, q)
     cols[w] = image(two_m, two_m * k, u)
-    return Isometry(model.lattice, linalg.transpose(cols))
+    # e', f', w' have the Gram of e, f, w and lie in U + <w>, orthogonal to
+    # every fixed basis vector, so the map preserves the form
+    return Isometry._trusted(model.lattice, linalg.transpose(cols))
 
 
 def nontrivial_disc_isometry(model: VPerpModel) -> Isometry | None:

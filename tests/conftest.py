@@ -45,6 +45,22 @@ def mixed_mukai_reference(mukai):
     ]
 
 
+def elementary_divisors(mat):
+    """The nonzero diagonal entries of the Smith normal form of mat."""
+    d, _ = linalg.smith_normal_form(linalg.freeze(mat))
+    n = min(len(d), len(d[0]) if d else 0)
+    return tuple(d[i][i] for i in range(n) if d[i][i] != 0)
+
+
+def in_span(vec, basis):
+    """Is vec an integer combination of the given vectors (independent or
+    not)?  Adding vec to them keeps their span, and so their elementary
+    divisors, iff it lies in that span."""
+    basis = linalg.freeze(basis)
+    return elementary_divisors(basis) == \
+        elementary_divisors(basis + (tuple(vec),))
+
+
 def random_vector(lattice, rng, bound=5, density=0.5):
     return tuple(
         rng.randint(-bound, bound) if rng.random() < density else 0

@@ -219,7 +219,7 @@ class TestOrientationChar:
             "mukai_lattice\n"
             "assert False\n"
             "mukai = mukai_lattice()\n"
-            "zero = Isometry(mukai, ((0,) * 24,) * 24)\n"
+            "zero = Isometry._trusted(mukai, ((0,) * 24,) * 24)\n"
             "try:\n"
             "    print(orientation_char(zero))\n"
             "except LatticeError as exc:\n"
@@ -266,7 +266,7 @@ class TestOrientationChar:
                 if lift is not None:
                     dense.append(lift)
             # a matrix that is not an isometry reads the same formula
-            dense.append(Isometry(lat, linalg.freeze(
+            dense.append(Isometry._trusted(lat, linalg.freeze(
                 [[rng.randint(-3, 3) for _ in range(lat.rank)]
                  for _ in range(lat.rank)])))
         identity = Isometry.identity(lat)

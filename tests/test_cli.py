@@ -111,6 +111,8 @@ class TestChar(object):
         path.write_text(json.dumps({"lattice": "mukai", "matrix": matrix}))
         report, status = invoke(["char", "--isometry", str(path)])
         assert status == 2
+        assert report == {"error": "matrix does not preserve the Gram form",
+                          "status": 2}
 
     def test_bare_matrix_is_a_usage_error(self, tmp_path):
         # a matrix without its lattice id: exit 2 and a JSON report on
@@ -434,6 +436,13 @@ class TestMalformedArguments:
          "is not a JSON file: Expecting property name"),
         (["stab", "classify", "--m", "2", "--vector", "{binary}"], None,
          "is not a JSON file: 'utf-8' codec can't decode"),
+        (["stab", "aplus", "--m", "0"], None, "m must be a positive integer"),
+        (["stab", "sample", "--m", "2", "--length", "-1"], None,
+         "the word length must be non-negative, got -1"),
+        (EMBED + ["--target", "0,1,0", "--radius", "-1"], None,
+         "the search radius must be non-negative, got -1"),
+        (EMBED + ["--target", "0,1,0"], "-1",
+         "the search radius must be non-negative, got -1"),
     ])
     def test_exits_2_naming_the_argument(self, tmp_path, monkeypatch, argv,
                                          env, expected):

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from mukailat import linalg
 
+from conftest import in_span
+
 
 def rect_matrix(max_rows=5, max_cols=6, bound=10**12):
     return st.tuples(st.integers(1, max_rows), st.integers(1, max_cols)) \
@@ -145,16 +147,16 @@ def test_kernel_annihilates_and_is_saturated(a):
         probe = tuple(
             sum(3 * v[i] for v in kernel) for i in range(len(kernel[0]))
         )
-        assert linalg.in_span(probe, kernel)
+        assert in_span(probe, kernel)
 
 
 def test_kernel_saturation_catches_imprimitive_span():
     # x + y = 0 over 2 variables: kernel (1, -1); (2, -2) is inside,
     # (1, -1) must be too
     kernel = linalg.kernel_basis(((1, 1),))
-    assert linalg.in_span((1, -1), kernel)
-    assert linalg.in_span((2, -2), kernel)
-    assert not linalg.in_span((1, 0), kernel)
+    assert in_span((1, -1), kernel)
+    assert in_span((2, -2), kernel)
+    assert not in_span((1, 0), kernel)
 
 
 @settings(max_examples=40, deadline=None)

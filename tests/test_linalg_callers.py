@@ -1,16 +1,14 @@
 """Every public function of `linalg` has a caller in the library.
 
 A kernel stays because another `mukailat` module, or another `linalg`
-function, uses it; a test alone does not keep it.  The one exception is a
-named set of test oracles.  This test fails when a public `linalg` function
+function, uses it; a test alone does not keep it (an oracle only tests use
+lives with the tests).  This test fails when a public `linalg` function
 loses its last library caller, or when one is added without a caller."""
 
 import ast
 import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "mukailat"
-# kept only as oracles for the tests: in_span checks saturated kernels
-TEST_ORACLES = {"in_span"}
 
 
 def _public_functions(tree):
@@ -61,7 +59,7 @@ def _without_callers(package):
 
 
 def test_every_linalg_function_has_a_library_caller():
-    assert _without_callers(PACKAGE) == TEST_ORACLES
+    assert _without_callers(PACKAGE) == set()
 
 
 def test_guard_sees_a_function_without_callers(tmp_path):

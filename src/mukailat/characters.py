@@ -32,7 +32,8 @@ def reflection(lattice: Lattice, u) -> Isometry:
             f"(u,u) = {q}; rho_u needs a +-2 vector (use general_reflection)"
         )
     gu = lattice.covector(u)
-    return Isometry.from_outer(lattice, -2 // q, ((u, gu),))
+    # (rho x, rho y) = (x, y) + (x,u)(y,u)(q - 4/q), and q - 4/q = 0
+    return Isometry._trusted(lattice, outer=(-2 // q, ((u, gu),)))
 
 
 def general_reflection(lattice: Lattice, u) -> Isometry:
@@ -53,7 +54,8 @@ def general_reflection(lattice: Lattice, u) -> Isometry:
                 f"2(b_{j}, u) = {2 * x}"
             )
     coefs = tuple(-2 * x // q for x in gu)
-    return Isometry.from_outer(lattice, 1, ((u, coefs),))
+    # it negates u and fixes u-perp, so it preserves the form
+    return Isometry._trusted(lattice, outer=(1, ((u, coefs),)))
 
 
 @lru_cache(maxsize=None)

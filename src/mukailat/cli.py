@@ -80,12 +80,17 @@ def _load_json(path: str):
 
 
 def _default_radius(args) -> int:
-    if getattr(args, "radius", None) is not None:
-        return args.radius
-    env = os.environ.get("MUKAI_SEARCH_RADIUS")
-    if not env:
-        return DEFAULT_RADIUS
-    return jsonio.int_from_text(env, "MUKAI_SEARCH_RADIUS")
+    """--radius, else MUKAI_SEARCH_RADIUS, else DEFAULT_RADIUS; LatticeError
+    when it is negative, whether or not a witness search is reached."""
+    radius = getattr(args, "radius", None)
+    if radius is None:
+        env = os.environ.get("MUKAI_SEARCH_RADIUS")
+        radius = jsonio.int_from_text(env, "MUKAI_SEARCH_RADIUS") if env \
+            else DEFAULT_RADIUS
+    if radius < 0:
+        raise LatticeError(
+            f"the search radius must be non-negative, got {radius}")
+    return radius
 
 
 def build_parser() -> argparse.ArgumentParser:

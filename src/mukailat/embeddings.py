@@ -52,7 +52,9 @@ def eichler_transvection(lattice: Lattice, e, a) -> Isometry:
     ge = lattice.covector(e)
     ga = lattice.covector(a)
     e_coef = tuple(-x - half * y for x, y in zip(ga, ge))
-    return Isometry.from_outer(lattice, 1, ((e, e_coef), (a, ge)))
+    # the Eichler transvection preserves the form for e isotropic and a
+    # orthogonal to e, as checked above
+    return Isometry._trusted(lattice, outer=(1, ((e, e_coef), (a, ge))))
 
 
 def _u_blocks(lattice: Lattice):

@@ -163,7 +163,8 @@ def elliptic_phi(n: int) -> tuple[Isometry, dict]:
         linalg.transpose(lam_basis), linalg.mat_mul(phi_plus_i, g_inv)
     ))
     covectors = (mukai.covector(b) for b in lam_basis)
-    phi = Isometry.from_outer(mukai, -1, zip(columns, covectors))
+    # Phi on Lambda and -1 on Lambda-perp; verified on the next line
+    phi = Isometry._trusted(mukai, outer=(-1, tuple(zip(columns, covectors))))
     if not check_isometry(mukai, phi.matrix).is_isometry:
         raise LatticeError("matrix does not preserve the Gram form")
 

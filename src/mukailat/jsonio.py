@@ -5,7 +5,6 @@ Formats:
   vector      [x1, ..., xn]
   mukai       {"r": int, "c": [22 ints], "s": int}
   isometry    {"lattice": "<id>", "matrix": [[...]]}   (row-major)
-  graded      {"deg0": "p/q", "deg2": ["p/q", ...], "deg4": "p/q"}
   word        {"letters": [{"kind": "tau", "v0": {...}} |
                            {"kind": "gamma0", "matrix": [[...]]}]}
 
@@ -27,7 +26,8 @@ from .lattices import (
     k3_lattice,
     mukai_lattice,
 )
-from .mukai import GradedSurfaceClass, MukaiVector, mukai_pairing
+from .mukai import MukaiVector, mukai_pairing
+from .stabilizer import Gamma0Letter, GeneratorWord, TauLetter, vperp_model
 
 
 def resolve_lattice(identifier: str) -> Lattice:
@@ -38,8 +38,6 @@ def resolve_lattice(identifier: str) -> Lattice:
     if identifier in ("U", "E8_minus"):
         return build_lattice((identifier,))
     if isinstance(identifier, str) and identifier.startswith("vperp:"):
-        from .stabilizer import vperp_model
-
         m = int_from_text(identifier.split(":", 1)[1],
                           f"the m of lattice id {identifier!r}")
         return vperp_model(m).lattice
@@ -125,29 +123,7 @@ def _fraction_to_str(x: Fraction) -> str:
         f"{x.numerator}/{x.denominator}"
 
 
-def _fraction_from_str(s) -> Fraction:
-    return Fraction(s)
-
-
-def graded_to_json(g: GradedSurfaceClass) -> dict:
-    return {
-        "deg0": _fraction_to_str(g.deg0),
-        "deg2": [_fraction_to_str(x) for x in g.deg2],
-        "deg4": _fraction_to_str(g.deg4),
-    }
-
-
-def graded_from_json(data) -> GradedSurfaceClass:
-    return GradedSurfaceClass(
-        _fraction_from_str(data["deg0"]),
-        tuple(_fraction_from_str(x) for x in data["deg2"]),
-        _fraction_from_str(data["deg4"]),
-    )
-
-
 def word_to_json(word) -> dict:
-    from .stabilizer import Gamma0Letter, TauLetter
-
     letters = []
     for letter in word.letters:
         if isinstance(letter, TauLetter):
@@ -162,8 +138,6 @@ def word_to_json(word) -> dict:
 def word_from_json(model, data):
     """The word, each letter checked as it is read: a tau class must be a -2
     vector of v-perp, a gamma0 matrix an isometry of the K3 block."""
-    from .stabilizer import Gamma0Letter, GeneratorWord, TauLetter
-
     letters = []
     for item in _array(_field(data, "letters")):
         kind = _field(item, "kind")
@@ -175,8 +149,8 @@ def word_from_json(model, data):
                 raise LatticeError("tau letter class must lie in v-perp")
             letters.append(TauLetter(v0))
         elif kind == "gamma0":
-            h = Isometry(model.k3, matrix_from_json(_field(item, "matrix")))
-            letters.append(Gamma0Letter(h.matrix))
+            letters.append(Gamma0Letter(Isometry(
+                model.k3, matrix_from_json(_field(item, "matrix")))))
         else:
             raise LatticeError(f"unknown letter kind {kind!r}")
     return GeneratorWord(model, tuple(letters))

@@ -282,10 +282,12 @@ class Isometry:
     raises LatticeError otherwise.  The library's own constructions go
     through `_trusted`, each stating why its result preserves the form.
 
-    `outer` is (s, terms) when M = s I + sum_k b_k c_k^T was built that way
-    (see `from_outer`).  Then `.matrix` is formed only when first read, and
-    `apply`, `apply_transpose` and `compose` with M on the left use the terms
-    instead.  ==, hash and repr are those of (lattice, matrix) either way."""
+    `outer` is (s, terms) when a library site built M = s I + sum_k b_k
+    c_k^T that way, through `_trusted(lattice, outer=(s, terms))` (see
+    `linalg.identity_plus_outer`).  Then `.matrix` is formed only when first
+    read, and `apply`, `apply_transpose` and `compose` with M on the left use
+    the terms instead.  ==, hash and repr are those of (lattice, matrix)
+    either way."""
 
     __slots__ = ("lattice", "outer", "_matrix")
 
@@ -300,8 +302,9 @@ class Isometry:
     @classmethod
     def _trusted(cls, lattice: Lattice, matrix: Mat | None = None,
                  outer=None) -> "Isometry":
-        """The isometry with this frozen matrix, or with outer = (s, terms),
-        not verified: the caller knows it preserves the form."""
+        """The isometry with this frozen matrix, or with outer = (s, terms)
+        for a nonempty tuple of (b, c) pairs of lattice-rank vectors, not
+        verified: the caller knows it preserves the form."""
         iso = cls.__new__(cls)
         iso.lattice = lattice
         iso.outer = outer
@@ -329,18 +332,6 @@ class Isometry:
     def identity(cls, lattice: Lattice) -> "Isometry":
         # I^T G I = G
         return cls._trusted(lattice, linalg.identity(lattice.rank))
-
-    @classmethod
-    def from_outer(cls, lattice: Lattice, s: int, terms) -> "Isometry":
-        """s I + sum_k b_k c_k^T (see `linalg.identity_plus_outer`), kept in
-        that form; the matrix is built when `.matrix` is first read.  Not
-        verified, as `_trusted`: each caller (a reflection, a transvection,
-        phi) builds terms that preserve the form."""
-        terms = tuple(terms)
-        if not terms or any(len(b) != lattice.rank or len(c) != lattice.rank
-                            for b, c in terms):
-            raise LatticeError("outer terms must be vectors of the lattice rank")
-        return cls._trusted(lattice, outer=(s, terms))
 
     def apply(self, v: Vec) -> Vec:
         self.lattice._check_length(v)

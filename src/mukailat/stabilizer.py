@@ -116,18 +116,11 @@ class VPerpModel:
         """Extend an isometry of the K3 block by the identity on h0, h4."""
         if h.lattice.gram != self.k3.gram:
             raise LatticeError("expected an isometry of the K3 lattice")
-        n = self.mukai.rank
-        k = self.k3.rank
-        rows = []
-        for i in range(n):
-            row = [0] * n
-            if i < k:
-                row[:k] = h.matrix[i]
-            else:
-                row[i] = 1
-            rows.append(tuple(row))
+        rows = tuple(row + (0, 0) for row in h.matrix)
+        zeros = (0,) * self.k3.rank
         # h + id preserves the orthogonal sum K3 + <h0, h4>
-        return Isometry._trusted(self.mukai, linalg.freeze(rows))
+        return Isometry._trusted(
+            self.mukai, rows + (zeros + (1, 0), zeros + (0, 1)))
 
 
 def vperp_model(m: int) -> VPerpModel:
@@ -328,16 +321,27 @@ def sym3_triple(m: int, v1: MukaiVector, v2: MukaiVector) -> dict:
 
 @dataclass(frozen=True)
 class Gamma0Letter:
-    """An isometry of the K3 block, extended by the identity on h0, h4.
+    """An isometry of the K3 lattice, extended by the identity on h0, h4.
 
-    The matrix is not verified: the library builds it from K3 reflections
-    or as the K3 block of an isometry fixing v and w, and
-    `jsonio.word_from_json` verifies one read from outside."""
+    It holds an `Isometry`, so its form was verified where the matrix
+    entered (`Isometry(k3, m)` in `jsonio.word_from_json`) or the library
+    built it as one (a K3 reflection, or `factor`'s residual).  Anything
+    else raises LatticeError here."""
 
-    k3_matrix: linalg.Mat
+    isometry: Isometry
+
+    def __post_init__(self):
+        if not isinstance(self.isometry, Isometry) or \
+                self.isometry.lattice.gram != k3_lattice().gram:
+            raise LatticeError("a gamma0 letter needs an isometry of the K3 "
+                               "lattice")
+
+    @property
+    def k3_matrix(self) -> linalg.Mat:
+        return self.isometry.matrix
 
     def to_isometry(self, model: VPerpModel) -> Isometry:
-        return model.extend_k3(Isometry._trusted(model.k3, self.k3_matrix))
+        return model.extend_k3(self.isometry)
 
 
 @dataclass(frozen=True)
@@ -356,8 +360,10 @@ Letter = Gamma0Letter | TauLetter
 @dataclass(frozen=True)
 class GeneratorWord:
     """A word in the Gamma_v generators; the product (in list order) is the
-    isometry the word factors.  The letters are not verified: the library
-    makes them, and `jsonio.word_from_json` checks each letter it reads."""
+    isometry the word factors.  Each letter is an isometry: a gamma0 letter
+    holds a K3 `Isometry`, and a tau letter's `reflection` takes only a +-2
+    class.  `jsonio.word_from_json` also checks that a tau class it reads
+    is a -2 vector of v-perp."""
 
     model: VPerpModel
     letters: tuple[Letter, ...]
@@ -435,7 +441,7 @@ class GeneratorFamily:
         # true reflections: tau_u for -2 (cov 0), sigma_u for +2 (cov 1);
         # together they realize both nontrivial character pairs (-1, 0/1)
         u = self.sample_pm2_vector(rng)
-        return Gamma0Letter(general_reflection(self.k3, u).matrix)
+        return Gamma0Letter(general_reflection(self.k3, u))
 
     def tau_letter(self, rng: random.Random, twists: int = 2) -> TauLetter:
         """tau_{(1, -L, m)} with L a random Gamma_0-image of the canonical
@@ -564,7 +570,8 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False,
     h = linalg.freeze(tuple(residual.matrix[i][:k] for i in range(k)))
     letters: list[Letter] = [TauLetter(v0) for v0 in taus]
     if h != linalg.identity(k):
-        letters.append(Gamma0Letter(h))
+        # the residual fixes v and w, so it preserves their complement K3
+        letters.append(Gamma0Letter(Isometry._trusted(model.k3, h)))
 
     word = GeneratorWord(model, tuple(letters))
     if normalize:
@@ -596,7 +603,7 @@ def _normalize_tau(model: VPerpModel, v0: MukaiVector,
     r = v0.r
     if r == 0:
         # (0, A, 0) with A^2 = -2: a K3 reflection extended by the identity
-        return [Gamma0Letter(reflection(model.k3, v0.c).matrix)]
+        return [Gamma0Letter(reflection(model.k3, v0.c))]
     if r == 1:
         if is_primitive(model.k3, linalg.vec_neg(v0.c)):
             return [TauLetter(v0)]

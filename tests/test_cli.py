@@ -443,10 +443,22 @@ class TestMalformedArguments:
          "the search radius must be non-negative, got -1"),
         (EMBED + ["--target", "0,1,0"], "-1",
          "the search radius must be non-negative, got -1"),
+        (["stab", "factor", "--m", "3", "--isometry",
+          str(GOLDEN / "inputs" / "factor_m3.json"), "--radius", "-1"], None,
+         "the search radius must be non-negative, got -1"),
+        # factor reaches no witness search on a K3 root reflection
+        (["stab", "factor", "--m", "2", "--isometry", "{root}", "--radius",
+          "-1"], None, "the search radius must be non-negative, got -1"),
+        (["stab", "factor", "--m", "2", "--isometry", "{root}"], "-1",
+         "the search radius must be non-negative, got -1"),
     ])
     def test_exits_2_naming_the_argument(self, tmp_path, monkeypatch, argv,
                                          env, expected):
-        files = {"lam": "[1, 0]", "truncated": '{"lattice": "mukai", '}
+        mukai = lattices.mukai_lattice()
+        root = mukai.plane_vector(mukai.blocks_named("U")[0], 1, -1)
+        files = {"lam": "[1, 0]", "truncated": '{"lattice": "mukai", ',
+                 "root": json.dumps(jsonio.isometry_to_json(
+                     characters.reflection(mukai, root), "mukai"))}
         paths = {name: tmp_path / f"{name}.json" for name in files}
         for name, text in files.items():
             paths[name].write_text(text)

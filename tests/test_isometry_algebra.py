@@ -115,8 +115,9 @@ def test_structured_and_dense_are_equal(mukai, rng):
 
 
 def _outer_generators(kind, rnd):
-    """Isometries built by `Isometry.from_outer`, one family per kind, with
-    entries up to 10^30 where the family allows them."""
+    """Isometries kept in outer form (`_trusted(..., outer=...)`), one
+    family per kind, with entries up to 10^30 where the family allows
+    them."""
     if kind == "pm2":
         mukai = mukai_lattice()
         return [reflection(mukai, FAMILY.sample_pm2_vector(rnd) + (0, 0)),

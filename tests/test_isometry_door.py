@@ -2,8 +2,9 @@
 and the library's own constructions take the unverified `_trusted` path.
 
 An AST scan keeps the public constructor out of every module but `jsonio`,
-where matrices enter from outside, and a counter on `check_isometry` shows
-that factoring, restricting, twisting and lifting never verify again."""
+where matrices enter from outside; a second keeps `_trusted` to a fixed
+list of library sites; and a counter on `check_isometry` shows that
+factoring, restricting, twisting and lifting never verify again."""
 
 import ast
 import os
@@ -15,7 +16,9 @@ import sys
 import pytest
 
 from mukailat import fourier_mukai, lattices, linalg, stabilizer
-from mukailat.lattices import Isometry, LatticeError, mukai_lattice
+from mukailat.lattices import Isometry, LatticeError, k3_lattice, \
+    mukai_lattice
+from mukailat.stabilizer import Gamma0Letter, GeneratorWord
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "mukailat"
 DOORS = {"jsonio.py"}
@@ -61,6 +64,86 @@ def test_guard_sees_a_public_construction(tmp_path):
         "        return cls(lat, m)\n")
     assert _public_constructions(tmp_path) == [
         ("other.py", 2), ("other.py", 3), ("other.py", 7)]
+
+
+# (module, enclosing class.function) of every unverified construction, each
+# with its reason at the call; a new one fails the scan until listed here
+TRUSTED_SITES = sorted([
+    ("lattices", "Isometry.identity"), ("lattices", "Isometry.compose"),
+    ("lattices", "Isometry.inverse"), ("lattices", "Isometry.negate"),
+    ("characters", "reflection"), ("characters", "general_reflection"),
+    ("embeddings", "eichler_transvection"),
+    ("fourier_mukai", "duality_isometry"), ("fourier_mukai", "elliptic_phi"),
+    ("stabilizer", "VPerpModel.restrict"),
+    ("stabilizer", "VPerpModel.extend_k3"), ("stabilizer", "factor"),
+    ("stabilizer", "disc_lift"),
+])
+
+
+def _trusted_sites(package):
+    """(module, enclosing class.function) of each `<x>._trusted` reference,
+    one entry per reference, over every module of the package."""
+    found = []
+
+    def visit(node, module, scope):
+        if isinstance(node, ast.Attribute) and node.attr == "_trusted":
+            found.append((module, ".".join(scope)))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem, ())
+    return sorted(found)
+
+
+def test_trusted_only_at_listed_sites():
+    assert _trusted_sites(PACKAGE) == TRUSTED_SITES
+
+
+def test_guard_sees_each_trusted_site(tmp_path):
+    (tmp_path / "lattices.py").write_text(
+        "class Isometry:\n"
+        "    def _trusted(cls, lat, m):\n"
+        "        return m\n"
+        "    def identity(cls, lat):\n"
+        "        return cls._trusted(lat, m)\n")
+    (tmp_path / "other.py").write_text(
+        "a = Isometry(lat, m)\n"
+        "def f(lat):\n"
+        "    def g():\n"
+        "        return lattices.Isometry._trusted(lat, m)\n"
+        "    door = Isometry._trusted\n"
+        "    return Isometry._trusted(lat, outer=(1, ()))\n")
+    assert _trusted_sites(tmp_path) == [
+        ("lattices", "Isometry.identity"), ("other", "f"), ("other", "f"),
+        ("other", "f.g")]
+
+
+def test_no_public_outer_form_constructor():
+    # s I + sum b c^T is kept in outer form only by library sites; with
+    # s = 2 and the one term (e, e) it is no isometry, and the door says so
+    mukai = mukai_lattice()
+    assert not hasattr(Isometry, "from_outer")
+    e = mukai.basis_vector("e.1")
+    with pytest.raises(LatticeError, match="does not preserve the Gram"):
+        Isometry(mukai, linalg.identity_plus_outer(2, ((e, e),)))
+
+
+def _scaled_k3_identity():
+    rows = [list(r) for r in linalg.identity(k3_lattice().rank)]
+    rows[0][0] = 2
+    return linalg.freeze(rows)
+
+
+@pytest.mark.parametrize("held", [
+    _scaled_k3_identity(), linalg.identity(22),
+    Isometry.identity(mukai_lattice()),
+], ids=["non-isometry-matrix", "k3-identity-matrix", "mukai-isometry"])
+def test_gamma0_letter_holds_a_k3_isometry(held):
+    with pytest.raises(LatticeError, match="isometry of the K3 lattice"):
+        GeneratorWord(stabilizer.vperp_model(2), (Gamma0Letter(held),))
 
 
 @pytest.fixture

@@ -53,7 +53,7 @@ class TestWordFromJson:
     def test_gamma0_not_an_isometry(self):
         matrix = [list(r) for r in linalg.identity(22)]
         matrix[0][0] = 2
-        with pytest.raises(LatticeError):
+        with pytest.raises(LatticeError, match="does not preserve the Gram"):
             self._word({"kind": "gamma0", "matrix": matrix})
 
 

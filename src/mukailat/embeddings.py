@@ -57,24 +57,16 @@ def eichler_transvection(lattice: Lattice, e, a) -> Isometry:
     return Isometry._trusted(lattice, outer=(1, ((e, e_coef), (a, ge))))
 
 
-def _u_blocks(lattice: Lattice):
-    return lattice.blocks_named("U")
-
-
 def _support_blocks(lattice: Lattice, v):
     return [b for b in lattice.blocks
             if any(v[b.start + i] for i in range(b.size))]
 
 
 def _free_u_block(lattice: Lattice, v):
-    for b in _u_blocks(lattice):
+    for b in lattice.blocks_named("U"):
         if v[b.start] == 0 and v[b.start + 1] == 0:
             return b
     return None
-
-
-def _unit_vec(n, i, c=1):
-    return tuple(c if j == i else 0 for j in range(n))
 
 
 def _free_plane_witness(lattice: Lattice, lam1, b, d, block):
@@ -126,7 +118,7 @@ class _Clearer:
 
     def u_slots(self):
         out = []
-        for b in _u_blocks(self.lattice):
+        for b in self.lattice.blocks_named("U"):
             out.append((b, self.v[b.start], self.v[b.start + 1]))
         return out
 
@@ -154,7 +146,8 @@ class _Clearer:
                 nontrivial = True
         if not nontrivial:
             return False
-        e = _unit_vec(n, block.start + (1 if use_alpha else 0))
+        e = lat.plane_vector(block, 0, 1) if use_alpha \
+            else lat.plane_vector(block, 1, 0)
         # t(f, a) shifts u by alpha*a; t(e, a) shifts u by beta*a
         iso = eichler_transvection(lat, e, tuple(a))
         self.push(iso)
@@ -164,7 +157,6 @@ class _Clearer:
         """Euclid between alpha and beta of one block, using a transvection
         with momentum parked on a helper block."""
         lat = self.lattice
-        n = lat.rank
         alpha = self.v[block.start]
         beta = self.v[block.start + 1]
         if alpha == 0 or beta == 0:
@@ -178,13 +170,13 @@ class _Clearer:
             # a = e_l + k f_l has a^2/2 = k, so alpha shifts by about -k beta
             a = lat.plane_vector(helper_block, 1, k)
             # (a, u) = coeff pairing: (e_l + k f_l, u) = u_f + k u_e
-            iso = eichler_transvection(lat, _unit_vec(n, block.start), a)
+            iso = eichler_transvection(lat, lat.plane_vector(block, 1, 0), a)
         else:
             k = _round_div(beta, alpha)
             if k == 0:
                 return False
             a = lat.plane_vector(helper_block, 1, k)
-            iso = eichler_transvection(lat, _unit_vec(n, block.start + 1), a)
+            iso = eichler_transvection(lat, lat.plane_vector(block, 0, 1), a)
         image = iso.apply(self.v)
         if _measure(lat, image) < _measure(lat, self.v):
             self.push(iso, image)
@@ -204,7 +196,7 @@ class _Clearer:
             for i in range(b.size):
                 if lat.gram[b.start + i][b.start + i] != -2:
                     continue
-                for ublock in _u_blocks(lat):
+                for ublock in lat.blocks_named("U"):
                     for slot in (ublock.start, ublock.start + 1):
                         for sign in (1, -1):
                             root = [0] * n
@@ -228,7 +220,7 @@ class _Clearer:
 
     def run(self, budget: int):
         lat = self.lattice
-        ublocks = _u_blocks(lat)
+        ublocks = lat.blocks_named("U")
         if not ublocks:
             return None
         for _ in range(budget):
@@ -274,7 +266,7 @@ def _round_div(x: int, c: int) -> int:
 
 def _measure(lattice: Lattice, v) -> tuple:
     per_block = []
-    for b in _u_blocks(lattice):
+    for b in lattice.blocks_named("U"):
         per_block.append(abs(v[b.start]) + abs(v[b.start + 1]))
     return (min(per_block) if per_block else 0, sum(abs(x) for x in v))
 
@@ -286,7 +278,7 @@ def clearing_isometry(lattice: Lattice, v):
     or None if the reduction stalls within its budget.  Each step is a
     Euclid-like reduction, so the budget grows with the bit length of the
     largest entry of v: a quarter of it, and at least 400 steps."""
-    if len(_u_blocks(lattice)) < 2:
+    if len(lattice.blocks_named("U")) < 2:
         return None
     budget = max(400, max(abs(x) for x in v).bit_length() // 4)
     return _Clearer(lattice, v).run(budget)

@@ -110,15 +110,8 @@ PHI_LAMBDA_MATRIX = (
 def _section_and_fiber(mukai: Lattice):
     """Designated section/fiber classes: f = e3 (isotropic) and sigma =
     f3 - e3 (square -2, sigma.f = 1) in the third hyperbolic block."""
-    ublocks = mukai.blocks_named("U")
-    b = ublocks[2]
-    n = mukai.rank
-    f = tuple(1 if i == b.start else 0 for i in range(n))
-    sigma = tuple(
-        1 if i == b.start + 1 else (-1 if i == b.start else 0)
-        for i in range(n)
-    )
-    return sigma, f
+    b = mukai.blocks_named("U")[2]
+    return mukai.plane_vector(b, -1, 1), mukai.plane_vector(b, 1, 0)
 
 
 def elliptic_phi(n: int) -> tuple[Isometry, dict]:

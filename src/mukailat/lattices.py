@@ -127,6 +127,8 @@ class Lattice:
         return tuple(out)
 
     def basis_vector(self, label: str) -> Vec:
+        if label not in self.basis_labels:
+            raise LatticeError(f"no basis vector labelled {label!r}")
         i = self.basis_labels.index(label)
         return tuple(1 if j == i else 0 for j in range(self.rank))
 
@@ -475,7 +477,7 @@ def discriminant_group(lattice: Lattice) -> DiscGroup:
         raise LatticeError("degenerate Gram matrix")
     if order == 1:
         return DiscGroup((), (), (), 1)
-    diag, log = linalg.smith_elimination_mod(g, order * order)
+    diag, log = linalg.smith_elimination(g, order * order)
     product = prod(diag)
     if product != order:
         raise LatticeError(f"discriminant order {product} is not |det G|")

@@ -4,14 +4,13 @@ Matrices are tuples of row tuples, vectors are flat tuples.  Entries are
 Python ints (or ``fractions.Fraction`` where a function says so).  There is
 no floating point anywhere in this package; every result below is exact.
 
-The workhorses are the Smith normal form with its unimodular column
-transform (used for saturated kernels), the same form taken mod a modulus
-(used for discriminant groups, mod det^2) and fraction-free (Bareiss)
-elimination (used for determinants and signatures; a rational matrix is
-first scaled to an integer one).  Both Smith eliminations record the
-transform as the 2x2 column steps they made, and only the columns that are
-read are built from that log: all of them for a kernel, the few with
-d_i != 1 for a discriminant group.
+The workhorses are one Smith elimination, taken over Z (for saturated
+kernels) or mod a modulus (for discriminant groups, mod det^2), and
+fraction-free (Bareiss) elimination (used for determinants and signatures;
+a rational matrix is first scaled to an integer one).  The Smith
+elimination records its unimodular column transform as the 2x2 column
+steps it made, and only the columns that are read are built from that log:
+all of them for a kernel, the few with d_i != 1 for a discriminant group.
 
 Isometries here are mostly zeros, so the products skip zero entries:
 `mat_vec` sums the columns of the nonzero entries of the vector, `mat_mul`
@@ -263,93 +262,6 @@ def xgcd_vector(coeffs) -> tuple[int, Vec]:
     return g, tuple(combo)
 
 
-def smith_elimination(mat: Mat):
-    """Smith normal form, with its column transform kept as a log.
-
-    Returns (d, log): d = s @ mat @ t for some unimodular s and t, neither
-    built, d diagonal with non-negative entries d_1 | d_2 | ... .  log lists
-    the column operations that make t = E_1 E_2 ... E_K from I, in order,
-    each as the 2x2 step (k, j, a, b, c, e) of `smith_columns`: a swap of
-    columns k and j is (k, j, 0, 1, 1, 0), and adding c * column k to
-    column j is (k, j, 1, 0, c, 1).
-    """
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    d = [list(row) for row in mat]
-    log = []
-
-    def clear_position(k):
-        # Euclid on row k / column k until the pivot divides everything
-        # there.  Rows k.. are zero left of column k, and so are columns
-        # k.. above row k: each operation touches only that block.
-        while True:
-            # pivot: the smallest nonzero entry of the remaining block, the
-            # first in row-major order on a tie (the tie-break fixes t)
-            best = None
-            for i in range(k, nrows):
-                low = min(map(abs, filter(None, d[i][k:])), default=None)
-                if low is not None and (best is None or low < best):
-                    best, piv_i = low, i
-            if best is None:
-                return False
-            d[k], d[piv_i] = d[piv_i], d[k]
-            j = next(j for j in range(k, ncols) if abs(d[k][j]) == best)
-            if j != k:
-                for row in d[k:]:
-                    row[k], row[j] = row[j], row[k]
-                log.append((k, j, 0, 1, 1, 0))
-            pivot_row = d[k][k:]
-            p = pivot_row[0]
-            dirty = False
-            for row in d[k + 1:]:
-                if row[k]:
-                    q = row[k] // p
-                    row[k:] = [a - q * b for a, b in zip(row[k:], pivot_row)]
-                    if row[k]:
-                        dirty = True
-            # column j += c_j * column k for each j > k, in order.  They
-            # leave column k as it is, so every c_j is read off the pivot
-            # row now, and a row changes only if its column-k entry is
-            # nonzero.  c_j == 0 exactly where the entry is 0.
-            cs = [-(x // p) for x in d[k][k + 1:]]
-            if any(cs):
-                for row in d[k:]:
-                    r = row[k]
-                    if r:
-                        row[k + 1:] = [a + c * r
-                                       for a, c in zip(row[k + 1:], cs)]
-                log.extend((k, j, 1, 0, c, 1)
-                           for j, c in enumerate(cs, k + 1) if c)
-                dirty = dirty or any(d[k][k + 1:])
-            if not dirty:
-                return True
-
-    def diagonalize() -> int:
-        rank = 0
-        for k in range(min(nrows, ncols)):
-            if clear_position(k):
-                rank += 1
-            else:
-                break
-        for i in range(rank):
-            if d[i][i] < 0:
-                d[i] = [-a for a in d[i]]
-        return rank
-
-    rank = diagonalize()
-    # enforce the divisibility chain d_i | d_{i+1}: pulling the offending
-    # d_{i+1} into row i makes the Euclid pass replace d_i by the gcd
-    while True:
-        bad = next(
-            (i for i in range(rank - 1) if d[i + 1][i + 1] % d[i][i]), None
-        )
-        if bad is None:
-            break
-        d[bad] = [a + b for a, b in zip(d[bad], d[bad + 1])]
-        rank = diagonalize()
-    return freeze(d), log
-
-
 def _gcd_step(p: int, r: int):
     """(a, b, c, e) with a p + b r = gcd(p, r), c p + e r = 0 and
     a e - b c = 1: the 2x2 step that folds the entry r into the pivot p.
@@ -361,71 +273,98 @@ def _gcd_step(p: int, r: int):
     return x, y, -(r // g), p // g
 
 
-def smith_elimination_mod(mat: Mat, modulus: int):
-    """Smith normal form of a square integer matrix over Z/modulus, with its
-    column transform kept as a log.
+def smith_elimination(mat: Mat, modulus: int | None = None):
+    """Smith normal form of an integer matrix, over Z or over Z/modulus,
+    with its column transform kept as a log.
 
-    Returns (divisors, log): divisors d_1 | d_2 | ... | d_n, each a divisor
-    of modulus (an invariant that is 0 mod modulus reads as modulus), and
-    the log of the 2x2 steps (k, j, a, b, c, e) that make t = E_1 ... E_K
-    from I (see `smith_columns`).  t is unimodular and
-    mat @ t = s^-1 @ diag(d) (mod modulus) for some s invertible mod
-    modulus, which is not built.
+    Returns (divisors, log): one divisor per diagonal position,
+    d_1 | d_2 | ..., and the log of the 2x2 steps (k, j, a, b, c, e) that
+    make t = E_1 ... E_K from I (see `smith_columns`).  t is unimodular and
+    mat @ t = s^-1 @ diag(d) for some s, which is not built.  Over Z, s is
+    unimodular, every d_i >= 0 and the zeros come last.  Over Z/modulus the
+    equation holds mod modulus with s invertible mod modulus, and each d_i
+    divides modulus (an invariant that is 0 mod modulus reads as modulus).
 
-    Every entry is kept in [0, modulus).  At position k one extended-gcd
-    step on rows k, i clears each nonzero entry below the pivot; the rows
-    are not recorded.  Then one logged step on columns k, j clears each
-    nonzero entry right of it, and the two passes repeat only if such a
-    step refilled column k.  Each repeat replaces the pivot by a proper
-    divisor of it, so they end.  The cleared pivot p becomes
-    gcd(p, modulus), p times a unit mod modulus, as a row scaling.
+    At position k one extended-gcd step on rows k, i clears each nonzero
+    entry below the pivot; the rows are not recorded.  Then one logged step
+    on columns k, j clears each nonzero entry right of it, and the two
+    passes repeat only if such a step refilled column k.  Each repeat
+    replaces the pivot by a proper divisor of it, so they end.  The cleared
+    pivot p becomes gcd(p, modulus), p times a unit mod modulus, as a row
+    scaling; over Z that is |p|.  Over Z/modulus every entry is kept in
+    [0, modulus).  Over Z entries are not reduced, and a zero column k of
+    the remaining block is first swapped with a nonzero one, logged as
+    (k, j, 0, 1, 1, 0); when none is left the block is zero and the
+    elimination stops.
     """
-    n = len(mat)
-    d = [[x % modulus for x in row] for row in mat]
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    if modulus:
+        d = [[x % modulus for x in row] for row in mat]
+    else:
+        d = [list(row) for row in mat]
     log = []
 
-    def clear_position(k):
+    def combine(a, b, u, v):
+        # a u + b v, entrywise
+        if modulus:
+            return [(a * x + b * y) % modulus for x, y in zip(u, v)]
+        return [a * x + b * y for x, y in zip(u, v)]
+
+    def clear_position(k) -> bool:
+        rows = d[k:]
+        if not modulus and not any(row[k] for row in rows):
+            j = next((j for j in range(k + 1, ncols)
+                      if any(row[j] for row in rows)), None)
+            if j is None:
+                return False
+            for row in rows:
+                row[k], row[j] = row[j], row[k]
+            log.append((k, j, 0, 1, 1, 0))
+        pivot_row = rows[0]
         while True:
-            pivot_row = d[k]
-            for row in d[k + 1:]:
+            for row in rows[1:]:
                 if row[k]:
                     a, b, c, e = _gcd_step(pivot_row[k], row[k])
                     u, v = pivot_row[k:], row[k:]
                     if b:
-                        pivot_row[k:] = [(a * x + b * y) % modulus
-                                         for x, y in zip(u, v)]
-                    row[k:] = [(c * x + e * y) % modulus
-                               for x, y in zip(u, v)]
-            for j in range(k + 1, n):
+                        pivot_row[k:] = combine(a, b, u, v)
+                    row[k:] = combine(c, e, u, v)
+            for j in range(k + 1, ncols):
                 if pivot_row[j]:
                     a, b, c, e = _gcd_step(pivot_row[k], pivot_row[j])
                     if b:
-                        for row in d[k:]:
+                        for row in rows:
                             x, y = row[k], row[j]
-                            row[k] = (a * x + b * y) % modulus
-                            row[j] = (c * x + e * y) % modulus
+                            x, y = a * x + b * y, c * x + e * y
+                            if modulus:
+                                x, y = x % modulus, y % modulus
+                            row[k], row[j] = x, y
                     else:
                         # column k stays; only rows with a nonzero entry
                         # in it change
-                        for row in d[k:]:
+                        for row in rows:
                             if row[k]:
-                                row[j] = (row[j] + c * row[k]) % modulus
+                                y = row[j] + c * row[k]
+                                row[j] = y % modulus if modulus else y
                     log.append((k, j, a, b, c, e))
-            if not any(row[k] for row in d[k + 1:]):
-                pivot_row[k] = gcd(pivot_row[k], modulus)
-                return
+            if not any(row[k] for row in rows[1:]):
+                pivot_row[k] = gcd(pivot_row[k], modulus or 0)
+                return True
 
-    for k in range(n):
-        clear_position(k)
-    # enforce the chain d_i | d_{i+1}: adding row i + 1 to row i puts
-    # d_{i+1} beside d_i, and clearing again makes d_i their gcd
+    n = 0
+    while n < min(nrows, ncols) and clear_position(n):
+        n += 1
+    # enforce the chain d_i | d_{i+1} on the n nonzero divisors: adding row
+    # i + 1 to row i puts d_{i+1} beside d_i, and clearing again makes d_i
+    # their gcd
     while True:
         bad = next(
             (i for i in range(n - 1) if d[i + 1][i + 1] % d[i][i]), None
         )
         if bad is None:
-            return tuple(d[i][i] for i in range(n)), log
-        d[bad] = [(a + b) % modulus for a, b in zip(d[bad], d[bad + 1])]
+            return tuple(d[i][i] for i in range(min(nrows, ncols))), log
+        d[bad] = combine(1, 1, d[bad], d[bad + 1])
         for k in range(bad, n):
             clear_position(k)
 
@@ -433,9 +372,8 @@ def smith_elimination_mod(mat: Mat, modulus: int):
 def smith_columns(log, n: int, cols, modulus: int | None = None
                   ) -> tuple[Vec, ...]:
     """Columns cols of the n x n transform t = E_1 ... E_K that
-    `smith_elimination` or `smith_elimination_mod` logged, without forming
-    the others; each entry is reduced into [0, modulus) when a modulus is
-    given.
+    `smith_elimination` logged, without forming the others; each entry is
+    reduced into [0, modulus) when a modulus is given.
 
     A logged step (k, j, a, b, c, e) replaces column k by a col_k + b col_j
     and column j by c col_k + e col_j.  Column j of t is
@@ -471,8 +409,10 @@ def smith_normal_form(mat: Mat):
     every column replayed from the log of `smith_elimination`; a caller that
     reads only some columns asks `smith_columns` for those.
     """
-    d, log = smith_elimination(mat)
-    n = len(d[0]) if d else 0
+    divisors, log = smith_elimination(mat)
+    n = len(mat[0]) if mat else 0
+    d = tuple(tuple(divisors[i] if i == j else 0 for j in range(n))
+              for i in range(len(mat)))
     return d, transpose(smith_columns(log, n, range(n)))
 
 

@@ -514,9 +514,7 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False,
             if m != 1:
                 raise NotInGammaV("g(w) = -w: acts by -1 on the discriminant")
             block = model.k3.blocks_named("U")[0]
-            iso = [0] * model.k3.rank
-            iso[block.start] = 1
-            x = reflect(MukaiVector(1, tuple(iso), 1))
+            x = reflect(MukaiVector(1, model.k3.plane_vector(block, 1, 0), 1))
             continue
         r = x.r
         if x.s != r * m or (r - 1) % two_m \

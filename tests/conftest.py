@@ -70,9 +70,9 @@ def random_vector(lattice, rng, bound=5, density=0.5):
 
 @st.composite
 def mukai_complements(draw):
-    """(G3, basis, gram) for three random Mukai vectors with entries up to
-    1, 10^3 or 10^12 and a nondegenerate 3x3 Gram G3, with the saturated
-    complement of their span and its 21x21 Gram."""
+    """(triple, G3, basis, gram) for three random Mukai vectors with
+    entries up to 1, 10^3 or 10^12 and a nondegenerate 3x3 Gram G3, with
+    the saturated complement of their span and its 21x21 Gram."""
     bound = draw(st.sampled_from((1, 10**3, 10**12)))
     vec = st.lists(st.integers(-bound, bound), min_size=24, max_size=24)
     triple = tuple(tuple(draw(vec)) for _ in range(3))
@@ -80,4 +80,4 @@ def mukai_complements(draw):
     g3 = linalg.freeze([[mukai.pair(a, b) for b in triple] for a in triple])
     assume(linalg.det(g3) != 0)
     basis, gram = orthogonal_complement(mukai, triple)
-    return g3, basis, gram
+    return triple, g3, basis, gram

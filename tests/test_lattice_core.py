@@ -115,6 +115,11 @@ class TestPrimitive:
     def test_basis_vector(self, k3):
         assert is_primitive(k3, label_vector(k3, **{"e.1": 1}))
 
+    def test_basis_vector_unknown_label(self, k3):
+        assert k3.basis_vector("f.2") == label_vector(k3, **{"f.2": 1})
+        with pytest.raises(LatticeError, match="'zz'"):
+            k3.basis_vector("zz")
+
     def test_multiple(self, k3):
         assert not is_primitive(k3, label_vector(k3, **{"e.1": 2, "f.1": 2}))
 
@@ -295,7 +300,7 @@ def assert_disc_pinned(lattice):
 @settings(max_examples=25, deadline=None)
 @given(mukai_complements())
 def test_disc_q_values_match_direct_square(sample):
-    _, basis, gram = sample
+    _, _, basis, gram = sample
     # the complement Gram is the full matrix of pairings of its basis
     mukai = mukai_lattice()
     assert gram == tuple(tuple(mukai.pair(a, b) for b in basis)
@@ -341,7 +346,7 @@ def test_disc_builds_only_the_nonunit_columns(monkeypatch, make, built):
     monkeypatch.setattr(linalg, "smith_columns", recording)
     dg = discriminant_group(lattice)
     det = abs(lattice.determinant())
-    diag, _ = linalg.smith_elimination_mod(lattice.gram, det * det)
+    diag, _ = linalg.smith_elimination(lattice.gram, det * det)
     assert built == [i for i, x in enumerate(diag) if x != 1]
     expected = [(built, dg.divisors[-1])] if built else []
     assert asked == expected and len(dg.divisors) == len(built)
@@ -354,7 +359,7 @@ def test_disc_of_unimodular_lattice_does_not_eliminate(monkeypatch, lattice):
     def eliminate(*args):
         raise AssertionError("a unimodular Gram was eliminated")
 
-    monkeypatch.setattr(linalg, "smith_elimination_mod", eliminate)
+    monkeypatch.setattr(linalg, "smith_elimination", eliminate)
     monkeypatch.setattr(linalg, "smith_columns", eliminate)
     dg = discriminant_group(lattice)
     assert dg.is_trivial

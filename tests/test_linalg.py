@@ -101,9 +101,9 @@ def _transform_from_log(log, n):
 def test_replayed_columns_are_columns_of_t(sample):
     a, cols = sample
     n = len(a[0])
-    d, log = linalg.smith_elimination(a)
+    divisors, log = linalg.smith_elimination(a)
     d_full, t = linalg.smith_normal_form(a)
-    assert d == d_full
+    assert divisors == tuple(d_full[i][i] for i in range(len(divisors)))
     t_cols = linalg.transpose(t)
     assert t_cols == _transform_from_log(log, n)
     assert linalg.smith_columns(log, n, cols) == \
@@ -120,7 +120,7 @@ def test_replayed_columns_mod_are_columns_of_t(sample, modulus):
     n = len(a)
     a = linalg.freeze(row[:n] + (0,) * (n - len(row)) for row in a)
     cols = [j for j in cols if j < n]
-    diag, log = linalg.smith_elimination_mod(a, modulus)
+    diag, log = linalg.smith_elimination(a, modulus)
     assert all(modulus % x == 0 for x in diag)
     assert all(y % x == 0 for x, y in zip(diag, diag[1:]))
     assert all(a_ * e - b * c == 1 for _, _, a_, b, c, e in log)
@@ -133,6 +133,15 @@ def test_snf_known_example():
     # divisors of [[2,4],[6,8]]: gcd of entries 2, |det| = |16-24| = 8 => (2, 4)
     d, t = linalg.smith_normal_form(((2, 4), (6, 8)))
     assert (d[0][0], d[1][1]) == (2, 4)
+
+
+def test_zero_column_goes_last():
+    # over Z the zero first column is swapped past the nonzero one, so the
+    # zero divisor comes last; over Z/25 it reads as 25
+    a = ((0, 0), (0, 5))
+    assert linalg.smith_elimination(a)[0] == (5, 0)
+    assert linalg.smith_elimination(a, 25)[0] == (5, 25)
+    assert linalg.kernel_basis(a) in (((1, 0),), ((-1, 0),))
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,6 +6,7 @@ skip zero entries are checked against the plain sums of all products."""
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
@@ -14,11 +15,14 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import (
     hermite_normal_form,
     invariant_factors,
+    smith_normal_decomp,
     smith_normal_form,
 )
 
 from mukailat import linalg
 from mukailat.lattices import (
+    Lattice,
+    discriminant_group,
     e8_minus,
     hyperbolic_plane,
     k3_lattice,
@@ -174,7 +178,7 @@ def test_snf_mod_diagonal(a, modulus):
     invariants += (0,) * (len(a) - len(invariants))
     if modulus is None:
         modulus = linalg.det(a) ** 2 or 1
-    diag, _ = linalg.smith_elimination_mod(a, modulus)
+    diag, _ = linalg.smith_elimination(a, modulus)
     assert diag == tuple(math.gcd(e, modulus) for e in invariants)
 
 
@@ -388,10 +392,37 @@ def test_signature_zero_pivots_large_entries(gram):
 def test_signature_of_mukai_complement(sample):
     # the Mukai lattice is unimodular of signature (4, 20), so the
     # complement of a nondegenerate span of signature (p, n) has (4-p, 20-n)
-    g3, basis, gram = sample
+    _, g3, basis, gram = sample
     p, n, z = sympy_signature(g3)
     assert z == 0 and len(basis) == 21
     assert linalg.signature(gram) == (4 - p, 20 - n, 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mukai_complements(), st.integers(1, 3))
+def test_disc_of_mukai_complement_is_that_of_saturated_span(sample, k):
+    # Nikulin (1979, Prop. 1.6.1): in the unimodular Mukai lattice S-perp
+    # and the saturated span S_sat of S have isomorphic discriminant
+    # groups.  S_sat is spanned by the first three rows of t^-1 in sympy's
+    # Smith decomposition d = s A t of the 3 x 24 matrix A of S.  Scaling
+    # the first vector by k changes neither S-perp nor S_sat.
+    triple, _, _, gram = sample
+    triple = (tuple(k * x for x in triple[0]),) + triple[1:]
+    mukai = mukai_lattice()
+    _, _, t = smith_normal_decomp(Matrix(triple), domain=ZZ)
+    sat = t.inv()[:3, :]
+    sat_gram = sat * Matrix(mukai.gram) * sat.T
+    dg = discriminant_group(Lattice(gram, tuple(f"b{i}" for i in range(21))))
+    assert dg.divisors == tuple(x for x in sympy_invariants(sat_gram)
+                                if x != 1)
+    # |det S_sat| = |det G3| / [S_sat : S]^2, and the index is the gcd c of
+    # the 3 x 3 minors of A
+    c = 0
+    for cols in combinations(range(24), 3):
+        c = math.gcd(c, linalg.det([[row[j] for j in cols]
+                                    for row in triple]))
+    g3 = Matrix([[mukai.pair(a, b) for b in triple] for a in triple])
+    assert dg.order * c * c == abs(int(g3.det()))
 
 
 # -- products and determinants that skip zero entries -------------------------

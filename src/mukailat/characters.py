@@ -91,8 +91,12 @@ def orientation_char(g: Isometry) -> int:
     is the same for every basis of every maximal positive definite subspace.
     The images g r_k come from `Isometry.apply`, so a g kept in outer form
     never builds its matrix, and C_ik = (r_i, g r_k) reads only the cached
-    nonzero entries of G r_i.
+    nonzero entries of G r_i.  The value is kept on g and read from there
+    on every later call.
     """
+    char = getattr(g, "_orientation_char", None)
+    if char is not None:
+        return char
     refs, supports = _reference(g.lattice)
     images = [g.apply(v) for v in refs]
     c = linalg.freeze([[sum(x * img[j] for j, x in support)
@@ -101,7 +105,8 @@ def orientation_char(g: Isometry) -> int:
     if d == 0:
         raise LatticeError(
             "projected map is singular; input is not an isometry")
-    return 0 if d > 0 else 1
+    g._orientation_char = char = 0 if d > 0 else 1
+    return char
 
 
 def covariance(g: Isometry) -> int:

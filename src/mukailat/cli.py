@@ -218,6 +218,7 @@ def _run_char(args):
     outputs = {"det": det, "cov": orientation_char(iso)}
     verification = [
         _check("is_isometry", True),
+        # implied by is_isometry when the lattice is nondegenerate
         _check("det_is_unit", det in (1, -1)),
     ]
     return _report("char", {"lattice": args.lattice,

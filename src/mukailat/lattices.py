@@ -62,6 +62,9 @@ class Lattice:
     _rows: tuple = field(init=False, repr=False, compare=False)
     # the hash of the compared fields, formed once: lattices key caches
     _hash: int = field(init=False, repr=False, compare=False)
+    # det G, formed on first read (`determinant`)
+    _det: int | None = field(default=None, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         n = len(self.gram)
@@ -96,7 +99,10 @@ class Lattice:
         return pos, neg
 
     def determinant(self) -> int:
-        return linalg.det(self.gram)
+        """det G, by Bareiss once per lattice object."""
+        if self._det is None:
+            object.__setattr__(self, "_det", linalg.det(self.gram))
+        return self._det
 
     def _check_length(self, *vectors):
         if any(len(v) != self.rank for v in vectors):
@@ -263,16 +269,33 @@ def primitive_part(x: Vec) -> tuple[int, Vec]:
     return c, tuple(a // c for a in x)
 
 
+def _isometry_det(lattice: Lattice, matrix: Mat) -> int:
+    """det M for an M with M^T G M = G.  Then det(M)^2 det G = det G, so on
+    a nondegenerate lattice det M = +-1, and 1 and -1 differ mod 3: M is
+    eliminated over F_3 (`linalg.det_mod`).  A residue 0 means M is not an
+    isometry (LatticeError).  A degenerate lattice puts no bound on det M,
+    which is then taken by Bareiss."""
+    if not lattice.determinant():
+        return linalg.det(matrix)
+    r = linalg.det_mod(matrix, 3)
+    if r == 0:
+        raise LatticeError("determinant is 0 mod 3; matrix is not an isometry")
+    return 1 if r == 1 else -1
+
+
 @dataclass(frozen=True)
 class IsometryCheck:
     """Whether a matrix preserves the Gram form; its determinant is computed
-    only when read."""
+    only when read, mod 3 when it is an isometry (`_isometry_det`)."""
 
     is_isometry: bool
     matrix: Mat = field(repr=False)
+    lattice: Lattice = field(repr=False, compare=False)
 
     @property
     def det(self) -> int:
+        if self.is_isometry:
+            return _isometry_det(self.lattice, self.matrix)
         return linalg.det(self.matrix)
 
 
@@ -289,9 +312,13 @@ class Isometry:
     `linalg.identity_plus_outer`).  Then `.matrix` is formed only when first
     read, and `apply`, `apply_transpose` and `compose` with M on the left use
     the terms instead.  ==, hash and repr are those of (lattice, matrix)
-    either way."""
+    either way.
 
-    __slots__ = ("lattice", "outer", "_matrix")
+    `_orientation_char` holds `characters.orientation_char(self)` once it
+    has been read; it is left unset until then, and takes no part in ==,
+    hash or repr.  The matrix never changes, so neither does the value."""
+
+    __slots__ = ("lattice", "outer", "_matrix", "_orientation_char")
 
     def __init__(self, lattice: Lattice, matrix):
         check = check_isometry(lattice, matrix)
@@ -374,7 +401,7 @@ class Isometry:
         return Isometry._trusted(self.lattice, freeze(rows))
 
     def det(self) -> int:
-        return linalg.det(self.matrix)
+        return _isometry_det(self.lattice, self.matrix)
 
     def negate(self) -> "Isometry":
         # (-M)^T G (-M) = M^T G M
@@ -420,7 +447,8 @@ def check_isometry(lattice: Lattice, matrix) -> IsometryCheck:
     gm = [sum(g * rows[j] for j, g in row) for row in lattice._rows]
     return IsometryCheck(all(sum(x * p for x, p in zip(col, gm) if x) ==
                              sum(g << s * j for j, g in grow) for col, grow
-                             in zip(zip(*matrix), lattice._rows)), matrix)
+                             in zip(zip(*matrix), lattice._rows)),
+                         matrix, lattice)
 
 
 def orthogonal_complement(lattice: Lattice, vectors) -> tuple[tuple[Vec, ...], Mat]:
@@ -472,7 +500,7 @@ def discriminant_group(lattice: Lattice) -> DiscGroup:
     d_n, which every d_i divides.
     """
     g = lattice.gram
-    order = abs(linalg.det(g))
+    order = abs(lattice.determinant())
     if order == 0:
         raise LatticeError("degenerate Gram matrix")
     if order == 1:

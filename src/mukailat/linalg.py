@@ -19,7 +19,9 @@ elimination step only rescales a row whose multiplier is 0.  An entry with
 no nonzero term is the int 0, whatever the type of the other entries.  An
 isometry also fixes many basis vectors e_i (column i is e_i) or coordinates
 x_i (row i is e_i); `det` drops those indices and eliminates only the
-block the matrix moves.
+block the matrix moves, and so does `det_mod`, its elimination over F_p for
+a caller that knows the determinant up to a residue (an isometry of a
+nondegenerate lattice has determinant +-1, told apart mod 3).
 """
 
 from __future__ import annotations
@@ -145,24 +147,28 @@ def is_zero_vec(v: Vec) -> bool:
     return all(x == 0 for x in v)
 
 
-def det(m: Mat) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination.
-
-    Every index i whose row i or column i is the unit vector e_i is dropped
-    first.  Expanding along that row or column leaves the principal minor
-    without i, with sign (-1)^(i+i) = +.  Dropping i keeps row j (column j)
-    of every other such index j equal to e_j on the indices that remain, so
-    all of them are dropped in one pass, and Bareiss runs on the rest."""
+def _moved_block(m: Mat) -> list:
+    """The principal minor of m, as a list of lists, on the indices m moves:
+    every index i whose row i or column i is the unit vector e_i is dropped.
+    Expanding along that row or column leaves the principal minor without
+    i, with sign (-1)^(i+i) = +, so the minor has the determinant of m.
+    Dropping i keeps row j (column j) of every other such index j equal to
+    e_j on the indices that remain, so all of them go in one pass."""
     n = len(m)
     keep = [i for i, (row, col) in enumerate(zip(m, zip(*m)))
             if row[i] != 1 or (row.count(0) < n - 1 and col.count(0) < n - 1)]
-    n = len(keep)
+    if len(keep) == n:
+        return [list(row) for row in m]
+    return [[m[i][j] for j in keep] for i in keep]
+
+
+def det(m: Mat) -> int:
+    """Determinant of an integer matrix by fraction-free (Bareiss)
+    elimination on the block it moves (`_moved_block`)."""
+    a = _moved_block(m)
+    n = len(a)
     if n == 0:
         return 1
-    if n == len(m):
-        a = [list(row) for row in m]
-    else:
-        a = [[m[i][j] for j in keep] for i in keep]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -177,6 +183,33 @@ def det(m: Mat) -> int:
         _bareiss_step(a, k, prev)
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def det_mod(m: Mat, p: int) -> int:
+    """det m mod the prime p, in [0, p), by Gaussian elimination over F_p
+    on the block m moves (`_moved_block`).  Each step clears column k below
+    the pivot row with the multiplier a_ik / a_kk; a row with a_ik = 0 is
+    left as it is."""
+    a = [[x % p for x in row] for row in _moved_block(m)]
+    n = len(a)
+    d = 1
+    for k in range(n):
+        i = next((i for i in range(k, n) if a[i][k]), None)
+        if i is None:
+            return 0
+        if i != k:
+            a[k], a[i] = a[i], a[k]
+            d = -d
+        rk = a[k][k + 1:]
+        pivot = a[k][k]
+        d = d * pivot % p
+        inv = pow(pivot, -1, p)
+        for ri in a[k + 1:]:
+            c = ri[k]
+            if c:
+                c = c * inv % p
+                ri[k + 1:] = [(x - c * y) % p for x, y in zip(ri[k + 1:], rk)]
+    return d % p
 
 
 def _bareiss_step(a: list, k: int, prev: int) -> None:

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -295,3 +296,64 @@ class TestOrientationChar:
         minus = Isometry.identity(model.lattice).negate()
         # det of -I on a 3-dimensional positive part: orientation reversed
         assert orientation_char(minus) == 1
+
+
+class TestCharacterCache:
+    """`orientation_char` keeps its value on the isometry it read."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 30])
+    def test_cached_equals_fresh_and_restriction(self, m):
+        # g fixes v = (1, 0, -m) of square 2m > 0, so <v> plus a positive
+        # 3-plane of v-perp is a positive 4-plane: cov(g) is the
+        # orientation character of g on v-perp
+        fam = generator_family(m)
+        rng = random.Random(m)
+        for length in (1, 3, 8, 15):
+            g = fam.sample_word(rng, length).product()
+            first = covariance(g)
+            assert covariance(g) == first
+            assert orientation_char(g) == first
+            fresh = Isometry._trusted(g.lattice, g.matrix)
+            assert not hasattr(fresh, "_orientation_char")
+            assert orientation_char(fresh) == first
+            assert orientation_char(fam.model.restrict(g)) == first
+
+    def test_slot_is_not_compared(self, family):
+        g = family.sample_word(random.Random(4), 5).product()
+        filled = Isometry._trusted(g.lattice, g.matrix)
+        orientation_char(filled)
+        bare = Isometry._trusted(g.lattice, g.matrix)
+        assert hasattr(filled, "_orientation_char")
+        assert not hasattr(bare, "_orientation_char")
+        assert filled == bare
+        assert hash(filled) == hash(bare)
+        assert repr(filled) == repr(bare)
+
+    def test_verify_chars_sequence_builds_two_projections(self, monkeypatch):
+        # C is built once for g (4 x 4; read for cov and again in
+        # mon_twist) and once for its twisted restriction (3 x 3 on v-perp;
+        # read in mon_twist and again in w_membership)
+        from mukailat import fourier_mukai, lattices, stabilizer
+
+        model = stabilizer.vperp_model(7)
+        word = generator_family(7).sample_word(
+            random.Random(7), 12)
+        g = Isometry(model.mukai, word.product().matrix)
+        calls = []
+        real = linalg.det_q
+
+        def counted(c):
+            calls.append(len(c))
+            return real(c)
+
+        monkeypatch.setattr(linalg, "det_q", counted)
+        g.det()
+        covariance(g)
+        check = lattices.check_isometry(model.mukai, g.matrix)
+        assert check.is_isometry and check.det == g.det()
+        restricted = model.restrict(g)
+        assert stabilizer.disc_action(model, restricted) == 1
+        stabilizer.in_gamma_v(model, restricted)
+        assert stabilizer.w_membership(
+            model, fourier_mukai.mon_twist(model, g))
+        assert calls == [4, 3]

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from mukailat import characters, cli, jsonio, lattices
+from mukailat import characters, cli, jsonio, lattices, linalg
 from mukailat.cli import run
 from mukailat.stabilizer import InvariantError, generator_family, vperp_model
 
@@ -38,6 +38,22 @@ class TestLattice:
         )
         assert status == 0
         assert report["outputs"]["divisors"] == [6]
+
+    def test_disc_computes_one_determinant(self, monkeypatch):
+        # the order, its check and the discriminant group read the one
+        # determinant the lattice keeps
+        real = linalg.det
+        calls = []
+
+        def counting(m):
+            calls.append(len(m))
+            return real(m)
+
+        monkeypatch.setattr(linalg, "det", counting)
+        report, status = invoke(
+            ["lattice", "disc", "--spec", "K3,diag(-6:4:10)"])
+        assert status == 0
+        assert calls == [25]
 
     def test_unknown_block_usage_error(self):
         report, status = invoke(["lattice", "build", "--spec", "Leech"])

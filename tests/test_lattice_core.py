@@ -222,6 +222,32 @@ class TestComplement:
         assert hits > 10
 
 
+class TestDeterminant:
+    def test_one_bareiss_per_lattice_object(self, monkeypatch):
+        lat = build_lattice((("diag", (-6, 4)), "K3"))
+        calls = []
+        real = linalg.det
+
+        def counted(m):
+            calls.append(len(m))
+            return real(m)
+
+        monkeypatch.setattr(linalg, "det", counted)
+        assert lat.determinant() == 24
+        assert lat.determinant() == 24
+        assert discriminant_group(lat).order == 24
+        assert calls == [24]
+
+    def test_kept_determinant_is_not_compared(self):
+        spec = (("diag", (-6,)), "U")
+        read, fresh = build_lattice(spec), build_lattice(spec)
+        read.determinant()
+        assert read == fresh
+        assert hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
+        assert {read: 1}[fresh] == 1
+
+
 class TestDiscriminant:
     def test_unimodular_trivial(self, mukai):
         assert discriminant_group(mukai).is_trivial

@@ -45,8 +45,9 @@ from .characters import (
     orientation_char,
     reflection,
 )
-# clearing_isometry(lattice, v) returns (steps, image) with image =
-# g_k(... g_1(v)); pull_back(lattice, steps, y) is the x that the steps send to y
+# clearing_isometry(lattice, v) returns (steps, image): Eichler transvections,
+# at most one per bit of the largest |v_i|, with image = g_k(... g_1(v)) free
+# of some U block; pull_back(lattice, steps, y) is the x the steps send to y
 from .embeddings import WitnessNotFound, clearing_isometry, embed_rank2
 from .stabilizer import (
     DiscForm,

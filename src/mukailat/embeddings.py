@@ -9,8 +9,9 @@ Nikulin statement; this module is the constructive side:
    take lambda_2 = b*mu + e_j + (d - b^2 (mu,mu)/2) f_j where (lambda_1, mu)
    = 1; the span is automatically saturated.
 2. Otherwise clear a hyperbolic block from lambda_1 by an explicit isometry
-   (Euclidean reduction through Eichler transvections and +-2 reflections,
-   every step verified), solve there, and pull the witness back.
+   (a Euclidean walk of Eichler transvections, no more of them than the
+   bit length of the largest entry of lambda_1), solve there, and pull the
+   witness back.
 3. As a last resort, bounded enumeration on small-rank supports.
 
 Failure raises WitnessNotFound with the radius echoed; it never claims
@@ -20,7 +21,6 @@ non-existence.
 from __future__ import annotations
 
 from . import linalg
-from .characters import reflection
 from .lattices import Isometry, Lattice, LatticeError, primitive_part, pull_back
 
 DEFAULT_RADIUS = 64
@@ -93,195 +93,58 @@ def verify_embedding(lattice: Lattice, lam1, lam2, two_a, b, two_d) -> bool:
 
 
 # -- clearing a hyperbolic block ---------------------------------------------
-#
-# State: v with coordinates split over blocks.  Writing v = alpha e + beta f
-# + u on a hyperbolic block (e, f), the transvections act by
-#   t(e, a): u -> u + beta a   (alpha adjusts, beta fixed)
-#   t(f, a): u -> u + alpha a  (beta adjusts, alpha fixed)
-# for any a without support on that block.  Choosing a = -floordiv(u, c)
-# reduces every coordinate outside the pivot block modulo the pivot
-# coefficient c in one step, so the minimum |coefficient| on the hyperbolic
-# slots shrinks like a gcd computation.  Reflections in roots of the shape
-# rho + e_l (rho an E8(-1) root) let definite-block coordinates act back on
-# the hyperbolic slots when the plain reduction stalls.
-
-
-class _Clearer:
-    def __init__(self, lattice: Lattice, v):
-        self.lattice = lattice
-        self.v = tuple(v)
-        self.steps: list[Isometry] = []
-
-    def push(self, iso: Isometry, image=None):
-        self.v = iso.apply(self.v) if image is None else image
-        self.steps.append(iso)
-
-    def u_slots(self):
-        out = []
-        for b in self.lattice.blocks_named("U"):
-            out.append((b, self.v[b.start], self.v[b.start + 1]))
-        return out
-
-    def done(self):
-        return _free_u_block(self.lattice, self.v) is not None
-
-    def batch_reduce(self, block, use_alpha: bool) -> bool:
-        """One transvection reducing all coordinates outside `block` modulo
-        the chosen pivot coefficient.  Returns True if it changed v."""
-        lat = self.lattice
-        n = lat.rank
-        alpha = self.v[block.start]
-        beta = self.v[block.start + 1]
-        c = alpha if use_alpha else beta
-        if c == 0:
-            return False
-        a = [0] * n
-        nontrivial = False
-        for i in range(n):
-            if block.start <= i < block.start + block.size:
-                continue
-            q = _round_div(self.v[i], c)
-            if q:
-                a[i] = -q
-                nontrivial = True
-        if not nontrivial:
-            return False
-        e = lat.plane_vector(block, 0, 1) if use_alpha \
-            else lat.plane_vector(block, 1, 0)
-        # t(f, a) shifts u by alpha*a; t(e, a) shifts u by beta*a
-        iso = eichler_transvection(lat, e, tuple(a))
-        self.push(iso)
-        return True
-
-    def inblock_reduce(self, block, helper_block) -> bool:
-        """Euclid between alpha and beta of one block, using a transvection
-        with momentum parked on a helper block."""
-        lat = self.lattice
-        alpha = self.v[block.start]
-        beta = self.v[block.start + 1]
-        if alpha == 0 or beta == 0:
-            return False
-        # reduce the larger modulo the smaller
-        if abs(alpha) >= abs(beta):
-            # t(e, a) adjusts alpha by -(a,u) - (a^2/2) beta
-            k = _round_div(alpha, beta)
-            if k == 0:
-                return False
-            # a = e_l + k f_l has a^2/2 = k, so alpha shifts by about -k beta
-            a = lat.plane_vector(helper_block, 1, k)
-            # (a, u) = coeff pairing: (e_l + k f_l, u) = u_f + k u_e
-            iso = eichler_transvection(lat, lat.plane_vector(block, 1, 0), a)
-        else:
-            k = _round_div(beta, alpha)
-            if k == 0:
-                return False
-            a = lat.plane_vector(helper_block, 1, k)
-            iso = eichler_transvection(lat, lat.plane_vector(block, 0, 1), a)
-        image = iso.apply(self.v)
-        if _measure(lat, image) < _measure(lat, self.v):
-            self.push(iso, image)
-            return True
-        return False
-
-    def definite_pump(self) -> bool:
-        """Reflections in roots rho + e_l / rho + f_l (rho a -2 root of a
-        definite block) to mix definite-block coordinates into hyperbolic
-        slots; accept the best strict improvement."""
-        lat = self.lattice
-        n = lat.rank
-        best = None
-        for b in lat.blocks:
-            if b.name == "U":
-                continue
-            for i in range(b.size):
-                if lat.gram[b.start + i][b.start + i] != -2:
-                    continue
-                for ublock in lat.blocks_named("U"):
-                    for slot in (ublock.start, ublock.start + 1):
-                        for sign in (1, -1):
-                            root = [0] * n
-                            root[b.start + i] = sign
-                            root[slot] = 1
-                            root = tuple(root)
-                            if lat.square(root) != -2:
-                                continue
-                            pairing = lat.pair(root, self.v)
-                            img = tuple(
-                                x + pairing * root[j]
-                                for j, x in enumerate(self.v)
-                            )
-                            m = _measure(lat, img)
-                            if best is None or m < best[0]:
-                                best = (m, root)
-        if best is None or best[0] >= _measure(lat, self.v):
-            return False
-        self.push(reflection(lat, best[1]))
-        return True
-
-    def run(self, budget: int):
-        lat = self.lattice
-        ublocks = lat.blocks_named("U")
-        if not ublocks:
-            return None
-        for _ in range(budget):
-            if self.done():
-                return tuple(self.steps), self.v
-            # pivot: smallest nonzero hyperbolic coefficient
-            pivots = []
-            for b, alpha, beta in self.u_slots():
-                if alpha:
-                    pivots.append((abs(alpha), b, True))
-                if beta:
-                    pivots.append((abs(beta), b, False))
-            pivots.sort(key=lambda p: (p[0], p[1].start, p[2]))
-            progressed = False
-            for _, block, use_alpha in pivots:
-                if self.batch_reduce(block, use_alpha):
-                    progressed = True
-                    break
-            if progressed:
-                continue
-            for _, block, _ in pivots:
-                helper = next(u for u in ublocks if u is not block)
-                if self.inblock_reduce(block, helper):
-                    progressed = True
-                    break
-            if progressed:
-                continue
-            if self.definite_pump():
-                continue
-            return None
-        return None
 
 
 def _round_div(x: int, c: int) -> int:
-    """Nearest-integer division (ties toward zero); |x - c*q| <= |c|/2."""
-    if c == 0:
-        return 0
+    """Nearest-integer division, ties rounded down; |x - c*q| <= |c|/2."""
     q, r = divmod(x, c)
     if 2 * abs(r) > abs(c):
         q += 1
     return q
 
 
-def _measure(lattice: Lattice, v) -> tuple:
-    per_block = []
-    for b in lattice.blocks_named("U"):
-        per_block.append(abs(v[b.start]) + abs(v[b.start + 1]))
-    return (min(per_block) if per_block else 0, sum(abs(x) for x in v))
-
-
 def clearing_isometry(lattice: Lattice, v):
-    """(steps, image): isometries (g_1, ..., g_k), each a transvection or
-    reflection kept in outer form, with image = g_k(... g_1(v)) missing some
-    hyperbolic block (`lattices.pull_back` inverts the steps on a vector);
-    or None if the reduction stalls within its budget.  Each step is a
-    Euclid-like reduction, so the budget grows with the bit length of the
-    largest entry of v: a quarter of it, and at least 400 steps."""
-    if len(lattice.blocks_named("U")) < 2:
+    """(steps, image): Eichler transvections (g_1, ..., g_k) kept in outer
+    form, with image = g_k(... g_1(v)) missing some hyperbolic block and k
+    at most the bit length of the largest |v_i| (`lattices.pull_back`
+    inverts the steps on a vector); None when the lattice has fewer than
+    two U blocks."""
+    ublocks = lattice.blocks_named("U")
+    if len(ublocks) < 2:
         return None
-    budget = max(400, max(abs(x) for x in v).bit_length() // 4)
-    return _Clearer(lattice, v).run(budget)
+    # (pivot, partner) index pairs of the hyperbolic slots, in the order
+    # that breaks ties between pivots: lowest block first, and within a
+    # block the f coefficient before the e one
+    slots = [(i, j) for b in ublocks
+             for i, j in ((b.start + 1, b.start), (b.start, b.start + 1))]
+    v = tuple(v)
+    steps = []
+    # Write v = x e + y f + u on a U block (e, f), u off the block.  For a
+    # off the block, t(e, a) sends u to u + y a and t(f, a) sends it to
+    # u + x a.  So with pivot c = y (resp. x) and a = -round(u / c), one
+    # transvection leaves every coordinate off the block at most |c|/2.
+    # Each step takes c the smallest nonzero hyperbolic coefficient.  While
+    # no U block is free, every other U block has a nonzero coefficient, of
+    # size at least |c|, so a != 0 and the step changes v.  After it, each
+    # other U block is free or has a nonzero coefficient of size at most
+    # |c|/2.  So each pivot is at most half the last, the first is at most
+    # max |v_i|, and the walk ends within bitlength(max |v_i|) steps; the
+    # loop's one further pass sees the free block.  A walk past the bound
+    # would return None.
+    for _ in range(max(abs(x) for x in v).bit_length() + 1):
+        if _free_u_block(lattice, v) is not None:
+            return tuple(steps), v
+        pivot, partner = min(((i, j) for i, j in slots if v[i]),
+                             key=lambda s: abs(v[s[0]]))
+        c = v[pivot]
+        a = tuple(0 if k in (pivot, partner) else -_round_div(x, c)
+                  for k, x in enumerate(v))
+        # the isotropic partner basis vector pairs with v to c
+        isotropic = tuple(int(k == partner) for k in range(lattice.rank))
+        step = eichler_transvection(lattice, isotropic, a)
+        v = step.apply(v)
+        steps.append(step)
+    return None
 
 
 # -- bounded enumeration fallback --------------------------------------------
@@ -298,7 +161,6 @@ def _enumerate_witness(lattice: Lattice, lam1, two_a, b, two_d, radius: int):
             indices.extend(fresh)
     if len(indices) > 6:
         return None
-    indices = indices[:6]
     n = lattice.rank
     gl1 = lattice.covector(lam1)
     for bound in range(1, min(radius, 8) + 1):
@@ -329,7 +191,9 @@ def _enumerate_witness(lattice: Lattice, lam1, two_a, b, two_d, radius: int):
 
 def embed_rank2(lattice: Lattice, lam1, target, radius: int = DEFAULT_RADIUS):
     """lambda_2 with (lam1, lam2) = b, (lam2, lam2) = 2d and span{lam1, lam2}
-    primitive; target = (2a, b, 2d) = the Gram entries of the rank-2 form."""
+    primitive; target = (2a, b, 2d) = the Gram entries of the rank-2 form.
+    `radius` bounds only the enumeration fallback, which searches entries
+    up to min(radius, 8): every radius from 8 up acts alike."""
     if radius < 0:
         raise LatticeError(
             f"the search radius must be non-negative, got {radius}")

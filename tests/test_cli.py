@@ -3,14 +3,18 @@
 import json
 import os
 import pathlib
+import random
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from mukailat import characters, cli, jsonio, lattices, linalg
+from mukailat import characters, cli, embeddings, jsonio, lattices, linalg
 from mukailat.cli import run
 from mukailat.stabilizer import InvariantError, generator_family, vperp_model
+
+from conftest import label_vector
 
 
 def invoke(argv):
@@ -89,6 +93,47 @@ def test_cli_stdout_is_golden(argv, golden):
     expected = (GOLDEN / golden).read_bytes()
     assert proc.returncode == json.loads(expected)["status"]
     assert proc.stdout == expected
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    # every command of the README's CLI block, as written, with its input
+    # files built by the library in the working directory
+    from mukailat.elliptic import even_stabilizer
+    from mukailat.stabilizer import aplus_witness
+
+    # isotropic, on all three U blocks of K3: the embedding clears one
+    lam = label_vector(lattices.k3_lattice(), **{
+        "e.1": 3, "f.1": 5, "e.2": 1, "f.2": -15, "e.3": 7})
+    g = generator_family(2).sample_word(random.Random(2), 8).product()
+    inputs = {
+        "g.json": jsonio.isometry_to_json(g, "mukai"),
+        "v.json": jsonio.mukai_vector_to_json(aplus_witness(5)),
+        "lam.json": list(lam),
+        "M.json": [list(row) for row in even_stabilizer((2, 3)).power(4)],
+    }
+    for name, data in inputs.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MUKAI_SEARCH_RADIUS", raising=False)
+    real = embeddings.clearing_isometry
+    walks = []
+
+    def spy(lattice, v):
+        walks.append(real(lattice, v))
+        return walks[-1]
+
+    monkeypatch.setattr(embeddings, "clearing_isometry", spy)
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    cli_text = readme.read_text().split("## CLI", 1)[1]
+    block = cli_text.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True)[1:]
+             for line in block.splitlines() if line.startswith("mukailat ")]
+    assert len(lines) == 14
+    for argv in lines:
+        report, status = invoke(argv)
+        assert status == 0, (argv, report)
+    # `stab embed` and `stab factor --normalize` each cleared a block
+    assert sum(1 for w in walks if w is not None and w[0]) >= 2
 
 
 class TestChar(object):

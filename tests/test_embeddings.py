@@ -18,7 +18,11 @@ from mukailat.lattices import (
     build_lattice,
     check_isometry,
     hyperbolic_plane,
+    k3_lattice,
+    mukai_lattice,
+    pull_back,
 )
+from mukailat.stabilizer import vperp_model
 
 from conftest import label_vector, random_vector
 
@@ -131,8 +135,6 @@ class TestGeneral:
 
     def test_vperp_ambient(self):
         # embedding inside v-perp when lambda_1 has w-support
-        from mukailat.stabilizer import vperp_model
-
         model = vperp_model(2)
         lat = model.lattice
         lam1 = tuple(1 if lat.basis_labels[i] in ("e.1", "w") else 0
@@ -171,19 +173,56 @@ class TestGeneral:
 
 
 class TestClearing:
-    def test_clears_full_support(self, k3, rng):
-        for _ in range(8):
-            v = random_primitive(k3, rng, 30, density=1.0)
-            out = clearing_isometry(k3, v)
+    def test_clears_full_support(self, rng):
+        # 8 vectors with entries up to 30 and 3 up to 10^300 on each lattice
+        inputs = [(lattice, bound)
+                  for lattice in (k3_lattice(), mukai_lattice(),
+                                  vperp_model(7).lattice)
+                  for bound, count in ((30, 8), (10**300, 3))
+                  for _ in range(count)]
+        for lattice, bound in inputs:
+            v = random_primitive(lattice, rng, bound, density=1.0)
+            out = clearing_isometry(lattice, v)
             assert out is not None
             steps, image = out
-            h = Isometry.identity(k3)
+            # one transvection I + b c^T + b' c'^T per step, at most one per
+            # bit of the largest entry, ending on a free U block
+            assert len(steps) <= max(abs(x) for x in v).bit_length()
+            assert all(g.outer[0] == 1 and len(g.outer[1]) == 2
+                       for g in steps)
+            assert any(image[b.start] == image[b.start + 1] == 0
+                       for b in lattice.blocks_named("U"))
+            x = v
             for g in steps:
-                h = g @ h
-            assert check_isometry(k3, h.matrix).is_isometry
-            assert h.apply(v) == image
-            free = [
-                b for b in k3.blocks_named("U")
-                if image[b.start] == 0 and image[b.start + 1] == 0
-            ]
-            assert free
+                x = g.apply(x)
+            assert x == image
+            assert pull_back(lattice, steps, image) == v
+            if bound == 30:
+                h = Isometry.identity(lattice)
+                for g in steps:
+                    h = g @ h
+                assert check_isometry(lattice, h.matrix).is_isometry
+
+    @pytest.mark.parametrize("spec", [("U",), ("U", "E8_minus")])
+    def test_none_without_two_u_blocks(self, spec):
+        lattice = build_lattice(spec)
+        v = tuple(int(i < 3) for i in range(lattice.rank))
+        assert clearing_isometry(lattice, v) is None
+
+    @pytest.mark.parametrize("coeffs, pivot_partner, a", [
+        # 3 is the smallest, in the e slot of U.1 and the f slot of U.2:
+        # the lower block U.1 pivots on e.1 through t(f.1, a)
+        ({"e.1": 3, "f.1": 5, "e.2": 7, "f.2": 3, "e.3": 4, "f.3": 9},
+         "f.1", {"e.2": -2, "f.2": -1, "e.3": -1, "f.3": -3}),
+        # 3 in both slots of U.2 and the e slot of U.3: U.2 pivots on its
+        # f coefficient through t(e.2, a)
+        ({"e.1": 5, "f.1": 6, "e.2": 3, "f.2": 3, "e.3": 3, "f.3": 7},
+         "e.2", {"e.1": -2, "f.1": -2, "e.3": -1, "f.3": -2}),
+    ])
+    def test_pivot_tie_break(self, k3, coeffs, pivot_partner, a):
+        # the pivot order fixes every factored word: the smallest nonzero
+        # |c|, then the lowest U block, then its f coefficient before its e
+        steps, _ = clearing_isometry(k3, label_vector(k3, **coeffs))
+        (isotropic, _), (first_a, _) = steps[0].outer[1]
+        assert isotropic == label_vector(k3, **{pivot_partner: 1})
+        assert first_a == label_vector(k3, **a)

@@ -80,9 +80,10 @@ def _load_json(path: str):
 
 
 def _default_radius(args) -> int:
-    """--radius, else MUKAI_SEARCH_RADIUS, else DEFAULT_RADIUS; LatticeError
-    when it is negative, whether or not a witness search is reached."""
-    radius = getattr(args, "radius", None)
+    """`stab embed`'s --radius, else MUKAI_SEARCH_RADIUS, else
+    DEFAULT_RADIUS; LatticeError when it is negative, whether or not a
+    witness search is reached."""
+    radius = args.radius
     if radius is None:
         env = os.environ.get("MUKAI_SEARCH_RADIUS")
         radius = jsonio.int_from_text(env, "MUKAI_SEARCH_RADIUS") if env \
@@ -126,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     stab_factor.add_argument("--m", type=int, required=True)
     stab_factor.add_argument("--isometry", required=True)
     stab_factor.add_argument("--normalize", action="store_true")
-    stab_factor.add_argument("--radius", type=int)
     stab_order = stab_sub.add_parser("disc-order")
     stab_order.add_argument("--m", type=int, required=True)
     stab_aplus = stab_sub.add_parser("aplus")
@@ -264,8 +264,7 @@ def _run_stab(args):
         iso = jsonio.isometry_from_json(_load_json(args.isometry))
         # factor raises NotInGammaV when iso does not fix v and LatticeError
         # when the word's product is not iso
-        word = factor(model, iso, normalize=args.normalize,
-                      radius=_default_radius(args))
+        word = factor(model, iso, normalize=args.normalize)
         outputs = {"word": jsonio.word_to_json(word),
                    "letters": len(word.letters)}
         verification = [

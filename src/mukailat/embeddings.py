@@ -15,7 +15,10 @@ Nikulin statement; this module is the constructive side:
 3. As a last resort, bounded enumeration on small-rank supports.
 
 Failure raises WitnessNotFound with the radius echoed; it never claims
-non-existence.
+non-existence.  On an even unimodular lattice with two or more U blocks
+(K3, Mukai) step 1 or 2 always returns, so step 3 is never reached: the
+covector of a primitive vector of a unimodular lattice is primitive, so mu
+exists, and b^2 (mu, mu) is even.
 """
 
 from __future__ import annotations
@@ -193,7 +196,8 @@ def embed_rank2(lattice: Lattice, lam1, target, radius: int = DEFAULT_RADIUS):
     """lambda_2 with (lam1, lam2) = b, (lam2, lam2) = 2d and span{lam1, lam2}
     primitive; target = (2a, b, 2d) = the Gram entries of the rank-2 form.
     `radius` bounds only the enumeration fallback, which searches entries
-    up to min(radius, 8): every radius from 8 up acts alike."""
+    up to min(radius, 8): every radius from 8 up acts alike.  On K3 and
+    Mukai the fallback, so the radius, is never reached (module docstring)."""
     if radius < 0:
         raise LatticeError(
             f"the search radius must be non-negative, got {radius}")

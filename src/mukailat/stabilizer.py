@@ -22,14 +22,13 @@ from math import gcd
 
 from . import linalg
 from .characters import general_reflection, orientation_char, reflection
-from .embeddings import DEFAULT_RADIUS, embed_rank2
+from .embeddings import embed_rank2
 from .lattices import (
     Block,
     DiscGroup,
     Isometry,
     Lattice,
     LatticeError,
-    discriminant_group,
     is_primitive,
     k3_lattice,
     mukai_lattice,
@@ -73,7 +72,7 @@ class VPerpModel:
     k3: Lattice
     lattice: Lattice  # rank 23, Gram K3 + <-2m>
     disc: DiscForm
-    # the discriminant group of lattice, as vperp_model cross-checked it
+    # the discriminant group of lattice, in closed form (see vperp_model)
     disc_group: DiscGroup = field(compare=False, repr=False)
 
     @property
@@ -128,27 +127,17 @@ def vperp_model(m: int) -> VPerpModel:
         raise LatticeError("m must be a positive integer")
     mukai = mukai_lattice()
     k3 = k3_lattice()
-    n = k3.rank + 1
-    gram = [[0] * n for _ in range(n)]
-    for i in range(k3.rank):
-        for j in range(k3.rank):
-            gram[i][j] = k3.gram[i][j]
-    gram[n - 1][n - 1] = -2 * m
+    gram = tuple(row + (0,) for row in k3.gram) + \
+        ((0,) * k3.rank + (-2 * m,),)
     blocks = k3.blocks + (Block(f"W{-2*m}", k3.rank, 1),)
     labels = k3.basis_labels + ("w",)
-    lattice = Lattice(linalg.freeze(gram), labels, blocks, name=f"vperp:{m}")
-
-    # cross-checks: the discriminant group is cyclic of order 2m and the
-    # canonical generator w/2m has q = -1/2m mod 2
-    dg = discriminant_group(lattice)
-    if dg.divisors != (2 * m,) or dg.order != 2 * m:
-        raise LatticeError(f"v-perp discriminant group is not Z/{2 * m}")
-    model = VPerpModel(m, mukai, k3, lattice, DiscForm(2 * m), dg)
-    lift = tuple(Fraction(0) if i < k3.rank else Fraction(1, 2 * m)
-                 for i in range(n))
-    if (lattice.square(lift) - model.disc.q(1)) % 2:
-        raise LatticeError("q(w/2m) is not -1/2m mod 2")
-    return model
+    lattice = Lattice(gram, labels, blocks, name=f"vperp:{m}")
+    # K3 is unimodular, so the discriminant group of K3 + <-2m> is that of
+    # <-2m>: Z/2m, generated by w/2m with q(w/2m) = -2m/(2m)^2 = -1/2m
+    disc = DiscForm(2 * m)
+    lift = (Fraction(0),) * k3.rank + (Fraction(1, 2 * m),)
+    dg = DiscGroup((2 * m,), (lift,), (disc.q(1),), 2 * m)
+    return VPerpModel(m, mukai, k3, lattice, disc, dg)
 
 
 def disc_action(model: VPerpModel, g: Isometry) -> int:
@@ -230,9 +219,10 @@ def aplus_witness(m: int) -> MukaiVector | None:
 # -- pairs of classes and the Sym3 relations ----------------------------------
 
 
-def pair_witness_split(m: int, l0, r: int, radius: int = DEFAULT_RADIUS):
+def pair_witness_split(m: int, l0, r: int):
     """Split L0 (square 2 r^2 m - 2, r >= 2 even) as L1 + L2 with both
-    primitive, L_i^2 = 2 (r/2)^2 m - 2 and L1.L2 = 1 + 2 (r/2)^2 m."""
+    primitive, L_i^2 = 2 (r/2)^2 m - 2 and L1.L2 = 1 + 2 (r/2)^2 m.  On
+    K3, `embed_rank2` never enumerates or raises WitnessNotFound."""
     k3 = k3_lattice()
     l0 = tuple(l0)
     if r < 2 or r % 2:
@@ -242,8 +232,7 @@ def pair_witness_split(m: int, l0, r: int, radius: int = DEFAULT_RADIUS):
     i, l0_prim = primitive_part(l0)
     d = (r * r * m - 1) // (i * i)
     _ensure(d * i * i == r * r * m - 1, "L0 square is not 2 i^2 d")
-    l1 = embed_rank2(k3, l0_prim, (2 * d, i * d, (r * r * m - 4) // 2),
-                     radius=radius)
+    l1 = embed_rank2(k3, l0_prim, (2 * d, i * d, (r * r * m - 4) // 2))
     l2 = linalg.vec_sub(l0, l1)
     _check_pair_conditions(m, l1, l2, r // 2, r // 2)
     _ensure(is_primitive(k3, l1) and is_primitive(k3, l2),
@@ -251,9 +240,10 @@ def pair_witness_split(m: int, l0, r: int, radius: int = DEFAULT_RADIUS):
     return l1, l2
 
 
-def pair_witness_extend(m: int, l1, a: int, radius: int = DEFAULT_RADIUS):
+def pair_witness_extend(m: int, l1, a: int):
     """L2 primitive with L2^2 = 2m - 2 and L1.L2 = 1 + 2am, given L1
-    primitive of square 2 a^2 m - 2."""
+    primitive of square 2 a^2 m - 2.  On K3, `embed_rank2` never enumerates
+    or raises WitnessNotFound."""
     k3 = k3_lattice()
     l1 = tuple(l1)
     if a < 1:
@@ -262,8 +252,7 @@ def pair_witness_extend(m: int, l1, a: int, radius: int = DEFAULT_RADIUS):
         raise LatticeError("L1 must be primitive")
     if k3.square(l1) != 2 * a * a * m - 2:
         raise LatticeError("L1 must have square 2 a^2 m - 2")
-    l2 = embed_rank2(k3, l1, (2 * a * a * m - 2, 1 + 2 * a * m, 2 * m - 2),
-                     radius=radius)
+    l2 = embed_rank2(k3, l1, (2 * a * a * m - 2, 1 + 2 * a * m, 2 * m - 2))
     _check_pair_conditions(m, l1, l2, a, 1)
     _ensure(is_primitive(k3, l2), "extending class is not primitive")
     return l2
@@ -288,10 +277,9 @@ def sym3_triple(m: int, v1: MukaiVector, v2: MukaiVector) -> dict:
     a, b = v1.r, v2.r
     if v1.s != a * m or v2.s != b * m:
         raise LatticeError("v1, v2 must have the shape (a, -L, am)")
+    # with that shape, the pair conditions give (v1, v2) = L1.L2 - 2abm = 1
     _check_pair_conditions(m, linalg.vec_neg(v1.c), linalg.vec_neg(v2.c),
                            a, b)
-    if mukai_pairing(v1, v2) != 1:
-        raise LatticeError("(v1, v2) must be 1")
     v0 = v1 + v2
     checks = {}
     checks["v0_is_minus2"] = mukai_pairing(v0, v0) == -2
@@ -472,8 +460,8 @@ def generator_family(m: int) -> GeneratorFamily:
     return GeneratorFamily(vperp_model(m))
 
 
-def factor(model: VPerpModel, g: Isometry, normalize: bool = False,
-           radius: int = DEFAULT_RADIUS) -> GeneratorWord:
+def factor(model: VPerpModel, g: Isometry, normalize: bool = False
+           ) -> GeneratorWord:
     """Factor g in Gamma_v into Gamma_0 and tau letters.
 
     Follows the reduction of the generation results for Gamma_v: track
@@ -482,7 +470,8 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False,
     to -1, and a third sends x back to w, leaving an isometry that fixes
     both v and w, i.e. a Gamma_0 letter.  With normalize=True, every tau
     letter of rank a with |a| >= 2 is rewritten into rank-one letters
-    through the Sym3 relations.
+    through the Sym3 relations.  The witnesses come from `embed_rank2` on
+    K3 with a primitive first class: it never enumerates there.
     """
     m = model.m
     two_m = 2 * m
@@ -506,7 +495,15 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False,
         return MukaiVector.from_coords(tau.apply(x.coords()))
 
     x = MukaiVector.from_coords(g.apply(w.coords()))
-    for _ in range(8):
+    # Each pass reflects once or stops at x = w; three reflections suffice,
+    # so four passes do.  Write x = (r, 2m c l, rm), l primitive, rho =
+    # (r - 1)/2m; as (x, x) = -2m, c = 0 only at x = +-w.  The content
+    # reflection adds 2m u, making the class part 2m (c l + A); the rho one
+    # adds -2m (rho + 1) u, making it 2m (l - (rho + 1) A) and rho = -1.
+    # {l, A} is saturated, so either leaves c = 1 and x != +-w, and then the
+    # final reflection sends x to w.  x = -w (m = 1) reflects to (1, 2e, 1),
+    # where c = 1 and rho = 0.
+    for _ in range(4):
         if x == w:
             break
         if x == -w:
@@ -536,8 +533,7 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False,
             b = (1 + a * r) // c
             _ensure(b * c - a * r == 1 and a != 0, "bc - ar is not 1")
             l_sq = model.k3.square(l)
-            a_vec = embed_rank2(model.k3, l, (l_sq, b, 2 * a * a * m - 2),
-                                radius=radius)
+            a_vec = embed_rank2(model.k3, l, (l_sq, b, 2 * a * a * m - 2))
             u = MukaiVector(a, a_vec, a * m)
             _ensure(mukai_pairing(u, u) == -2,
                     "content reflection class is not a -2 vector")
@@ -553,8 +549,7 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False,
         # c = 1, rho != -1: drive rho to -1 with u = (1, A, m),
         # A.L = 2m rho - rho, A^2 = 2m - 2
         l_sq = model.k3.square(l)
-        a_vec = embed_rank2(model.k3, l, (l_sq, two_m * rho - rho, two_m - 2),
-                            radius=radius)
+        a_vec = embed_rank2(model.k3, l, (l_sq, two_m * rho - rho, two_m - 2))
         u = MukaiVector(1, a_vec, m)
         _ensure(mukai_pairing(u, u) == -2,
                 "rho reflection class is not a -2 vector")
@@ -573,28 +568,27 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False,
 
     word = GeneratorWord(model, tuple(letters))
     if normalize:
-        word = normalize_word(word, radius=radius)
+        word = normalize_word(word)
     if word.product().matrix != g.matrix:
         raise LatticeError("the factorization does not reproduce g")
     return word
 
 
-def normalize_word(word: GeneratorWord, radius: int = DEFAULT_RADIUS
-                   ) -> GeneratorWord:
+def normalize_word(word: GeneratorWord) -> GeneratorWord:
     """Rewrite every tau letter into the form (1, -L, m), L primitive, by
-    the Sym3 relations; rank-0 letters become Gamma_0 letters."""
+    the Sym3 relations; rank-0 letters become Gamma_0 letters.  Its
+    witnesses, like factor's, never enumerate or raise WitnessNotFound."""
     model = word.model
     out: list[Letter] = []
     for letter in word.letters:
         if isinstance(letter, Gamma0Letter):
             out.append(letter)
         else:
-            out.extend(_normalize_tau(model, letter.v0, radius))
+            out.extend(_normalize_tau(model, letter.v0))
     return GeneratorWord(model, tuple(out))
 
 
-def _normalize_tau(model: VPerpModel, v0: MukaiVector,
-                   radius: int) -> list[Letter]:
+def _normalize_tau(model: VPerpModel, v0: MukaiVector) -> list[Letter]:
     m = model.m
     if v0.r < 0:
         v0 = -v0  # tau_{v0} = tau_{-v0}
@@ -606,23 +600,22 @@ def _normalize_tau(model: VPerpModel, v0: MukaiVector,
         if is_primitive(model.k3, linalg.vec_neg(v0.c)):
             return [TauLetter(v0)]
         # an imprimitive class part at rank one: refactor the reflection
-        inner = factor(model, reflection(model.mukai, v0.coords()),
-                       normalize=False, radius=radius)
-        return list(normalize_word(inner, radius).letters)
+        inner = factor(model, reflection(model.mukai, v0.coords()))
+        return list(normalize_word(inner).letters)
     l0 = linalg.vec_neg(v0.c)
     if r % 2 == 0:
-        l1, l2 = pair_witness_split(m, l0, r, radius=radius)
+        l1, l2 = pair_witness_split(m, l0, r)
         v1 = MukaiVector(r // 2, linalg.vec_neg(l1), (r // 2) * m)
         v2 = MukaiVector(r // 2, linalg.vec_neg(l2), (r // 2) * m)
         _ensure(v1 + v2 == v0 and mukai_pairing(v1, v2) == 1,
                 "split pair does not satisfy the Sym3 relations")
         # tau_{v0} = tau_{v1} tau_{v2} tau_{v1}
-        middle = _normalize_tau(model, v2, radius)
-        side = _normalize_tau(model, v1, radius)
+        middle = _normalize_tau(model, v2)
+        side = _normalize_tau(model, v1)
         return side + middle + side
     # odd rank >= 3 with primitive L0: extend to even rank r + 1
     _ensure(is_primitive(model.k3, l0), "odd-rank class is not primitive")
-    l2 = pair_witness_extend(m, l0, r, radius=radius)
+    l2 = pair_witness_extend(m, l0, r)
     v2 = MukaiVector(1, linalg.vec_neg(l2), m)
     w0 = v0 + v2
     _ensure(mukai_pairing(v0, v2) == 1
@@ -630,7 +623,7 @@ def _normalize_tau(model: VPerpModel, v0: MukaiVector,
             "extended pair does not satisfy the Sym3 relations")
     # tau_{v0} = tau_{v2} tau_{w0} tau_{v2}
     side = [TauLetter(v2)]
-    return side + _normalize_tau(model, w0, radius) + side
+    return side + _normalize_tau(model, w0) + side
 
 
 # -- the discriminant isometry count ------------------------------------------

@@ -23,6 +23,12 @@ def rng():
     return random.Random(20240817)
 
 
+def fail_enumeration(*args):
+    """Stands in for `embeddings._enumerate_witness` where no witness
+    search may enumerate."""
+    pytest.fail("embed_rank2 reached its enumeration fallback")
+
+
 def label_vector(lattice, **coeffs):
     """Vector with the given label -> coefficient assignments."""
     v = [0] * lattice.rank

@@ -334,8 +334,9 @@ class TestFm:
                 monkeypatch.setattr(module, "orientation_char", counting)
         return calls
 
-    def test_model_computes_one_discriminant_group(self, monkeypatch):
-        # vperp_model's cross-check; the report reads the group it keeps
+    def test_model_computes_no_discriminant_group(self, monkeypatch):
+        # vperp_model builds the group in closed form and the report reads
+        # it, so no Smith elimination runs
         real = lattices.discriminant_group
         calls = []
 
@@ -350,7 +351,7 @@ class TestFm:
         report, status = invoke(["stab", "model", "--m", "30"])
         assert status == 0
         assert report["outputs"]["disc_divisors"] == [60]
-        assert calls == [23]
+        assert calls == []
 
     def test_mon_computes_three_characters(self, monkeypatch):
         # cov of the Mukai input inside mon_twist and for the report, and
@@ -504,22 +505,14 @@ class TestMalformedArguments:
          "the search radius must be non-negative, got -1"),
         (EMBED + ["--target", "0,1,0"], "-1",
          "the search radius must be non-negative, got -1"),
+        # factor never searches, so it takes no radius
         (["stab", "factor", "--m", "3", "--isometry",
-          str(GOLDEN / "inputs" / "factor_m3.json"), "--radius", "-1"], None,
-         "the search radius must be non-negative, got -1"),
-        # factor reaches no witness search on a K3 root reflection
-        (["stab", "factor", "--m", "2", "--isometry", "{root}", "--radius",
-          "-1"], None, "the search radius must be non-negative, got -1"),
-        (["stab", "factor", "--m", "2", "--isometry", "{root}"], "-1",
-         "the search radius must be non-negative, got -1"),
+          str(GOLDEN / "inputs" / "factor_m3.json"), "--radius", "5"], None,
+         "usage"),
     ])
     def test_exits_2_naming_the_argument(self, tmp_path, monkeypatch, argv,
                                          env, expected):
-        mukai = lattices.mukai_lattice()
-        root = mukai.plane_vector(mukai.blocks_named("U")[0], 1, -1)
-        files = {"lam": "[1, 0]", "truncated": '{"lattice": "mukai", ',
-                 "root": json.dumps(jsonio.isometry_to_json(
-                     characters.reflection(mukai, root), "mukai"))}
+        files = {"lam": "[1, 0]", "truncated": '{"lattice": "mukai", '}
         paths = {name: tmp_path / f"{name}.json" for name in files}
         for name, text in files.items():
             paths[name].write_text(text)
@@ -536,6 +529,18 @@ class TestMalformedArguments:
 
 
 class TestEnvRadius:
+    def test_factor_ignores_env_radius(self, monkeypatch):
+        # a radius that stab embed would reject leaves the stab factor
+        # report byte-identical to its golden
+        monkeypatch.chdir(GOLDEN)
+        monkeypatch.setenv("MUKAI_SEARCH_RADIUS", "-1")
+        report, status = invoke(
+            ["stab", "factor", "--m", "3", "--isometry",
+             "inputs/factor_m3.json", "--normalize"])
+        assert status == 0
+        assert (json.dumps(report, indent=2) + "\n").encode() == \
+            (GOLDEN / "stab_factor_m3_normalize.json").read_bytes()
+
     def test_env_var_controls_radius(self, tmp_path, monkeypatch):
         path = tmp_path / "lam.json"
         path.write_text(json.dumps([1, 0]))

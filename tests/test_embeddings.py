@@ -1,8 +1,10 @@
 """Constructive rank-2 primitive embeddings and the clearing engine."""
 
 from math import gcd
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mukailat import embeddings
 from mukailat.embeddings import (
@@ -24,7 +26,7 @@ from mukailat.lattices import (
 )
 from mukailat.stabilizer import vperp_model
 
-from conftest import label_vector, random_vector
+from conftest import fail_enumeration, label_vector, random_vector
 
 
 def random_primitive(k3, rng, bound, density=0.6):
@@ -170,6 +172,35 @@ class TestGeneral:
         with pytest.raises(WitnessNotFound) as err:
             embed_rank2(lat, (1, 0), (-2, 5, -2), radius=3)
         assert err.value.radius == 3
+
+
+@st.composite
+def unimodular_targets(draw):
+    """(lattice, lambda_1, b, 2d): K3 or Mukai, a random primitive lambda_1
+    with entries up to 10^40 (some zero, so that a U block may be free),
+    any b and any even 2d."""
+    lattice = draw(st.sampled_from((k3_lattice(), mukai_lattice())))
+    big = st.integers(-10**40, 10**40)
+    v = draw(st.lists(st.one_of(st.just(0), big),
+                      min_size=lattice.rank, max_size=lattice.rank))
+    c = gcd(*v)
+    assume(c)
+    return lattice, tuple(x // c for x in v), draw(big), 2 * draw(big)
+
+
+class TestNoEnumerationOnUnimodular:
+    @settings(max_examples=150, deadline=None)
+    @given(unimodular_targets())
+    def test_closed_form_or_clearing_always_returns(self, case):
+        # the covector of a primitive vector of a unimodular lattice is
+        # primitive and the lattice is even, so the free-plane witness
+        # exists, after the clearing walk when no U block is free
+        lattice, lam1, b, two_d = case
+        two_a = lattice.square(lam1)
+        with mock.patch.object(embeddings, "_enumerate_witness",
+                               fail_enumeration):
+            lam2 = embed_rank2(lattice, lam1, (two_a, b, two_d))
+        assert verify_embedding(lattice, lam1, lam2, two_a, b, two_d)
 
 
 class TestClearing:

@@ -6,18 +6,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mukailat import linalg
+from mukailat import embeddings, linalg
 from mukailat.lattices import (
     Isometry,
     LatticeError,
     check_isometry,
     discriminant_group,
+    is_primitive,
 )
 from mukailat.characters import general_reflection, reflection
 from mukailat.mukai import MukaiVector, mukai_pairing
 from mukailat.stabilizer import (
     ExtensionKind,
     Gamma0Letter,
+    GeneratorFamily,
     GeneratorWord,
     Minus2Orbit,
     NotInGammaV,
@@ -41,7 +43,7 @@ from mukailat.stabilizer import (
 )
 from mukailat.stabilizer import _prime_powers, _square_roots_of_one
 
-from conftest import label_vector
+from conftest import fail_enumeration, label_vector
 
 
 def brute_force_roots(m):
@@ -53,6 +55,16 @@ def brute_force_roots(m):
 @pytest.fixture(scope="module")
 def m3():
     return vperp_model(3)
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    monkeypatch.setattr(embeddings, "_enumerate_witness", fail_enumeration)
+
+
+def u1_vector(model, a, b):
+    """a e + b f in the first U block of the K3 lattice."""
+    return model.k3.plane_vector(model.k3.blocks_named("U")[0], a, b)
 
 
 # Mukai coordinates (index: entry) of the 30 reflections of a sampled
@@ -80,10 +92,15 @@ LONG_CLEARING_LETTERS = (
 
 
 class TestModel:
-    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("m", [
+        *range(1, 200),
+        *random.Random(2003).sample(range(200, 10**12), 50)])
     def test_disc_cyclic(self, m):
+        # the closed-form group is the one the Smith elimination finds:
+        # divisors, lifts and q-values
         model = vperp_model(m)
         dg = discriminant_group(model.lattice)
+        assert dg == model.disc_group
         assert dg.divisors == (2 * m,)
         assert model.disc.q(1) % 2 == Fraction(-1, 2 * m) % 2
 
@@ -361,8 +378,31 @@ class TestPairWitness:
 
     def test_odd_rank_rejected(self, k3):
         l0 = label_vector(k3, **{"e.1": 1, "f.1": 8})  # square 16 = 2*9*1-2
-        with pytest.raises(LatticeError):
+        with pytest.raises(LatticeError,
+                           match="rank r must be even and at least 2"):
             pair_witness_split(1, l0, 3)
+
+    @pytest.mark.parametrize("r", [0, -2])
+    def test_small_rank_rejected(self, k3, r):
+        l0 = label_vector(k3, **{"e.1": 1, "f.1": -1})  # square -2
+        with pytest.raises(LatticeError,
+                           match="rank r must be even and at least 2"):
+            pair_witness_split(1, l0, r)
+
+    def test_split_wrong_square_rejected(self, k3):
+        l0 = label_vector(k3, **{"e.1": 1, "f.1": 2})  # square 4, not 6
+        with pytest.raises(LatticeError,
+                           match=r"L0 must have square 2 r\^2 m - 2"):
+            pair_witness_split(1, l0, 2)
+
+    @pytest.mark.parametrize("l1, a, match", [
+        ({"e.1": 1}, 0, "rank a must be at least 1"),
+        ({"e.1": 2}, 1, "L1 must be primitive"),
+        ({"e.1": 1, "f.1": 1}, 1, r"L1 must have square 2 a\^2 m - 2"),
+    ])
+    def test_extend_arguments_rejected(self, k3, l1, a, match):
+        with pytest.raises(LatticeError, match=match):
+            pair_witness_extend(1, label_vector(k3, **l1), a)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_split_various(self, m, k3):
@@ -382,9 +422,16 @@ class TestSym3:
         assert report["all"]
 
     def test_equal_vectors_rejected(self, k3):
+        # (v1, v1) = -2, not 1: L1.L2 = 0, not 1 + 2abm = 3
         v1 = MukaiVector(1, label_vector(k3, **{"e.1": -1}), 1)
-        with pytest.raises(LatticeError):
+        with pytest.raises(LatticeError, match="L1.L2 condition fails"):
             sym3_triple(1, v1, v1)
+
+    def test_wrong_shape_rejected(self, k3):
+        v1 = MukaiVector(1, label_vector(k3, **{"e.1": -1}), 2)
+        v2 = MukaiVector(1, label_vector(k3, **{"f.1": -3}), 1)
+        with pytest.raises(LatticeError, match=r"must have the shape"):
+            sym3_triple(1, v1, v2)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_from_pair_witness(self, m, k3):
@@ -549,6 +596,78 @@ class TestFactor:
         assert norm.product().matrix == word.product().matrix
         assert all(l.v0.r in (1, -1) for l in norm.letters
                    if isinstance(l, TauLetter))
+
+
+class TestNoWitnessSearch:
+    """factor and normalize_word call embed_rank2 only on the K3 lattice
+    with a primitive first class, where no witness search enumerates; and
+    factor needs at most three reflections, which its four passes allow."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 30])
+    def test_sampled_words(self, m, no_enumeration):
+        fam = generator_family(m)
+        rng = random.Random(m)
+        for length in (5, 15, 30):
+            for _ in range(3):
+                g = fam.sample_word(rng, length).product()
+                assert len(factor(fam.model, g).tau_ranks()) <= 3
+                word = factor(fam.model, g, normalize=True)
+                assert all(r in (1, -1) for r in word.tau_ranks())
+
+    @pytest.mark.parametrize("m, a", [
+        (2, 10), (2, 13), (7, 14), (3, 16), (2, 34)])
+    def test_rank_tail(self, m, a, no_enumeration):
+        # the canonical tau letter, then one in a rank-a class: factor's
+        # content, rho and final reflections, the first of rank a
+        model = vperp_model(m)
+        letters = (
+            TauLetter(MukaiVector(1, linalg.vec_neg(u1_vector(model, 1, m - 1)),
+                                  m)),
+            TauLetter(MukaiVector(a, u1_vector(model, 1, m * a * a - 1),
+                                  m * a)))
+        g = GeneratorWord(model, letters).product()
+        assert factor(model, g).tau_ranks() == (a, 1, -1)
+        word = factor(model, g, normalize=True)
+        assert all(r in (1, -1) for r in word.tau_ranks())
+
+    def test_minus_w_takes_three_reflections(self, no_enumeration):
+        # at m = 1, tau_w h with h in Gamma_0 sends w to -w: factor needs
+        # the -w, rho and final reflections, so three passes would not do
+        model = vperp_model(1)
+        fam = GeneratorFamily(model)
+        tau_w = reflection(model.mukai, model.w.coords())
+        rng = random.Random(1)
+        for length in range(6):
+            letters = tuple(fam.gamma0_letter(rng) for _ in range(length))
+            g = tau_w @ GeneratorWord(model, letters).product()
+            assert g.apply(model.w.coords()) == (-model.w).coords()
+            assert len(factor(model, g).tau_ranks()) == 3
+            word = factor(model, g, normalize=True)
+            assert all(r in (1, -1) for r in word.tau_ranks())
+
+    def test_normalize_rank_zero(self, no_enumeration):
+        model = vperp_model(2)
+        word = GeneratorWord(
+            model, (TauLetter(MukaiVector(0, u1_vector(model, 1, -1), 0)),))
+        norm = normalize_word(word)
+        assert len(norm.letters) == 1
+        assert isinstance(norm.letters[0], Gamma0Letter)
+        assert norm.product() == word.product()
+
+    @pytest.mark.parametrize("m", [5, 9, 13])
+    def test_normalize_imprimitive_rank_one(self, m, no_enumeration):
+        # (1, -2 L0, m) with L0 = e + (m - 1)/4 f, the A_+ witness negated
+        model = vperp_model(m)
+        c = u1_vector(model, 2, 2 * ((m - 1) // 4))
+        v0 = MukaiVector(1, linalg.vec_neg(c), m)
+        assert mukai_pairing(v0, v0) == -2
+        word = GeneratorWord(model, (TauLetter(v0),))
+        norm = normalize_word(word)
+        assert norm.product() == word.product()
+        for letter in norm.letters:
+            if isinstance(letter, TauLetter):
+                assert letter.v0.r in (1, -1)
+                assert is_primitive(model.k3, letter.v0.c)
 
 
 class TestDiscGroupOrder:

@@ -50,7 +50,6 @@ from .characters import (
 # of some U block; pull_back(lattice, steps, y) is the x the steps send to y
 from .embeddings import WitnessNotFound, clearing_isometry, embed_rank2
 from .stabilizer import (
-    DiscForm,
     ExtensionKind,
     Gamma0Letter,
     GeneratorWord,

@@ -198,9 +198,8 @@ def _run_lattice(args):
     outputs = {
         "divisors": list(dg.divisors),
         "order": dg.order,
-        "q_values": [jsonio._fraction_to_str(q) for q in dg.q_values],
-        "lifts": [[jsonio._fraction_to_str(x) for x in lift]
-                  for lift in dg.lifts],
+        "q_values": [str(q) for q in dg.q_values],
+        "lifts": [[str(x) for x in lift] for lift in dg.lifts],
     }
     verification = [
         _check("order_equals_det", dg.order == abs(lattice.determinant())),
@@ -229,20 +228,21 @@ def _run_stab(args):
     if args.action == "model":
         model = vperp_model(args.m)
         dg = model.disc_group
+        q = dg.q_values[0]
         outputs = {
             "m": args.m,
             "rank": model.lattice.rank,
             "gram_blocks": [b.name for b in model.lattice.blocks],
             "disc_divisors": list(dg.divisors),
             "disc_order": dg.order,
-            "q_generator": jsonio._fraction_to_str(model.disc.q(1)),
+            "q_generator": str(q),
         }
         verification = [
             _check("disc_cyclic_order_2m",
                    dg.divisors == (2 * args.m,) and dg.order == 2 * args.m),
             _check("w_square", model.lattice.gram[-1][-1] == -2 * args.m),
             _check("q_of_generator_is_minus_1_over_2m",
-                   (model.disc.q(1) - Fraction(-1, 2 * args.m)) % 2 == 0),
+                   (q - Fraction(-1, 2 * args.m)) % 2 == 0),
         ]
         return _report("stab model", {"m": args.m}, outputs, verification)
 
@@ -262,8 +262,9 @@ def _run_stab(args):
     if args.action == "factor":
         model = vperp_model(args.m)
         iso = jsonio.isometry_from_json(_load_json(args.isometry))
-        # factor raises NotInGammaV when iso does not fix v and LatticeError
-        # when the word's product is not iso
+        # factor raises NotInGammaV when iso does not fix v, and
+        # InvariantError (exit 4, a library bug) when the word's product is
+        # not iso
         word = factor(model, iso, normalize=args.normalize)
         outputs = {"word": jsonio.word_to_json(word),
                    "letters": len(word.letters)}

@@ -15,8 +15,6 @@ The readers raise LatticeError on JSON of the wrong shape.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .lattices import (
     Isometry,
@@ -115,12 +113,6 @@ def isometry_to_json(iso: Isometry, identifier: str) -> dict:
 def isometry_from_json(data) -> Isometry:
     lattice = resolve_lattice(_field(data, "lattice"))
     return Isometry(lattice, matrix_from_json(_field(data, "matrix")))
-
-
-def _fraction_to_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else \
-        f"{x.numerator}/{x.denominator}"
 
 
 def word_to_json(word) -> dict:

@@ -43,15 +43,8 @@ class MukaiVector:
         return MukaiVector(self.r + other.r, linalg.vec_add(self.c, other.c),
                            self.s + other.s)
 
-    def __sub__(self, other: "MukaiVector") -> "MukaiVector":
-        return MukaiVector(self.r - other.r, linalg.vec_sub(self.c, other.c),
-                           self.s - other.s)
-
     def __neg__(self) -> "MukaiVector":
         return MukaiVector(-self.r, linalg.vec_neg(self.c), -self.s)
-
-    def scale(self, k: int) -> "MukaiVector":
-        return MukaiVector(k * self.r, linalg.vec_scale(k, self.c), k * self.s)
 
 
 def hilbert_scheme_vector(m: int) -> MukaiVector:
@@ -98,14 +91,6 @@ class GradedSurfaceClass:
     @classmethod
     def from_mukai(cls, x: MukaiVector) -> "GradedSurfaceClass":
         return cls(Fraction(x.r), x.c, Fraction(x.s))
-
-    def __add__(self, other):
-        return GradedSurfaceClass(self.deg0 + other.deg0,
-                                  linalg.vec_add(self.deg2, other.deg2),
-                                  self.deg4 + other.deg4)
-
-    def __neg__(self):
-        return GradedSurfaceClass(-self.deg0, linalg.vec_neg(self.deg2), -self.deg4)
 
 
 def unit_class() -> GradedSurfaceClass:

@@ -53,17 +53,6 @@ def _ensure(condition: bool, message: str):
 
 
 @dataclass(frozen=True)
-class DiscForm:
-    """The finite quadratic form on Z/2m with q(k) = -k^2/2m mod 2."""
-
-    modulus: int  # 2m
-
-    def q(self, k: int) -> Fraction:
-        value = Fraction(-(k * k), self.modulus)
-        return value - 2 * (value / 2).__floor__()
-
-
-@dataclass(frozen=True)
 class VPerpModel:
     """v-perp for v = (1, 0, -m): basis = 22 K3 vectors plus w = (1, 0, m)."""
 
@@ -71,7 +60,6 @@ class VPerpModel:
     mukai: Lattice
     k3: Lattice
     lattice: Lattice  # rank 23, Gram K3 + <-2m>
-    disc: DiscForm
     # the discriminant group of lattice, in closed form (see vperp_model)
     disc_group: DiscGroup = field(compare=False, repr=False)
 
@@ -134,10 +122,9 @@ def vperp_model(m: int) -> VPerpModel:
     lattice = Lattice(gram, labels, blocks, name=f"vperp:{m}")
     # K3 is unimodular, so the discriminant group of K3 + <-2m> is that of
     # <-2m>: Z/2m, generated by w/2m with q(w/2m) = -2m/(2m)^2 = -1/2m
-    disc = DiscForm(2 * m)
     lift = (Fraction(0),) * k3.rank + (Fraction(1, 2 * m),)
-    dg = DiscGroup((2 * m,), (lift,), (disc.q(1),), 2 * m)
-    return VPerpModel(m, mukai, k3, lattice, disc, dg)
+    dg = DiscGroup((2 * m,), (lift,), (Fraction(-1, 2 * m) % 2,), 2 * m)
+    return VPerpModel(m, mukai, k3, lattice, dg)
 
 
 def disc_action(model: VPerpModel, g: Isometry) -> int:
@@ -229,15 +216,14 @@ def pair_witness_split(m: int, l0, r: int):
         raise LatticeError("rank r must be even and at least 2")
     if k3.square(l0) != 2 * r * r * m - 2:
         raise LatticeError("L0 must have square 2 r^2 m - 2")
+    # L0 = i L0' and K3 is even, so L0'^2 = 2 (r^2 m - 1)/i^2 = 2d exactly
     i, l0_prim = primitive_part(l0)
     d = (r * r * m - 1) // (i * i)
-    _ensure(d * i * i == r * r * m - 1, "L0 square is not 2 i^2 d")
     l1 = embed_rank2(k3, l0_prim, (2 * d, i * d, (r * r * m - 4) // 2))
-    l2 = linalg.vec_sub(l0, l1)
-    _check_pair_conditions(m, l1, l2, r // 2, r // 2)
-    _ensure(is_primitive(k3, l1) and is_primitive(k3, l2),
-            "split classes are not primitive")
-    return l1, l2
+    # embed_rank2 verified L0'.L1 = i d and L1^2 = 2 (r/2)^2 m - 2, so L2 =
+    # i L0' - L1 has the same square and L1.L2 = 1 + 2 (r/2)^2 m; both are
+    # primitive, as {L0', L1} is saturated
+    return l1, linalg.vec_sub(l0, l1)
 
 
 def pair_witness_extend(m: int, l1, a: int):
@@ -252,10 +238,9 @@ def pair_witness_extend(m: int, l1, a: int):
         raise LatticeError("L1 must be primitive")
     if k3.square(l1) != 2 * a * a * m - 2:
         raise LatticeError("L1 must have square 2 a^2 m - 2")
-    l2 = embed_rank2(k3, l1, (2 * a * a * m - 2, 1 + 2 * a * m, 2 * m - 2))
-    _check_pair_conditions(m, l1, l2, a, 1)
-    _ensure(is_primitive(k3, l2), "extending class is not primitive")
-    return l2
+    # embed_rank2 verifies both Gram entries and that {L1, L2} is saturated,
+    # so L2 is primitive
+    return embed_rank2(k3, l1, (2 * a * a * m - 2, 1 + 2 * a * m, 2 * m - 2))
 
 
 def _check_pair_conditions(m: int, l1, l2, a: int, b: int):
@@ -520,43 +505,36 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False
         rho = (r - 1) // two_m
         c2m = tuple(ci // two_m for ci in x.c)
         c, l = primitive_part(c2m)
-        if c * c * model.k3.square(l) != 2 * rho + 2 * m * rho * rho:
+        l_sq = model.k3.square(l)
+        if c * c * l_sq != 2 * rho + 2 * m * rho * rho:
             raise NotInGammaV("g(w) does not have the square of w")
+        # Each reflection class u below is a -2 vector: embed_rank2 verified
+        # A^2, so (a, A, am)^2 = A^2 - 2 a^2 m = -2, and the final class
+        # (-1, L, -m) has L^2 = 2m - 2 by the square check with c = 1,
+        # rho = -1.
         if c != 1:
             # drive the content of the class part to 1: pick bc - ar = 1
-            # with minimal |a| and reflect in u = (a, A, am), A.L = b
-            g_, r_inv, _ = linalg.xgcd(r % c, c)
-            _ensure(g_ == 1, "rank and content of g(w) are not coprime")
+            # with minimal |a| and reflect in u = (a, A, am), A.L = b.  The
+            # square check gives r^2 = 1 + 2m c^2 L^2 = 1 mod c, so r is a
+            # unit mod c, and a = -r^-1 mod c is nonzero as c >= 2
+            _, r_inv, _ = linalg.xgcd(r % c, c)
             a = (-r_inv) % c
             if a > c - a:
                 a -= c
             b = (1 + a * r) // c
-            _ensure(b * c - a * r == 1 and a != 0, "bc - ar is not 1")
-            l_sq = model.k3.square(l)
             a_vec = embed_rank2(model.k3, l, (l_sq, b, 2 * a * a * m - 2))
-            u = MukaiVector(a, a_vec, a * m)
-            _ensure(mukai_pairing(u, u) == -2,
-                    "content reflection class is not a -2 vector")
-            x = reflect(u)
-            continue
-        if rho == -1:
-            v0 = MukaiVector(-1, c2m, -m)
-            _ensure(mukai_pairing(v0, v0) == -2,
-                    "final reflection class is not a -2 vector")
-            x = reflect(v0)
-            _ensure(x == w, "final reflection does not send g(w) to w")
-            continue
-        # c = 1, rho != -1: drive rho to -1 with u = (1, A, m),
-        # A.L = 2m rho - rho, A^2 = 2m - 2
-        l_sq = model.k3.square(l)
-        a_vec = embed_rank2(model.k3, l, (l_sq, two_m * rho - rho, two_m - 2))
-        u = MukaiVector(1, a_vec, m)
-        _ensure(mukai_pairing(u, u) == -2,
-                "rho reflection class is not a -2 vector")
-        x = reflect(u)
-    else:
-        raise InvariantError("factor loop did not terminate")
+            x = reflect(MukaiVector(a, a_vec, a * m))
+        elif rho == -1:
+            # (x, v0) = -2m, so tau_{v0}(x) = x - 2m v0 = w
+            x = reflect(MukaiVector(-1, c2m, -m))
+        else:
+            # c = 1, rho != -1: drive rho to -1 with u = (1, A, m),
+            # A.L = 2m rho - rho, A^2 = 2m - 2
+            a_vec = embed_rank2(model.k3, l,
+                                (l_sq, two_m * rho - rho, two_m - 2))
+            x = reflect(MukaiVector(1, a_vec, m))
 
+    # also catches a loop that ran out before x = w
     _ensure(residual.fixes(model.v.coords()) and residual.fixes(w.coords()),
             "the Gamma_0 residual does not fix v and w")
     k = model.k3.rank
@@ -569,8 +547,9 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False
     word = GeneratorWord(model, tuple(letters))
     if normalize:
         word = normalize_word(word)
-    if word.product().matrix != g.matrix:
-        raise LatticeError("the factorization does not reproduce g")
+    # the residual check above makes this product g, so a mismatch is a bug
+    _ensure(word.product().matrix == g.matrix,
+            "the factorization does not reproduce g")
     return word
 
 
@@ -592,38 +571,33 @@ def _normalize_tau(model: VPerpModel, v0: MukaiVector) -> list[Letter]:
     m = model.m
     if v0.r < 0:
         v0 = -v0  # tau_{v0} = tau_{-v0}
-    r = v0.r
+    r, l0 = v0.r, linalg.vec_neg(v0.c)
     if r == 0:
         # (0, A, 0) with A^2 = -2: a K3 reflection extended by the identity
         return [Gamma0Letter(reflection(model.k3, v0.c))]
-    if r == 1:
-        if is_primitive(model.k3, linalg.vec_neg(v0.c)):
-            return [TauLetter(v0)]
-        # an imprimitive class part at rank one: refactor the reflection
+    if r % 2 and not is_primitive(model.k3, l0):
+        # an odd rank with an imprimitive class part: refactor the
+        # reflection; factor's own classes all have primitive class parts
         inner = factor(model, reflection(model.mukai, v0.coords()))
         return list(normalize_word(inner).letters)
-    l0 = linalg.vec_neg(v0.c)
+    if r == 1:
+        return [TauLetter(v0)]
     if r % 2 == 0:
         l1, l2 = pair_witness_split(m, l0, r)
-        v1 = MukaiVector(r // 2, linalg.vec_neg(l1), (r // 2) * m)
-        v2 = MukaiVector(r // 2, linalg.vec_neg(l2), (r // 2) * m)
-        _ensure(v1 + v2 == v0 and mukai_pairing(v1, v2) == 1,
-                "split pair does not satisfy the Sym3 relations")
-        # tau_{v0} = tau_{v1} tau_{v2} tau_{v1}
-        middle = _normalize_tau(model, v2)
-        side = _normalize_tau(model, v1)
+        # L1 + L2 = L0 and L1.L2 = 1 + 2 (r/2)^2 m, so v1 + v2 = v0 and
+        # (v1, v2) = 1: tau_{v0} = tau_{v1} tau_{v2} tau_{v1}
+        middle = _normalize_tau(
+            model, MukaiVector(r // 2, linalg.vec_neg(l2), (r // 2) * m))
+        side = _normalize_tau(
+            model, MukaiVector(r // 2, linalg.vec_neg(l1), (r // 2) * m))
         return side + middle + side
-    # odd rank >= 3 with primitive L0: extend to even rank r + 1
-    _ensure(is_primitive(model.k3, l0), "odd-rank class is not primitive")
+    # odd rank >= 3 with primitive L0: extend to even rank r + 1.  L0.L2 =
+    # 1 + 2rm and L2^2 = 2m - 2 give (v0, v2) = 1 and (v0 + v2)^2 = -2, so
+    # tau_{v0} = tau_{v2} tau_{v0 + v2} tau_{v2}
     l2 = pair_witness_extend(m, l0, r)
     v2 = MukaiVector(1, linalg.vec_neg(l2), m)
-    w0 = v0 + v2
-    _ensure(mukai_pairing(v0, v2) == 1
-            and mukai_pairing(w0, w0) == -2,
-            "extended pair does not satisfy the Sym3 relations")
-    # tau_{v0} = tau_{v2} tau_{w0} tau_{v2}
     side = [TauLetter(v2)]
-    return side + _normalize_tau(model, w0) + side
+    return side + _normalize_tau(model, v0 + v2) + side
 
 
 # -- the discriminant isometry count ------------------------------------------
@@ -643,17 +617,14 @@ def _prime_powers(m: int) -> dict[int, int]:
     return factors
 
 
-def distinct_prime_count(m: int) -> int:
-    return len(_prime_powers(m))
-
-
-def _square_roots_of_one(m: int) -> list[int]:
-    """The u in [1, 2m) with u^2 = 1 mod 4m, sorted.  A root mod 4m is one
-    root mod each prime power of 4m, glued by CRT: +-1 mod an odd p^e, 1
-    and 3 mod 4, +-1 and 2^(e-1) +- 1 mod 2^e for e >= 3.  u^2 mod 4m
-    depends only on u mod 2m, so the roots mod 4m are read mod 2m; each one
-    is checked."""
-    factors = _prime_powers(4 * m)
+def _square_roots_of_one(factors: dict[int, int]) -> list[int]:
+    """The u in [1, 2m) with u^2 = 1 mod 4m, sorted, given m's factorization
+    {p: e}.  A root mod 4m is one root mod each prime power of 4m, glued by
+    CRT: +-1 mod an odd p^e, 1 and 3 mod 4, +-1 and 2^(e-1) +- 1 mod 2^e
+    for e >= 3.  u^2 mod 4m depends only on u mod 2m, so the roots mod 4m
+    are read mod 2m; each one is checked."""
+    factors = dict(factors)
+    factors[2] = factors.get(2, 0) + 2  # 4m
     roots, modulus = [0], 1
     for p, e in factors.items():
         q = p ** e
@@ -668,7 +639,7 @@ def _square_roots_of_one(m: int) -> list[int]:
         roots = [r0 + modulus * ((s - r0) * inv % q)
                  for r0 in roots for s in local]
         modulus *= q
-    two_m = 2 * m
+    two_m = modulus // 2
     roots = sorted({r % two_m for r in roots})
     _ensure(all((u * u - 1) % modulus == 0 for u in roots),
             "a CRT root is not a square root of 1 mod 4m")
@@ -677,14 +648,16 @@ def _square_roots_of_one(m: int) -> list[int]:
 
 def disc_group_order(m: int) -> dict:
     """|O(disc)| = #{u in (Z/2m)^x : u^2 = 1 mod 4m}, counted from the roots
-    built by CRT (`_square_roots_of_one`) in O(sqrt m) steps.
+    built by CRT (`_square_roots_of_one`) from one trial-division
+    factorization of m, in O(sqrt m) steps.
 
     The count equals 2^rho with rho the number of distinct primes of m, and
     it is the index of Gamma_v in O(v-perp)."""
     if m < 1:
         raise LatticeError("m must be a positive integer")
-    order = len(_square_roots_of_one(m))
-    rho = distinct_prime_count(m)
+    factors = _prime_powers(m)
+    order = len(_square_roots_of_one(factors))
+    rho = len(factors)
     _ensure(order == 2 ** rho, f"|O(disc)| = {order} is not 2^{rho}")
     return {"order": order, "rho": rho, "index_O_vperp_over_GammaV": order}
 
@@ -735,6 +708,6 @@ def nontrivial_disc_isometry(model: VPerpModel) -> Isometry | None:
     isometry of v-perp whose disc action is not +-1; None when there is no
     such u, which is exactly when m is a prime power."""
     m = model.m
-    u = next((u for u in _square_roots_of_one(m) if 1 < u < 2 * m - 1),
-             None)
+    u = next((u for u in _square_roots_of_one(_prime_powers(m))
+              if 1 < u < 2 * m - 1), None)
     return None if u is None else disc_lift(model, u)

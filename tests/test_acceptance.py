@@ -51,7 +51,7 @@ from mukailat.stabilizer import (
     aplus_witness,
     classify_minus2,
     disc_action,
-    distinct_prime_count,
+    disc_group_order,
     ExtensionKind,
     factor,
     generator_family,
@@ -142,7 +142,7 @@ def test_criterion_04_discriminant_law():
             while k % p == 0:
                 k //= p
         assert count == 2 ** omega, m
-        assert distinct_prime_count(m) == omega
+        assert disc_group_order(m)["rho"] == omega
 
     from math import gcd
 
@@ -166,7 +166,7 @@ def test_criterion_04_discriminant_law():
             if model.lattice.gram[i][j]
         )
         assert q_w % 2 == Fraction(-1, 2 * m) % 2, m
-        assert model.disc.q(1) % 2 == Fraction(-1, 2 * m) % 2, m
+        assert model.disc_group.q_values[0] % 2 == Fraction(-1, 2 * m) % 2, m
     _report(4, "unit count equals 2^rho for m <= 5000; v-perp discriminant "
                "is Z/2m with q(gen) = -1/2m for m <= 50")
 

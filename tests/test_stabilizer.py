@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from mukailat import embeddings, linalg
@@ -21,6 +22,7 @@ from mukailat.stabilizer import (
     Gamma0Letter,
     GeneratorFamily,
     GeneratorWord,
+    InvariantError,
     Minus2Orbit,
     NotInGammaV,
     TauLetter,
@@ -29,7 +31,6 @@ from mukailat.stabilizer import (
     disc_action,
     disc_group_order,
     disc_lift,
-    distinct_prime_count,
     factor,
     generator_family,
     in_gamma_v,
@@ -102,7 +103,7 @@ class TestModel:
         dg = discriminant_group(model.lattice)
         assert dg == model.disc_group
         assert dg.divisors == (2 * m,)
-        assert model.disc.q(1) % 2 == Fraction(-1, 2 * m) % 2
+        assert model.disc_group.q_values == (Fraction(-1, 2 * m) % 2,)
 
     def test_w_square(self, m3):
         w = m3.w
@@ -114,9 +115,8 @@ class TestModel:
         assert mukai_pairing(model.v, model.v) == 2
 
     def test_q_values(self, m3):
-        # q(k) = -k^2/6 mod 2 on Z/6
-        assert m3.disc.q(1) == Fraction(-1, 6) % 2
-        assert m3.disc.q(3) == Fraction(-9, 6) % 2
+        # q(w/6) = -1/6 mod 2 on Z/6
+        assert m3.disc_group.q_values == (Fraction(-1, 6) % 2,)
 
     def test_restrict_roundtrip(self, m3, rng):
         fam = generator_family(3)
@@ -249,7 +249,7 @@ class TestNontrivialDiscIsometry:
         for m in range(1, 61):
             model = vperp_model(m)
             g = nontrivial_disc_isometry(model)
-            assert (g is None) == (distinct_prime_count(m) <= 1)
+            assert (g is None) == (len(sympy.primefactors(m)) <= 1)
             if g is not None:
                 # the lift of the least root in (1, 2m - 1)
                 least = min(u for u in brute_force_roots(m)
@@ -271,7 +271,7 @@ class TestDiscLift:
         for m in range(1, 201):
             model = vperp_model(m)
             roots = [u for u in range(2 * m) if (u * u - 1) % (4 * m) == 0]
-            assert len(roots) == 2 ** distinct_prime_count(m)
+            assert len(roots) == 2 ** len(sympy.primefactors(m))
             for u in roots:
                 g = disc_lift(model, u)
                 Isometry(model.lattice, g.matrix)
@@ -493,12 +493,14 @@ class TestFactor:
         assert isinstance(word.letters[0], Gamma0Letter)
 
     def test_wrong_product_raises_lattice_error(self, monkeypatch, rng):
-        # the final product check is a typed error, kept under python -O
+        # the final product check is kept under python -O; after the
+        # residual check a mismatch is a library bug, so an InvariantError
         model = vperp_model(3)
         g = generator_family(3).tau_letter(rng).to_isometry(model)
         monkeypatch.setattr(GeneratorWord, "product",
                             lambda word: Isometry.identity(model.mukai))
-        with pytest.raises(LatticeError):
+        with pytest.raises(InvariantError,
+                           match="the factorization does not reproduce g"):
             factor(model, g)
 
     def test_rejects_non_stabilizing(self):
@@ -669,6 +671,27 @@ class TestNoWitnessSearch:
                 assert letter.v0.r in (1, -1)
                 assert is_primitive(model.k3, letter.v0.c)
 
+    @pytest.mark.parametrize("m, r, i", [
+        (1, 3, 2), (5, 3, 2), (1, 5, 2), (4, 5, 3)])
+    def test_normalize_imprimitive_odd_rank(self, m, r, i, no_enumeration):
+        # (r, -L0, rm) with L0 = i L', L' = e + k f of square
+        # 2k = 2 (r^2 m - 1)/i^2: a -2 class of v-perp whose odd rank r >= 3
+        # cannot be extended, as L0 is not primitive
+        k = (r * r * m - 1) // (i * i)
+        assert k * i * i == r * r * m - 1
+        model = vperp_model(m)
+        v0 = MukaiVector(r, linalg.vec_neg(u1_vector(model, i, i * k)), r * m)
+        assert mukai_pairing(v0, v0) == -2
+        word = GeneratorWord(model, (TauLetter(v0),))
+        norm = normalize_word(word)
+        assert norm.product() == word.product()
+        for letter in norm.letters:
+            if isinstance(letter, TauLetter):
+                assert letter.v0.r in (1, -1)
+                assert is_primitive(model.k3, letter.v0.c)
+            else:
+                assert isinstance(letter, Gamma0Letter)
+
 
 class TestDiscGroupOrder:
     def test_known_values(self):
@@ -682,12 +705,12 @@ class TestDiscGroupOrder:
     def test_matches_prime_count(self):
         for m in range(1, 200):
             data = disc_group_order(m)
-            assert data["order"] == 2 ** distinct_prime_count(m)
+            assert data["order"] == 2 ** len(sympy.primefactors(m))
 
     def test_crt_roots_match_brute_force(self):
         for m in range(1, 5001):
             roots = brute_force_roots(m)
-            assert _square_roots_of_one(m) == roots, m
+            assert _square_roots_of_one(_prime_powers(m)) == roots, m
             assert disc_group_order(m)["order"] == len(roots), m
 
     @pytest.mark.parametrize("m, rho", [

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import prod
 from operator import mul
@@ -62,9 +62,6 @@ class Lattice:
     _rows: tuple = field(init=False, repr=False, compare=False)
     # the hash of the compared fields, formed once: lattices key caches
     _hash: int = field(init=False, repr=False, compare=False)
-    # det G, formed on first read (`determinant`)
-    _det: int | None = field(default=None, init=False, repr=False,
-                             compare=False)
 
     def __post_init__(self):
         n = len(self.gram)
@@ -92,17 +89,20 @@ class Lattice:
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
+    @cached_property
+    def _elimination(self) -> tuple:
+        # (n_plus, n_minus, n_zero, det G), kept on the object, unseen by ==
+        return linalg.symmetric_elimination(self.gram)
+
     def signature(self) -> tuple[int, int]:
-        pos, neg, zero = linalg.signature(self.gram)
+        pos, neg, zero, _ = self._elimination
         if zero:
             raise LatticeError("degenerate Gram matrix")
         return pos, neg
 
     def determinant(self) -> int:
-        """det G, by Bareiss once per lattice object."""
-        if self._det is None:
-            object.__setattr__(self, "_det", linalg.det(self.gram))
-        return self._det
+        """det G, from the one elimination that also gives the signature."""
+        return self._elimination[3]
 
     def _check_length(self, *vectors):
         if any(len(v) != self.rank for v in vectors):
@@ -149,12 +149,11 @@ class Lattice:
 
     def gram_inverse(self) -> tuple[Mat, int]:
         """(A, d) with G^{-1} = A / d, A integral and d = |det G|."""
-        return _gram_inverse(self.gram)
+        return _gram_inverse(self.gram, abs(self.determinant()))
 
 
 @lru_cache(maxsize=None)
-def _gram_inverse(gram: Mat) -> tuple[Mat, int]:
-    d = abs(linalg.det(gram))
+def _gram_inverse(gram: Mat, d: int) -> tuple[Mat, int]:
     a = freeze([int(x * d) for x in row] for row in linalg.mat_inv_q(gram))
     return a, d
 

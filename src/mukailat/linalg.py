@@ -6,8 +6,9 @@ no floating point anywhere in this package; every result below is exact.
 
 The workhorses are one Smith elimination, taken over Z (for saturated
 kernels) or mod a modulus (for discriminant groups, mod det^2), and
-fraction-free (Bareiss) elimination (used for determinants and signatures;
-a rational matrix is first scaled to an integer one).  The Smith
+fraction-free (Bareiss) elimination on integers (a rational matrix is first
+scaled to one), over the upper triangle alone for a symmetric Gram's
+signature and determinant (`symmetric_elimination`).  The Smith
 elimination records its unimodular column transform as the 2x2 column
 steps it made, and only the columns that are read are built from that log:
 all of them for a kernel, the few with d_i != 1 for a discriminant group.
@@ -27,6 +28,7 @@ nondegenerate lattice has determinant +-1, told apart mod 3).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 Vec = tuple
@@ -37,6 +39,7 @@ def freeze(rows) -> Mat:
     return tuple(tuple(r) for r in rows)
 
 
+@lru_cache(maxsize=None)
 def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -96,11 +99,11 @@ def identity_plus_outer(s: int, terms) -> Mat:
 
 def identity_plus_outer_mul(s: int, terms, m: Mat) -> Mat:
     """(s I + sum_k b_k c_k^T) @ m = s m + sum_k b_k (c_k^T m), in O(n^2)
-    per term instead of the O(n^3) of mat_mul."""
+    per term, not mat_mul's O(n^3); with s = 1 an untouched row is m's own."""
     outer = [(b, mat_mul((c,), m)[0]) for b, c in terms]
     rows = []
     for i, row in enumerate(m):
-        out = [s * x for x in row]
+        out = row if s == 1 else [s * x for x in row]
         for b, cm in outer:
             if b[i]:
                 out = [x + b[i] * y for x, y in zip(out, cm)]
@@ -232,10 +235,9 @@ def _bareiss_step(a: list, k: int, prev: int) -> None:
 def _clear_denominators(m) -> tuple[int, list]:
     """(scale, a): the positive lcm of the denominators of the entries of m,
     and the integer matrix a = scale * m as a list of lists."""
-    scale = 1
-    for row in m:
-        for x in row:
-            scale = lcm(scale, x.denominator)
+    if all(type(x) is int for row in m for x in row):
+        return 1, [list(row) for row in m]
+    scale = lcm(*(x.denominator for row in m for x in row))
     return scale, [[x.numerator * (scale // x.denominator) for x in row]
                    for row in m]
 
@@ -467,62 +469,62 @@ def kernel_basis(mat: Mat) -> tuple[Vec, ...]:
     """Basis of the saturated integer kernel {x : mat @ x = 0}, as columns of
     the SNF column transform; the span is automatically primitive in Z^n."""
     nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
+    ncols = len(mat[0]) if nrows else 0  # no rows: no column count either
     if ncols == 0:
         return ()
-    if nrows == 0:
-        return tuple(identity(ncols))
     d, t = smith_normal_form(mat)
     rank = sum(1 for i in range(min(nrows, ncols)) if d[i][i] != 0)
     cols = transpose(t)
     return tuple(cols[rank:])
 
 
-def signature(gram: Mat) -> tuple[int, int, int]:
-    """(n_plus, n_minus, n_zero) of a symmetric integer or rational matrix,
-    by fraction-free (Bareiss) symmetric elimination.
+def symmetric_elimination(gram: Mat) -> tuple:
+    """(n_plus, n_minus, n_zero, det) of a symmetric integer or rational
+    matrix, by one fraction-free (Bareiss) elimination that reads and
+    updates only the upper triangle, kept as u[i][j - i] = a_ij for j >= i.
 
-    Rational input is first multiplied by the positive lcm of its
-    denominators, which keeps the signature.  A zero pivot is replaced by a
-    later nonzero diagonal entry (a symmetric swap), else by e_k + e_j for an
-    off-diagonal a_kj != 0, else row k is zero and counts once in n_zero.
-    After each pivot the trailing block is prev * S, with S the rational
-    Schur complement and prev that integer pivot.  So the next rational
-    pivot a_kk / prev has the sign of a_kk * prev, and every division by
-    prev is exact.
-    """
+    Rational input is first scaled by the lcm of its denominators, which
+    keeps the signature; det is scaled back.  After each pivot the trailing
+    block is prev * S, S the rational Schur complement and prev that pivot:
+    symmetric, so the multiplier a_ik is read as a_ki, and the next pivot
+    a_kk / prev of S has the sign of a_kk * prev.  Every division by prev
+    is exact.  A zero row counts once in n_zero; another zero pivot is
+    repaired by e_k <- e_k + c e_j for an a_kj != 0, which changes only row
+    k and makes a_kk = c (2 a_kj + c a_jj), nonzero for c = 1 or 2.  That
+    keeps det, so det is the last pivot when no row was zero."""
     n = len(gram)
-    _, a = _clear_denominators(gram)
-    pos = neg = zero = 0
+    scale, u = _clear_denominators([row[i:] for i, row in enumerate(gram)])
+    pos = zero = 0
     prev = 1
     for k in range(n):
-        if a[k][k] == 0:
-            i = next((i for i in range(k + 1, n) if a[i][i]), None)
-            if i is not None:
-                # basis change e_k <-> e_i
-                a[k], a[i] = a[i], a[k]
-                for row in a[k:]:
-                    row[k], row[i] = row[i], row[k]
-            else:
-                j = next((j for j in range(k + 1, n) if a[k][j]), None)
-                if j is None:
-                    zero += 1
-                    continue
-                # basis change e_k <- e_k + e_j: a_kk becomes 2 a_kj
-                a[k] = [x + y for x, y in zip(a[k], a[j])]
-                for row in a[k:]:
-                    row[k] += row[j]
-        p = a[k][k]
-        if (p > 0) == (prev > 0):
-            pos += 1
-        else:
-            neg += 1
-        _bareiss_step(a, k, prev)
+        rk = u[k]
+        if rk[0] == 0:
+            j = next((j for j in range(k + 1, n) if rk[j - k]), None)
+            if j is None:
+                zero += 1
+                continue
+            c = 1 if 2 * rk[j - k] + u[j][0] else 2
+            rk = u[k] = [x + c * u[min(j, t)][abs(j - t)]
+                         for t, x in enumerate(rk, k)]
+            rk[0] += c * rk[j - k]
+        p = rk[0]
+        pos += (p > 0) == (prev > 0)
+        for i in range(k + 1, n):
+            q = rk[i - k]
+            if q:
+                u[i] = [(p * x - q * y) // prev
+                        for x, y in zip(u[i], rk[i - k:])]
+            elif p != prev:
+                u[i] = [p * x // prev for x in u[i]]
         prev = p
-    return pos, neg, zero
+    det = 0 if zero else prev if scale == 1 else Fraction(prev, scale ** n)
+    return pos, n - zero - pos, zero, det
+
+
+def signature(gram: Mat) -> tuple[int, int, int]:
+    """(n_plus, n_minus, n_zero): `symmetric_elimination` without det."""
+    return symmetric_elimination(gram)[:3]
 
 
 def is_positive_definite(gram) -> bool:
-    n = len(gram)
-    p, m, z = signature(gram)
-    return p == n and m == 0 and z == 0
+    return signature(gram)[0] == len(gram)

@@ -46,18 +46,48 @@ class TestLattice:
     def test_disc_computes_one_determinant(self, monkeypatch):
         # the order, its check and the discriminant group read the one
         # determinant the lattice keeps
-        real = linalg.det
+        real = linalg.symmetric_elimination
         calls = []
 
         def counting(m):
             calls.append(len(m))
             return real(m)
 
-        monkeypatch.setattr(linalg, "det", counting)
+        monkeypatch.setattr(linalg, "symmetric_elimination", counting)
         report, status = invoke(
             ["lattice", "disc", "--spec", "K3,diag(-6:4:10)"])
         assert status == 0
         assert calls == [25]
+
+    def test_build_computes_one_elimination(self, monkeypatch):
+        # the signature and determinant fields read the one elimination
+        # the lattice keeps
+        real = linalg.symmetric_elimination
+        calls = []
+
+        def counting(m):
+            calls.append(len(m))
+            return real(m)
+
+        monkeypatch.setattr(linalg, "symmetric_elimination", counting)
+        report, status = invoke(["lattice", "build", "--spec", "K3,diag(-6)"])
+        assert status == 0
+        assert report["outputs"]["signature"] == [3, 20]
+        assert report["outputs"]["determinant"] == 6
+        assert calls == [23]
+
+    def test_no_general_determinant_of_a_gram(self, monkeypatch):
+        real = linalg.det
+        calls = []
+        monkeypatch.setattr(linalg, "det",
+                            lambda m: calls.append(m) or real(m))
+        for action in ("build", "disc"):
+            _, status = invoke(
+                ["lattice", action, "--spec", "K3,diag(-6:4:10)"])
+            assert status == 0
+        lattice = lattices.build_lattice((("diag", (-6, 4)), "U"))
+        assert lattices.discriminant_group(lattice).order == 24
+        assert calls == []
 
     def test_unknown_block_usage_error(self):
         report, status = invoke(["lattice", "build", "--spec", "Leech"])

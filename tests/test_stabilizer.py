@@ -732,3 +732,18 @@ class TestDiscGroupOrder:
                 word = fam.sample_word(rng, rng.randint(0, 5))
                 restricted = model.restrict(word.product())
                 assert disc_action(model, restricted) == 1 % (2 * m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 30])
+def test_sampled_generators_have_their_squares(m):
+    # GeneratorFamily builds these without checking them: 400 +-2 vectors
+    # and 400 tau classes at each of the five m, 2,000 of each in all
+    fam = generator_family(m)
+    rng = random.Random(m)
+    for _ in range(400):
+        assert fam.k3.square(fam.sample_pm2_vector(rng)) in (2, -2)
+        v0 = fam.tau_letter(rng).v0
+        assert mukai_pairing(v0, v0) == -2
+        assert mukai_pairing(v0, fam.model.v) == 0
+        assert v0.r == 1 and v0.s == m
+        assert linalg.vec_content(v0.c) == 1

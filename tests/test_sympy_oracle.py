@@ -398,6 +398,105 @@ def test_signature_of_mukai_complement(sample):
     assert linalg.signature(gram) == (4 - p, 20 - n, 0)
 
 
+# -- one symmetric elimination: signature and determinant ---------------------
+
+
+@st.composite
+def symmetric_grams(draw, n_max=10, bound=10**40):
+    """Symmetric n x n Grams, 0 <= n <= 10, entries up to 10^40: dense,
+    with forced zero diagonal entries, with orthogonal summands c U (zero
+    pivots repaired by e_k <- e_k + e_j), or V^T D V of rank below n."""
+    n = draw(st.integers(0, n_max))
+    kinds = ("dense", "zero_diagonal", "u_blocks") + (("low_rank",) if n
+                                                      else ())
+    kind = draw(st.sampled_from(kinds))
+    entry = st.integers(-bound, bound) | st.sampled_from((0, 1, -1))
+    if kind == "low_rank":
+        r = draw(st.integers(0, n - 1))
+        v = [draw(st.lists(st.integers(-10**12, 10**12), min_size=n,
+                           max_size=n)) for _ in range(r)]
+        dd = [draw(st.sampled_from((-3, -1, 1, 2))) for _ in range(r)]
+        return linalg.freeze(
+            [[sum(v[k][i] * dd[k] * v[k][j] for k in range(r))
+              for j in range(n)] for i in range(n)])
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(entry)
+    chosen = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    for i in (i for i in range(n) if chosen[i]):
+        if kind == "zero_diagonal":
+            g[i][i] = 0
+        elif kind == "u_blocks" and i + 1 < n:
+            c = draw(entry)
+            for j in range(n):
+                g[i][j] = g[j][i] = g[i + 1][j] = g[j][i + 1] = 0
+            g[i][i + 1] = g[i + 1][i] = c
+    return linalg.freeze(g)
+
+
+@settings(max_examples=120, deadline=None)
+@given(symmetric_grams())
+def test_symmetric_elimination_against_det_and_sympy(gram):
+    pos, neg, zero, det = linalg.symmetric_elimination(gram)
+    assert type(det) is int
+    assert det == linalg.det(gram) == Matrix(gram).det()
+    assert (pos, neg, zero) == sympy_signature(gram)
+    assert linalg.signature(gram) == (pos, neg, zero)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_symmetric_matrices())
+def test_symmetric_elimination_rational_det(gram):
+    det = Matrix(gram).det()
+    assert linalg.symmetric_elimination(gram)[3] == \
+        Fraction(int(det.p), int(det.q))
+
+
+class LowerTriangle:
+    """An entry that must never be read: any arithmetic, comparison or
+    attribute read on it raises."""
+
+    def _read(self, *args):
+        raise AssertionError("an entry below the diagonal was read")
+
+    __getattr__ = __bool__ = __index__ = __int__ = __neg__ = _read
+    __add__ = __radd__ = __sub__ = __rsub__ = _read
+    __mul__ = __rmul__ = __floordiv__ = __rfloordiv__ = _read
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _read
+    __hash__ = None
+
+
+def upper_only(gram):
+    return tuple(tuple(x if j >= i else LowerTriangle()
+                       for j, x in enumerate(row))
+                 for i, row in enumerate(gram))
+
+
+@pytest.mark.parametrize("gram", [
+    LATTICES["Mukai"].gram,
+    LATTICES["vperp:7"].gram,
+    ((0, 0, 3), (0, 0, 0), (3, 0, 5)),
+    # e_0 + e_1 is isotropic, so the zero pivot is repaired by e_0 + 2 e_1
+    ((0, 1, 3), (1, -2, 0), (3, 0, 5)),
+    ((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 3), Fraction(-1, 2))),
+], ids=["mukai", "vperp7", "degenerate", "repair_c2", "rational"])
+def test_symmetric_elimination_reads_only_the_upper_triangle(gram):
+    with pytest.raises(AssertionError):
+        upper_only(gram)[1][0] + 1
+    out = linalg.symmetric_elimination(upper_only(gram))
+    assert out == linalg.symmetric_elimination(gram)
+    assert out[:3] == sympy_signature_q(gram)
+    assert out[3] == Fraction(str(Matrix(gram).det()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_grams(n_max=8, bound=10**6))
+def test_symmetric_elimination_never_reads_below_the_diagonal(gram):
+    assert linalg.symmetric_elimination(upper_only(gram)) == \
+        linalg.symmetric_elimination(gram)
+
+
 @settings(max_examples=30, deadline=None)
 @given(mukai_complements(), st.integers(1, 3))
 def test_disc_of_mukai_complement_is_that_of_saturated_span(sample, k):

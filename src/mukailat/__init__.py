@@ -22,7 +22,6 @@ from .lattices import (
     k3_lattice,
     mukai_lattice,
     orthogonal_complement,
-    pull_back,
 )
 from .mukai import (
     Effectivity,
@@ -47,7 +46,7 @@ from .characters import (
 )
 # clearing_isometry(lattice, v) returns (steps, image): Eichler transvections,
 # at most one per bit of the largest |v_i|, with image = g_k(... g_1(v)) free
-# of some U block; pull_back(lattice, steps, y) is the x the steps send to y
+# of some U block
 from .embeddings import WitnessNotFound, clearing_isometry, embed_rank2
 from .stabilizer import (
     ExtensionKind,

@@ -8,10 +8,10 @@ Nikulin statement; this module is the constructive side:
 1. If some hyperbolic block U_j is disjoint from the support of lambda_1,
    take lambda_2 = b*mu + e_j + (d - b^2 (mu,mu)/2) f_j where (lambda_1, mu)
    = 1; the span is automatically saturated.
-2. Otherwise clear a hyperbolic block from lambda_1 by an explicit isometry
-   (a Euclidean walk of Eichler transvections, no more of them than the
-   bit length of the largest entry of lambda_1), solve there, and pull the
-   witness back.
+2. Otherwise clear a hyperbolic block from lambda_1 by a Euclidean walk of
+   Eichler transvections t(e, a), at most one per bit of its largest entry
+   (on an odd lattice the walk may stop), solve there, and pull the witness
+   back through the inverse steps t(e, -a), with no Gram inverse.
 3. As a last resort, bounded enumeration on small-rank supports.
 
 Failure raises WitnessNotFound with the radius echoed; it never claims
@@ -24,7 +24,7 @@ exists, and b^2 (mu, mu) is even.
 from __future__ import annotations
 
 from . import linalg
-from .lattices import Isometry, Lattice, LatticeError, primitive_part, pull_back
+from .lattices import Isometry, Lattice, LatticeError, primitive_part
 
 DEFAULT_RADIUS = 64
 
@@ -98,20 +98,12 @@ def verify_embedding(lattice: Lattice, lam1, lam2, two_a, b, two_d) -> bool:
 # -- clearing a hyperbolic block ---------------------------------------------
 
 
-def _round_div(x: int, c: int) -> int:
-    """Nearest-integer division, ties rounded down; |x - c*q| <= |c|/2."""
-    q, r = divmod(x, c)
-    if 2 * abs(r) > abs(c):
-        q += 1
-    return q
-
-
 def clearing_isometry(lattice: Lattice, v):
     """(steps, image): Eichler transvections (g_1, ..., g_k) kept in outer
     form, with image = g_k(... g_1(v)) missing some hyperbolic block and k
-    at most the bit length of the largest |v_i| (`lattices.pull_back`
-    inverts the steps on a vector); None when the lattice has fewer than
-    two U blocks."""
+    at most the bit length of the largest |v_i| (`_walk_back` inverts the
+    steps on a vector); None when the lattice has fewer than two U blocks,
+    or at a step whose a has an odd square, which an odd lattice allows."""
     ublocks = lattice.blocks_named("U")
     if len(ublocks) < 2:
         return None
@@ -120,12 +112,16 @@ def clearing_isometry(lattice: Lattice, v):
     # block the f coefficient before the e one
     slots = [(i, j) for b in ublocks
              for i, j in ((b.start + 1, b.start), (b.start, b.start + 1))]
+    # (a, a) = sum_i a_i^2 G_ii + 2 sum_{i<j} a_i a_j G_ij = sum_i a_i G_ii
+    # mod 2, so it is odd iff the a_i with an odd G_ii have an odd sum
+    odd = [i for i, row in enumerate(lattice.gram) if row[i] % 2]
     v = tuple(v)
     steps = []
     # Write v = x e + y f + u on a U block (e, f), u off the block.  For a
     # off the block, t(e, a) sends u to u + y a and t(f, a) sends it to
-    # u + x a.  So with pivot c = y (resp. x) and a = -round(u / c), one
-    # transvection leaves every coordinate off the block at most |c|/2.
+    # u + x a.  So with pivot c = y (resp. x) and a = -q, q = round(u / c),
+    # one transvection takes each u_i to u_i - c q_i, at most |c|/2; the
+    # pivot keeps c and the partner gains e_coef . v (its other term).
     # Each step takes c the smallest nonzero hyperbolic coefficient.  While
     # no U block is free, every other U block has a nonzero coefficient, of
     # size at least |c|, so a != 0 and the step changes v.  After it, each
@@ -140,14 +136,34 @@ def clearing_isometry(lattice: Lattice, v):
         pivot, partner = min(((i, j) for i, j in slots if v[i]),
                              key=lambda s: abs(v[s[0]]))
         c = v[pivot]
-        a = tuple(0 if k in (pivot, partner) else -_round_div(x, c)
-                  for k, x in enumerate(v))
+        q = [-((c - 2 * x) // (2 * c)) for x in v]  # ties rounded down
+        q[pivot] = q[partner] = 0
+        if sum(q[i] for i in odd) % 2:
+            return None
         # the isotropic partner basis vector pairs with v to c
-        isotropic = tuple(int(k == partner) for k in range(lattice.rank))
-        step = eichler_transvection(lattice, isotropic, a)
-        v = step.apply(v)
+        isotropic = (0,) * partner + (1,) + (0,) * (len(v) - partner - 1)
+        step = eichler_transvection(lattice, isotropic, [-y for y in q])
+        image = [x - c * y for x, y in zip(v, q)]
+        image[partner] += sum(y * x for y, x in zip(step.outer[1][0][1], v))
+        v = tuple(image)
         steps.append(step)
     return None
+
+
+def _walk_back(steps, y):
+    """The x with g_k(... g_1(x)) == y for the steps t(e, a) = I + e e_coef^T
+    + a (G e)^T of `clearing_isometry`: e_coef = -G a - h G e, h = (a, a)/2,
+    G e = the unit vector at the pivot p.  t(e, -a) sends x to x - x_p a +
+    ((a, x) - h x_p) e, h = -e_coef_p and (a, x) = -(e_coef . x) - h x_p."""
+    x = list(y)
+    for step in reversed(steps):
+        (e, e_coef), (a, ge) = step.outer[1]
+        p = ge.index(1)
+        xp, h = x[p], -e_coef[p]
+        t = -sum(c * z for c, z in zip(e_coef, x)) - 2 * h * xp
+        x = [z - xp * ai for z, ai in zip(x, a)]
+        x[e.index(1)] += t
+    return tuple(x)
 
 
 # -- bounded enumeration fallback --------------------------------------------
@@ -228,7 +244,7 @@ def embed_rank2(lattice: Lattice, lam1, target, radius: int = DEFAULT_RADIUS):
         free = _free_u_block(lattice, image)
         lam2_img = _free_plane_witness(lattice, image, b, d, free)
         if lam2_img is not None:
-            lam2 = pull_back(lattice, steps, lam2_img)
+            lam2 = _walk_back(steps, lam2_img)
             if verify_embedding(lattice, lam1, lam2, two_a, b, two_d):
                 return lam2
 

@@ -314,10 +314,13 @@ class Isometry:
     either way.
 
     `_orientation_char` holds `characters.orientation_char(self)` once it
-    has been read; it is left unset until then, and takes no part in ==,
-    hash or repr.  The matrix never changes, so neither does the value."""
+    has been read, and `_restricted` holds (model, model.restrict(self))
+    once a `stabilizer.VPerpModel` has restricted it.  Each is left unset
+    until then, and takes no part in ==, hash or repr.  The matrix never
+    changes, so neither does either value."""
 
-    __slots__ = ("lattice", "outer", "_matrix", "_orientation_char")
+    __slots__ = ("lattice", "outer", "_matrix", "_orientation_char",
+                 "_restricted")
 
     def __init__(self, lattice: Lattice, matrix):
         check = check_isometry(lattice, matrix)
@@ -411,18 +414,6 @@ class Isometry:
 
     def is_identity(self) -> bool:
         return self.matrix == linalg.identity(self.lattice.rank)
-
-
-def pull_back(lattice: Lattice, steps, v: Vec) -> Vec:
-    """The x with g_k(... g_1(x)) == v for isometries steps = (g_1, ..., g_k),
-    as G^{-1} g_1^T ... g_k^T G v: one vector through each step, so a step
-    kept as s I + sum b c^T costs O(n) per term.  LatticeError when the
-    result is not integral, which it is when every step is an isometry."""
-    y = lattice.covector(v)
-    for g in reversed(steps):
-        y = g.apply_transpose(y)
-    a, d = lattice.gram_inverse()
-    return _divide_exact(linalg.mat_vec(a, y), d)
 
 
 def check_isometry(lattice: Lattice, matrix) -> IsometryCheck:

@@ -83,7 +83,11 @@ class VPerpModel:
         return MukaiVector(r, coords[:-1], r * self.m)
 
     def restrict(self, g: Isometry) -> Isometry:
-        """Restriction to v-perp of a Mukai-lattice isometry fixing v."""
+        """Restriction to v-perp of a Mukai-lattice isometry fixing v; kept
+        on g and returned from there when this model restricts g again."""
+        kept = getattr(g, "_restricted", None)
+        if kept is not None and kept[0] is self:
+            return kept[1]
         if g.lattice.gram != self.mukai.gram:
             raise LatticeError("expected an isometry of the Mukai lattice")
         if not g.fixes(self.v.coords()):
@@ -97,7 +101,9 @@ class VPerpModel:
             raise LatticeError("vector is not orthogonal to v")
         # g fixes v, so it maps v-perp onto itself and preserves the form
         # there
-        return Isometry._trusted(self.lattice, tuple(rows[:k + 1]))
+        restricted = Isometry._trusted(self.lattice, tuple(rows[:k + 1]))
+        g._restricted = (self, restricted)
+        return restricted
 
     def extend_k3(self, h: Isometry) -> Isometry:
         """Extend an isometry of the K3 block by the identity on h0, h4."""

@@ -1,12 +1,13 @@
 """Constructive rank-2 primitive embeddings and the clearing engine."""
 
+import re
 from math import gcd
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mukailat import embeddings
+from mukailat import embeddings, linalg
 from mukailat.embeddings import (
     WitnessNotFound,
     clearing_isometry,
@@ -16,13 +17,13 @@ from mukailat.embeddings import (
 )
 from mukailat.lattices import (
     Isometry,
+    Lattice,
     LatticeError,
     build_lattice,
     check_isometry,
     hyperbolic_plane,
     k3_lattice,
     mukai_lattice,
-    pull_back,
 )
 from mukailat.stabilizer import vperp_model
 
@@ -86,6 +87,13 @@ class TestTransvection:
         f = label_vector(k3, **{"f.1": 1})
         with pytest.raises(LatticeError):
             eichler_transvection(k3, e, f)
+
+    def test_requires_even_square(self):
+        # on U + <1>, a = (0, 0, 1) is orthogonal to e but (a, a) = 1
+        lat = build_lattice(("U", ("diag", (1,))))
+        with pytest.raises(LatticeError,
+                           match="^transvection needs an even square$"):
+            eichler_transvection(lat, (1, 0, 0), (0, 0, 1))
 
 
 class TestSpecExamples:
@@ -166,6 +174,33 @@ class TestGeneral:
         lam2 = embed_rank2(lat, (1, 0, 0), (1, 0, 2))
         assert verify_embedding(lat, (1, 0, 0), lam2, 1, 0, 2)
 
+    def test_negative_radius_rejected(self, k3):
+        lam1 = label_vector(k3, **{"e.1": 1})
+        with pytest.raises(LatticeError, match=re.escape(
+                "the search radius must be non-negative, got -1")):
+            embed_rank2(k3, lam1, (0, 1, 0), radius=-1)
+
+    def test_odd_target_square_rejected(self, k3):
+        lam1 = label_vector(k3, **{"e.1": 1})
+        with pytest.raises(LatticeError,
+                           match="^target square 2d must be even$"):
+            embed_rank2(k3, lam1, (0, 1, 3))
+
+    def test_odd_lattice_walk_falls_back(self):
+        # on U + U + <1> no U block of lam1 is free.  The walk's first step
+        # has a = (0, 0, -1, -2, -2), of square 8, and leaves (3, 18, 1, 1,
+        # -1); the next would have a = (-3, -18, 0, 0, 1), of odd square
+        # 109, so the walk gives up and the enumeration finds the witness
+        lat = build_lattice(("U", "U", ("diag", (1,))))
+        lam1, target = (3, 5, 4, 7, 5), (111, 1, 2)
+        assert clearing_isometry(lat, lam1) is None
+        lam2 = embed_rank2(lat, lam1, target)
+        assert lam2 == (1, 1, -1, 0, 0)
+        assert verify_embedding(lat, lam1, lam2, *target)
+        with pytest.raises(WitnessNotFound) as err:
+            embed_rank2(lat, lam1, target, radius=0)
+        assert err.value.radius == 0
+
     def test_witness_not_found_without_room(self):
         # a definite lattice with no hyperbolic block: the search is honest
         lat = build_lattice((("diag", (-2, -2)),))
@@ -213,9 +248,23 @@ class TestClearing:
                   for _ in range(count)]
         for lattice, bound in inputs:
             v = random_primitive(lattice, rng, bound, density=1.0)
-            out = clearing_isometry(lattice, v)
+            # the walk reads its image at the start of each pass, so the
+            # spy sees v and every closed-form image after it
+            seen = []
+            free_u_block = embeddings._free_u_block
+
+            def spy(lat, x):
+                seen.append(x)
+                return free_u_block(lat, x)
+
+            with mock.patch.object(embeddings, "_free_u_block", spy):
+                out = clearing_isometry(lattice, v)
             assert out is not None
             steps, image = out
+            assert seen[0] == v and seen[-1] == image
+            assert len(seen) == len(steps) + 1
+            for g, before, after in zip(steps, seen, seen[1:]):
+                assert after == g.apply(before)
             # one transvection I + b c^T + b' c'^T per step, at most one per
             # bit of the largest entry, ending on a free U block
             assert len(steps) <= max(abs(x) for x in v).bit_length()
@@ -227,12 +276,40 @@ class TestClearing:
             for g in steps:
                 x = g.apply(x)
             assert x == image
-            assert pull_back(lattice, steps, image) == v
+            assert embeddings._walk_back(steps, image) == v
             if bound == 30:
                 h = Isometry.identity(lattice)
                 for g in steps:
                     h = g @ h
                 assert check_isometry(lattice, h.matrix).is_isometry
+                inverse = h.inverse()
+                for _ in range(3):
+                    y = random_vector(lattice, rng, bound=10**6, density=0.8)
+                    assert embeddings._walk_back(steps, y) == inverse.apply(y)
+
+    def test_witness_path_forms_no_gram_inverse(self, k3, rng, monkeypatch):
+        # a lambda_1 of full support takes the walk, and the witness comes
+        # back through the inverse steps, not through G^{-1}
+        walks = []
+        walk = embeddings.clearing_isometry
+
+        def spy(*args):
+            walks.append(walk(*args))
+            return walks[-1]
+
+        def forbidden(*args):
+            raise AssertionError("G^{-1} product on the witness path")
+
+        monkeypatch.setattr(embeddings, "clearing_isometry", spy)
+        monkeypatch.setattr(embeddings, "_enumerate_witness", fail_enumeration)
+        monkeypatch.setattr(Lattice, "gram_inverse", forbidden)
+        monkeypatch.setattr(linalg, "mat_vec", forbidden)
+        for bound in (30, 10**40):
+            lam1 = random_primitive(k3, rng, bound, density=1.0)
+            two_a = k3.square(lam1)
+            lam2 = embed_rank2(k3, lam1, (two_a, 7, -4))
+            assert verify_embedding(k3, lam1, lam2, two_a, 7, -4)
+        assert len(walks) == 2 and all(w[0] for w in walks)
 
     @pytest.mark.parametrize("spec", [("U",), ("U", "E8_minus")])
     def test_none_without_two_u_blocks(self, spec):

@@ -1,5 +1,5 @@
 """Structured products with reflections and transvections, the integer
-G^{-1} behind `Isometry.inverse` and `pull_back`, and the sparse
+G^{-1} behind `Isometry.inverse`, and the sparse
 Gram rows behind `Lattice.pair`, `square` and `covector`."""
 
 import random
@@ -22,7 +22,6 @@ from mukailat.lattices import (
     hyperbolic_plane,
     k3_lattice,
     mukai_lattice,
-    pull_back,
 )
 from mukailat.fourier_mukai import elliptic_phi
 from mukailat.stabilizer import GeneratorFamily, vperp_model
@@ -163,34 +162,6 @@ def test_outer_form_matches_dense(kind, rnd, data):
         assert gen.matrix == dense.matrix
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.sampled_from(["K3", "vperp:3"]), st.integers(1, 50),
-       st.randoms(use_true_random=False), st.data())
-def test_pull_back_is_dense_inverse(name, k, rnd, data):
-    # a chain of generators kept in outer form, with some dense products of
-    # two among them; on vperp:3, G^{-1} has denominator 6
-    if name == "K3":
-        lat = k3_lattice()
-        def generator():
-            if rnd.random() < 0.5:
-                return _random_transvection(lat, rnd, 5)
-            return reflection(lat, FAMILY.sample_pm2_vector(rnd))
-    else:
-        lat = vperp_model(3).lattice
-        def generator():
-            return general_reflection(lat, FAMILY.sample_pm2_vector(rnd) + (0,))
-    steps = []
-    for _ in range(k):
-        g = generator()
-        steps.append(g @ generator() if rnd.random() < 0.2 else g)
-    h = Isometry.identity(lat)
-    for g in steps:
-        h = g @ h
-    v = data.draw(st.tuples(*[st.integers(-10**30, 10**30)] * lat.rank))
-    assert pull_back(lat, steps, v) == h.inverse().apply(v)
-    assert pull_back(lat, steps, h.apply(v)) == v
-
-
 def test_apply_checks_length(mukai, rng):
     # a 23-entry vector is not fixed by a Mukai reflection, in either form
     gen = reflection(mukai, FAMILY.sample_pm2_vector(rng) + (0, 0))
@@ -269,10 +240,6 @@ def test_inverse_is_rational_formula(name):
         assert all(isinstance(x, int) for row in inv.matrix for x in row)
         assert inv.matrix == expected
         assert (g @ inv).is_identity()
-        for _ in range(3):
-            y = random_vector(lat, rng, bound=10**6)
-            assert pull_back(lat, (g,), g.apply(y)) == y
-            assert pull_back(lat, (g,), y) == inv.apply(y)
 
 
 def test_gram_inverse_denominator():
@@ -292,10 +259,6 @@ def test_inverse_of_non_isometry_raises():
     m = Isometry._trusted(lat, linalg.freeze(rows))
     with pytest.raises(LatticeError, match="inverse not integral"):
         m.inverse()
-    # M^T G f.1 = e.1 + w, and G^{-1} (e.1 + w) = f.1 - w/6
-    f1 = lat.basis_vector("f.1")
-    with pytest.raises(LatticeError, match="inverse not integral"):
-        pull_back(lat, (m,), f1)
 
 
 # -- the Gram form from its nonzero entries -----------------------------------

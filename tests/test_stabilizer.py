@@ -16,6 +16,7 @@ from mukailat.lattices import (
     is_primitive,
 )
 from mukailat.characters import general_reflection, reflection
+from mukailat.fourier_mukai import mon_twist
 from mukailat.mukai import MukaiVector, mukai_pairing
 from mukailat.stabilizer import (
     ExtensionKind,
@@ -154,6 +155,47 @@ class TestRestrict:
             restricted = model.restrict(g)
             assert restricted.lattice == model.lattice
             assert restricted.matrix == restrict_by_unit_vectors(model, g)
+
+    def test_restriction_is_kept_per_model(self, m3, rng):
+        # an extended K3 isometry fixes h0 and h4, so v for every m
+        h = reflection(m3.k3, generator_family(3).sample_pm2_vector(rng))
+        g = m3.extend_k3(h)
+        first = m3.restrict(g)
+        assert m3.restrict(g) is first
+        other = vperp_model(5)
+        again = other.restrict(g)
+        assert again is not first and again.lattice == other.lattice
+        assert again.matrix == restrict_by_unit_vectors(other, g)
+        fresh = m3.restrict(g)
+        assert fresh is not first and fresh == first
+
+    def test_slot_is_not_compared(self, m3, rng):
+        g = generator_family(3).sample_word(rng, 4).product()
+        bare = Isometry._trusted(g.lattice, g.matrix)
+        m3.restrict(g)
+        assert hasattr(g, "_restricted") and not hasattr(bare, "_restricted")
+        assert g == bare and hash(g) == hash(bare) and repr(g) == repr(bare)
+
+    @pytest.mark.parametrize("length", [1, 2, 5, 8])
+    def test_mon_twist_reads_the_kept_restriction(self, m3, length,
+                                                 monkeypatch):
+        # a second restriction would build restricted.matrix again; the
+        # twist builds only its negation, when cov(g) = 1
+        g = generator_family(3).sample_word(random.Random(length),
+                                            length).product()
+        restricted = m3.restrict(g)
+        built = []
+        trusted = Isometry._trusted.__func__
+
+        def spy(cls, lattice, matrix=None, outer=None):
+            built.append(matrix)
+            return trusted(cls, lattice, matrix, outer)
+
+        monkeypatch.setattr(Isometry, "_trusted", classmethod(spy))
+        twisted = mon_twist(m3, g)
+        assert restricted.matrix not in built
+        assert twisted.matrix == restricted.matrix or \
+            twisted.matrix == linalg.mat_neg(restricted.matrix)
 
     def test_non_fixing_isometry(self, m3):
         with pytest.raises(NotInGammaV, match="does not fix v"):

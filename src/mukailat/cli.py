@@ -6,7 +6,8 @@ of the output and any failed assertion forces a nonzero exit.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a
 `LatticeError`, which every parser of arguments, environment variables and
-JSON files raises on malformed input, or a missing file), 3 witness search
+JSON files raises on malformed input, or an `OSError` opening a file: a
+missing file or a directory), 3 witness search
 exhausted (the radius is echoed in the report), 4 internal error: an
 `InvariantError` (a library bug) or any other unexpected exception, a
 `KeyError` or `ValueError` included, reported as
@@ -75,7 +76,8 @@ def _load_json(path: str):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # not JSON, or not text
+        # not JSON, not text, or nested deeper than the decoder recurses
+        except (ValueError, RecursionError) as exc:
             raise LatticeError(f"{path} is not a JSON file: {exc}") from None
 
 
@@ -320,32 +322,29 @@ def _run_stab(args):
                         "target": args.target, "radius": radius},
                        outputs, verification)
 
-    if args.action == "sample":
-        model = vperp_model(args.m)
-        family = GeneratorFamily(model)
-        rng = random.Random(args.seed)
-        word = family.sample_word(rng, args.length)
-        product = word.product()
-        restricted = model.restrict(product)
-        outputs = {"word": jsonio.word_to_json(word)}
-        verification = [
-            _check("fixes_v", product.fixes(model.v.coords())),
-            _check("disc_action_trivial",
-                   disc_action(model, restricted) == 1 % (2 * args.m)),
-            _check("in_gamma_v",
-                   in_gamma_v(model, restricted) is ExtensionKind.IN_GAMMA_V),
-            # mon_twist raises unless its image preserves orientation, so
-            # W membership comes down to the discriminant action
-            _check("mon_image_in_W",
-                   in_gamma_v(model, mon_twist(model, product))
-                   is not ExtensionKind.DOES_NOT_EXTEND),
-        ]
-        return _report("stab sample",
-                       {"m": args.m, "length": args.length,
-                        "seed": args.seed},
-                       outputs, verification)
-
-    raise LatticeError(f"unknown stab action {args.action!r}")
+    # sample: argparse admits no other action
+    model = vperp_model(args.m)
+    family = GeneratorFamily(model)
+    rng = random.Random(args.seed)
+    word = family.sample_word(rng, args.length)
+    product = word.product()
+    restricted = model.restrict(product)
+    outputs = {"word": jsonio.word_to_json(word)}
+    verification = [
+        _check("fixes_v", product.fixes(model.v.coords())),
+        _check("disc_action_trivial",
+               disc_action(model, restricted) == 1 % (2 * args.m)),
+        _check("in_gamma_v",
+               in_gamma_v(model, restricted) is ExtensionKind.IN_GAMMA_V),
+        # mon_twist raises unless its image preserves orientation, so
+        # W membership comes down to the discriminant action
+        _check("mon_image_in_W",
+               in_gamma_v(model, mon_twist(model, product))
+               is not ExtensionKind.DOES_NOT_EXTEND),
+    ]
+    return _report("stab sample",
+                   {"m": args.m, "length": args.length, "seed": args.seed},
+                   outputs, verification)
 
 
 def _run_fm(args):
@@ -364,25 +363,23 @@ def _run_fm(args):
                         for name, value in checks.items() if name != "all"]
         return _report("fm verify-sigma-tau", {}, {}, verification)
 
-    if args.action == "mon":
-        model = vperp_model(args.m)
-        iso = jsonio.isometry_from_json(_load_json(args.isometry))
-        twisted = mon_twist(model, iso)
-        outputs = {
-            "cov": covariance(iso),
-            "twisted": jsonio.isometry_to_json(twisted, f"vperp:{args.m}"),
-        }
-        verification = [
-            # mon_twist raises unless twisted preserves orientation, so
-            # W membership comes down to the discriminant action
-            _check("orientation_preserving", True),
-            _check("in_W", in_gamma_v(model, twisted)
-                   is not ExtensionKind.DOES_NOT_EXTEND),
-        ]
-        return _report("fm mon", {"m": args.m, "isometry": args.isometry},
-                       outputs, verification)
-
-    raise LatticeError(f"unknown fm action {args.action!r}")
+    # mon: argparse admits no other action
+    model = vperp_model(args.m)
+    iso = jsonio.isometry_from_json(_load_json(args.isometry))
+    twisted = mon_twist(model, iso)
+    outputs = {
+        "cov": covariance(iso),
+        "twisted": jsonio.isometry_to_json(twisted, f"vperp:{args.m}"),
+    }
+    verification = [
+        # mon_twist raises unless twisted preserves orientation, so
+        # W membership comes down to the discriminant action
+        _check("orientation_preserving", True),
+        _check("in_W", in_gamma_v(model, twisted)
+               is not ExtensionKind.DOES_NOT_EXTEND),
+    ]
+    return _report("fm mon", {"m": args.m, "isometry": args.isometry},
+                   outputs, verification)
 
 
 def _run_elliptic(args):
@@ -422,10 +419,8 @@ def run(argv) -> tuple[dict, int]:
             report = _run_stab(args)
         elif args.verb == "fm":
             report = _run_fm(args)
-        elif args.verb == "elliptic":
+        else:  # elliptic: argparse admits no other verb
             report = _run_elliptic(args)
-        else:
-            return {"error": f"unknown verb {args.verb}", "status": 2}, 2
     except WitnessNotFound as exc:
         report = {
             "command": args.verb,
@@ -436,7 +431,7 @@ def run(argv) -> tuple[dict, int]:
         return report, 3
     except InvariantError as exc:
         return _internal_error(exc)
-    except (LatticeError, FileNotFoundError) as exc:
+    except (LatticeError, OSError) as exc:
         return {"error": str(exc), "status": 2}, 2
     except Exception as exc:
         return _internal_error(exc)

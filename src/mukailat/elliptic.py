@@ -28,7 +28,8 @@ def transvection(v) -> linalg.Mat:
     if gcd(r, d) != 1:
         raise LatticeError("transvection needs a primitive vector")
     # (w, v) = r w_1 - d w_0
-    return linalg.identity_plus_outer(1, (((r, d), (-d, r)),))
+    return linalg.identity_plus_outer_mul(1, (((r, d), (-d, r)),),
+                                          linalg.identity(2))
 
 
 def preserves_even_pairing(mat) -> bool:

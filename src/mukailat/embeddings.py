@@ -99,11 +99,13 @@ def verify_embedding(lattice: Lattice, lam1, lam2, two_a, b, two_d) -> bool:
 
 
 def clearing_isometry(lattice: Lattice, v):
-    """(steps, image): Eichler transvections (g_1, ..., g_k) kept in outer
-    form, with image = g_k(... g_1(v)) missing some hyperbolic block and k
-    at most the bit length of the largest |v_i| (`_walk_back` inverts the
-    steps on a vector); None when the lattice has fewer than two U blocks,
-    or at a step whose a has an odd square, which an odd lattice allows."""
+    """(steps, image): Eichler transvections t(e_j, -q), each recorded as
+    the integers (p, j, q, h), with image = t_k(... t_1(v)) missing some
+    hyperbolic block and k at most the bit length of the largest |v_i|
+    (`_walk_back` inverts the steps on a vector); None when the lattice has
+    fewer than two U blocks, or at a step whose q has an odd square, which
+    an odd lattice allows.  e_j is the partner of the pivot p in its U
+    block, so G e_j = e_p; q_p = q_j = 0 and h = (q, q)/2."""
     ublocks = lattice.blocks_named("U")
     if len(ublocks) < 2:
         return None
@@ -121,10 +123,12 @@ def clearing_isometry(lattice: Lattice, v):
     # off the block, t(e, a) sends u to u + y a and t(f, a) sends it to
     # u + x a.  So with pivot c = y (resp. x) and a = -q, q = round(u / c),
     # one transvection takes each u_i to u_i - c q_i, at most |c|/2; the
-    # pivot keeps c and the partner gains e_coef . v (its other term).
+    # pivot keeps c and the partner gains (q, v) - h c.  t(e_j, -q) is an
+    # isometry as it stands: e_j is isotropic, (e_j, q) = q_p = 0, and
+    # (q, q) is even by the parity test.
     # Each step takes c the smallest nonzero hyperbolic coefficient.  While
     # no U block is free, every other U block has a nonzero coefficient, of
-    # size at least |c|, so a != 0 and the step changes v.  After it, each
+    # size at least |c|, so q != 0 and the step changes v.  After it, each
     # other U block is free or has a nonzero coefficient of size at most
     # |c|/2.  So each pivot is at most half the last, the first is at most
     # max |v_i|, and the walk ends within bitlength(max |v_i|) steps; the
@@ -140,29 +144,25 @@ def clearing_isometry(lattice: Lattice, v):
         q[pivot] = q[partner] = 0
         if sum(q[i] for i in odd) % 2:
             return None
-        # the isotropic partner basis vector pairs with v to c
-        isotropic = (0,) * partner + (1,) + (0,) * (len(v) - partner - 1)
-        step = eichler_transvection(lattice, isotropic, [-y for y in q])
+        q = tuple(q)
+        h = lattice.square(q) // 2
         image = [x - c * y for x, y in zip(v, q)]
-        image[partner] += sum(y * x for y, x in zip(step.outer[1][0][1], v))
+        image[partner] += lattice.pair(q, v) - h * c
         v = tuple(image)
-        steps.append(step)
+        steps.append((pivot, partner, q, h))
     return None
 
 
-def _walk_back(steps, y):
-    """The x with g_k(... g_1(x)) == y for the steps t(e, a) = I + e e_coef^T
-    + a (G e)^T of `clearing_isometry`: e_coef = -G a - h G e, h = (a, a)/2,
-    G e = the unit vector at the pivot p.  t(e, -a) sends x to x - x_p a +
-    ((a, x) - h x_p) e, h = -e_coef_p and (a, x) = -(e_coef . x) - h x_p."""
+def _walk_back(lattice: Lattice, steps, y):
+    """The x with t_k(... t_1(x)) == y for the steps (p, j, q, h) of
+    `clearing_isometry`: the inverse t(e_j, q) of each step, last first,
+    sends x to x + x_p q - ((q, x) + h x_p) e_j."""
     x = list(y)
-    for step in reversed(steps):
-        (e, e_coef), (a, ge) = step.outer[1]
-        p = ge.index(1)
-        xp, h = x[p], -e_coef[p]
-        t = -sum(c * z for c, z in zip(e_coef, x)) - 2 * h * xp
-        x = [z - xp * ai for z, ai in zip(x, a)]
-        x[e.index(1)] += t
+    for p, j, q, h in reversed(steps):
+        xp = x[p]
+        t = lattice.pair(q, x) + h * xp
+        x = [z + xp * qi for z, qi in zip(x, q)]
+        x[j] -= t
     return tuple(x)
 
 
@@ -244,7 +244,7 @@ def embed_rank2(lattice: Lattice, lam1, target, radius: int = DEFAULT_RADIUS):
         free = _free_u_block(lattice, image)
         lam2_img = _free_plane_witness(lattice, image, b, d, free)
         if lam2_img is not None:
-            lam2 = _walk_back(steps, lam2_img)
+            lam2 = _walk_back(lattice, steps, lam2_img)
             if verify_embedding(lattice, lam1, lam2, two_a, b, two_d):
                 return lam2
 

@@ -307,11 +307,11 @@ class Isometry:
     through `_trusted`, each stating why its result preserves the form.
 
     `outer` is (s, terms) when a library site built M = s I + sum_k b_k
-    c_k^T that way, through `_trusted(lattice, outer=(s, terms))` (see
-    `linalg.identity_plus_outer`).  Then `.matrix` is formed only when first
-    read, and `apply`, `apply_transpose` and `compose` with M on the left use
-    the terms instead.  ==, hash and repr are those of (lattice, matrix)
-    either way.
+    c_k^T that way, through `_trusted(lattice, outer=(s, terms))`; this
+    class alone reads it.  Then `.matrix` is formed only when first read
+    (`linalg.identity_plus_outer_mul` applied to I), and `apply` and
+    `compose` with M on the left use the terms instead.  ==, hash and repr
+    are those of (lattice, matrix) either way.
 
     `_orientation_char` holds `characters.orientation_char(self)` once it
     has been read, and `_restricted` holds (model, model.restrict(self))
@@ -345,7 +345,8 @@ class Isometry:
     @property
     def matrix(self) -> Mat:
         if self._matrix is None:
-            self._matrix = linalg.identity_plus_outer(*self.outer)
+            self._matrix = linalg.identity_plus_outer_mul(
+                *self.outer, linalg.identity(self.lattice.rank))
         return self._matrix
 
     def __eq__(self, other):
@@ -369,15 +370,6 @@ class Isometry:
         if self.outer is not None:
             return linalg.identity_plus_outer_vec(*self.outer, v)
         return linalg.mat_vec(self.matrix, v)
-
-    def apply_transpose(self, y: Vec) -> Vec:
-        """M^T y; for M = s I + sum_k b_k c_k^T that is s y + sum_k c_k (b_k . y)."""
-        self.lattice._check_length(y)
-        if self.outer is not None:
-            s, terms = self.outer
-            return linalg.identity_plus_outer_vec(
-                s, tuple((c, b) for b, c in terms), y)
-        return linalg.mat_vec(linalg.transpose(self.matrix), y)
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other (matrix product self.matrix @ other.matrix)."""

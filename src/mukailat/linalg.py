@@ -22,7 +22,10 @@ isometry also fixes many basis vectors e_i (column i is e_i) or coordinates
 x_i (row i is e_i); `det` drops those indices and eliminates only the
 block the matrix moves, and so does `det_mod`, its elimination over F_p for
 a caller that knows the determinant up to a residue (an isometry of a
-nondegenerate lattice has determinant +-1, told apart mod 3).
+nondegenerate lattice has determinant +-1, told apart mod 3).  A reflection
+or transvection s I + sum_k b_k c_k^T has one kernel for matrices,
+`identity_plus_outer_mul` (its own matrix is the product with I), and one
+for vectors, `identity_plus_outer_vec`.
 """
 
 from __future__ import annotations
@@ -78,28 +81,15 @@ def mat_neg(m: Mat) -> Mat:
     return tuple(tuple(-x for x in row) for row in m)
 
 
-def identity_plus_outer(s: int, terms) -> Mat:
-    """s I + sum_k b_k c_k^T for terms ((b_1, c_1), ...).
+def identity_plus_outer_mul(s: int, terms, m: Mat) -> Mat:
+    """(s I + sum_k b_k c_k^T) @ m = s m + sum_k b_k (c_k^T m), in O(n^2)
+    per term, not mat_mul's O(n^3); with s = 1 an untouched row is m's own.
 
     Each b_k is a column vector and each c_k a row covector (for a lattice
     map, a vector already multiplied by the Gram matrix: `Lattice.covector`),
     so the matrix sends x to s x + sum_k c_k(x) b_k.  Reflections and
-    transvections are all of this shape."""
-    n = len(terms[0][1])
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        for b, c in terms:
-            if b[i]:
-                row = [x + b[i] * y for x, y in zip(row, c)]
-        row[i] += s
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def identity_plus_outer_mul(s: int, terms, m: Mat) -> Mat:
-    """(s I + sum_k b_k c_k^T) @ m = s m + sum_k b_k (c_k^T m), in O(n^2)
-    per term, not mat_mul's O(n^3); with s = 1 an untouched row is m's own."""
+    transvections are all of this shape; with m = I this builds the matrix
+    itself."""
     outer = [(b, mat_mul((c,), m)[0]) for b, c in terms]
     rows = []
     for i, row in enumerate(m):
@@ -113,7 +103,7 @@ def identity_plus_outer_mul(s: int, terms, m: Mat) -> Mat:
 
 def identity_plus_outer_vec(s: int, terms, v: Vec) -> Vec:
     """(s I + sum_k b_k c_k^T) v = s v + sum_k (c_k . v) b_k, in O(n) per
-    term; the transpose is the same map with each term given as (c_k, b_k)."""
+    term."""
     out = [s * x for x in v]
     for b, c in terms:
         t = sum(x * y for x, y in zip(c, v) if x)

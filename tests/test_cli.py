@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mukailat import characters, cli, embeddings, jsonio, lattices, linalg
 from mukailat.cli import run
@@ -581,3 +582,98 @@ class TestEnvRadius:
         )
         assert status == 3
         assert report["radius"] == 4
+
+
+class TestUnreadableFile:
+    # a path the CLI cannot read as JSON is a usage error (exit 2), never
+    # an internal one (exit 4)
+    def test_directory_exits_2(self, tmp_path):
+        report, status = invoke(["char", "--isometry", str(tmp_path)])
+        assert status == 2
+        assert "Is a directory" in report["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["char", "--isometry"],
+        ["stab", "classify", "--m", "2", "--vector"],
+    ])
+    def test_deeply_nested_json_exits_2(self, tmp_path, argv):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 5000 + "]" * 5000)
+        report, status = invoke(argv + [str(path)])
+        assert status == 2
+        assert report["error"].startswith(f"{path} is not a JSON file: ")
+
+
+# (argv before the file path, a valid JSON input of that verb) for every
+# verb that reads a file
+_FILE_VERBS = {
+    "char": (["char", "--isometry"],
+             json.loads((GOLDEN / "inputs" / "char_m7.json").read_text())),
+    "stab-classify": (["stab", "classify", "--m", "2", "--vector"],
+                      {"r": 0, "c": [1] + [0] * 21, "s": 0}),
+    "stab-factor": (["stab", "factor", "--m", "3", "--isometry"],
+                    json.loads((GOLDEN / "inputs" / "factor_m3.json")
+                               .read_text())),
+    "stab-embed": (["stab", "embed", "--target", "-2,1,-2", "--lambda1"],
+                   [1] + [0] * 21),
+    "fm-mon": (["fm", "mon", "--m", "2", "--isometry"],
+               json.loads((GOLDEN / "inputs" / "mon_m2.json").read_text())),
+    "elliptic-stab": (["elliptic", "stab", "--v", "1,0", "--test"],
+                      [[1, 3], [0, 1]]),
+}
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["mukai", "k3", "U", "vperp:2", "vperp:0", "r", "c"])
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4) | st.sampled_from(
+        ["lattice", "matrix", "r", "c", "s"]), inner, max_size=4),
+    max_leaves=12)
+
+
+def _mutate(value, data):
+    """value with one node, reached by random steps from the root, replaced
+    by random JSON, a nearby or huge int, or its list cut short or
+    lengthened."""
+    if isinstance(value, (list, dict)) and value and \
+            data.draw(st.integers(0, 4)):
+        key = data.draw(st.sampled_from(
+            range(len(value)) if isinstance(value, list) else list(value)))
+        out = list(value) if isinstance(value, list) else dict(value)
+        out[key] = _mutate(value[key], data)
+        return out
+    choices = [_JSON]
+    if type(value) is int:
+        choices.append(st.integers(-3, 3).map(lambda d: value + d))
+        choices.append(st.sampled_from([10**40, -10**40]))
+    if isinstance(value, list):
+        choices.append(st.integers(0, len(value)).map(lambda k: value[:k]))
+        choices.append(st.just(value + value[-1:]))
+    return data.draw(st.one_of(choices))
+
+
+class TestExitContract:
+    # whatever a file-reading verb is given, it exits 0, 1, 2 or 3: exit 4
+    # is kept for library bugs
+    @pytest.mark.parametrize("verb", list(_FILE_VERBS))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_never_exits_4(self, verb, tmp_path, monkeypatch, data):
+        monkeypatch.delenv("MUKAI_SEARCH_RADIUS", raising=False)
+        argv, valid = _FILE_VERBS[verb]
+        kind = data.draw(st.sampled_from(["valid", "mutated", "json",
+                                          "text"]))
+        if kind == "valid":
+            text = json.dumps(valid)
+        elif kind == "mutated":
+            text = json.dumps(_mutate(valid, data))
+        elif kind == "json":
+            text = json.dumps(data.draw(_JSON))
+        else:
+            text = data.draw(st.text(max_size=40))
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        report, status = invoke(argv + [str(path)])
+        assert status in (0, 1, 2, 3), report

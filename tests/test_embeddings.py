@@ -30,6 +30,10 @@ from mukailat.stabilizer import vperp_model
 from conftest import fail_enumeration, label_vector, random_vector
 
 
+def unit(n, i):
+    return tuple(int(k == i) for k in range(n))
+
+
 def random_primitive(k3, rng, bound, density=0.6):
     while True:
         v = tuple(
@@ -263,29 +267,32 @@ class TestClearing:
             steps, image = out
             assert seen[0] == v and seen[-1] == image
             assert len(seen) == len(steps) + 1
-            for g, before, after in zip(steps, seen, seen[1:]):
+            # each step (p, j, q, h) is the transvection t(e_j, -q), with
+            # G e_j = e_p, q_p = q_j = 0 and h = (q, q)/2, as the public
+            # constructor builds it: at most one per bit of the largest
+            # entry, ending on a free U block
+            transvections = []
+            for (p, j, q, h), before, after in zip(steps, seen, seen[1:]):
+                e = unit(lattice.rank, j)
+                assert lattice.covector(e) == unit(lattice.rank, p)
+                assert q[p] == q[j] == 0 and 2 * h == lattice.square(q)
+                g = eichler_transvection(lattice, e, linalg.vec_neg(q))
                 assert after == g.apply(before)
-            # one transvection I + b c^T + b' c'^T per step, at most one per
-            # bit of the largest entry, ending on a free U block
+                transvections.append(g)
             assert len(steps) <= max(abs(x) for x in v).bit_length()
-            assert all(g.outer[0] == 1 and len(g.outer[1]) == 2
-                       for g in steps)
             assert any(image[b.start] == image[b.start + 1] == 0
                        for b in lattice.blocks_named("U"))
-            x = v
-            for g in steps:
-                x = g.apply(x)
-            assert x == image
-            assert embeddings._walk_back(steps, image) == v
+            assert embeddings._walk_back(lattice, steps, image) == v
             if bound == 30:
                 h = Isometry.identity(lattice)
-                for g in steps:
+                for g in transvections:
                     h = g @ h
                 assert check_isometry(lattice, h.matrix).is_isometry
                 inverse = h.inverse()
                 for _ in range(3):
                     y = random_vector(lattice, rng, bound=10**6, density=0.8)
-                    assert embeddings._walk_back(steps, y) == inverse.apply(y)
+                    assert embeddings._walk_back(lattice, steps, y) == \
+                        inverse.apply(y)
 
     def test_witness_path_forms_no_gram_inverse(self, k3, rng, monkeypatch):
         # a lambda_1 of full support takes the walk, and the witness comes
@@ -331,6 +338,6 @@ class TestClearing:
         # the pivot order fixes every factored word: the smallest nonzero
         # |c|, then the lowest U block, then its f coefficient before its e
         steps, _ = clearing_isometry(k3, label_vector(k3, **coeffs))
-        (isotropic, _), (first_a, _) = steps[0].outer[1]
-        assert isotropic == label_vector(k3, **{pivot_partner: 1})
-        assert first_a == label_vector(k3, **a)
+        _, partner, q, _ = steps[0]
+        assert unit(k3.rank, partner) == label_vector(k3, **{pivot_partner: 1})
+        assert linalg.vec_neg(q) == label_vector(k3, **a)

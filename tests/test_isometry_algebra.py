@@ -38,6 +38,14 @@ def integer_matrix(n, bound=10**6):
     ).map(linalg.freeze)
 
 
+def dense_outer(s, terms):
+    """s I + sum_k b_k c_k^T entry by entry, the reference for the outer
+    form (s, terms) of a reflection or transvection."""
+    n = len(terms[0][1])
+    return tuple(tuple(s * (i == j) + sum(b[i] * c[j] for b, c in terms)
+                       for j in range(n)) for i in range(n))
+
+
 def assert_compose_is_dense_product(gen, m):
     """gen @ m through the structured form equals mat_mul, for any integer
     matrix m (not an isometry, so it takes the unverified path)."""
@@ -98,7 +106,7 @@ def test_identity_plus_outer_mul(s, k, cols, data):
         st.lists(st.integers(-10**9, 10**9), min_size=cols, max_size=cols),
         min_size=n, max_size=n)))
     assert linalg.identity_plus_outer_mul(s, terms, m) == \
-        linalg.mat_mul(linalg.identity_plus_outer(s, terms), m)
+        linalg.mat_mul(dense_outer(s, terms), m)
 
 
 def test_structured_and_dense_are_equal(mukai, rng):
@@ -147,16 +155,13 @@ def _random_transvection(lat, rnd, bound):
 @settings(max_examples=15, deadline=None)
 @given(rnd=st.randoms(use_true_random=False), data=st.data())
 def test_outer_form_matches_dense(kind, rnd, data):
-    # apply, apply_transpose and hash on a generator whose matrix has not
-    # been read, then == and the lazily built matrix
+    # apply and hash on a generator whose matrix has not been read, then ==
+    # and the lazily built matrix
     for gen in _outer_generators(kind, rnd):
         lat = gen.lattice
-        dense = Isometry(lat, linalg.identity_plus_outer(*gen.outer))
-        big = st.tuples(*[st.integers(-10**30, 10**30)] * lat.rank)
-        x, y = data.draw(big), data.draw(big)
+        dense = Isometry(lat, dense_outer(*gen.outer))
+        x = data.draw(st.tuples(*[st.integers(-10**30, 10**30)] * lat.rank))
         assert gen.apply(x) == linalg.mat_vec(dense.matrix, x)
-        assert gen.apply_transpose(y) == \
-            linalg.mat_vec(linalg.transpose(dense.matrix), y)
         assert hash(gen) == hash(dense)
         assert gen == dense and repr(gen) == repr(dense)
         assert gen.matrix == dense.matrix
@@ -169,8 +174,6 @@ def test_apply_checks_length(mukai, rng):
         for v in ((1,) * 23, (1,) * 25):
             with pytest.raises(LatticeError):
                 g.apply(v)
-            with pytest.raises(LatticeError):
-                g.apply_transpose(v)
 
 
 def test_product_is_dense(mukai, rng):

@@ -128,7 +128,8 @@ def test_no_public_outer_form_constructor():
     assert not hasattr(Isometry, "from_outer")
     e = mukai.basis_vector("e.1")
     with pytest.raises(LatticeError, match="does not preserve the Gram"):
-        Isometry(mukai, linalg.identity_plus_outer(2, ((e, e),)))
+        Isometry(mukai, linalg.identity_plus_outer_mul(
+            2, ((e, e),), linalg.identity(mukai.rank)))
 
 
 def _scaled_k3_identity():

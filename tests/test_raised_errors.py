@@ -1,11 +1,14 @@
-"""Each typed raise of `Lattice`, `Isometry`, `discriminant_group` and
-`kernel_basis` fires on its input, with its error type and message."""
+"""Each typed raise of `Lattice`, `Isometry`, `discriminant_group`,
+`kernel_basis`, the v-perp model, `factor`, `sym3_triple` and the word
+reader fires on its input, with its error type and message."""
 
 import re
 
 import pytest
 
 from mukailat import linalg
+from mukailat.embeddings import verify_embedding
+from mukailat.jsonio import word_from_json
 from mukailat.lattices import (
     Isometry,
     Lattice,
@@ -13,9 +16,21 @@ from mukailat.lattices import (
     build_lattice,
     discriminant_group,
     hyperbolic_plane,
+    is_primitive,
     k3_lattice,
+    mukai_lattice,
     primitive_part,
 )
+from mukailat.mukai import MukaiVector
+from mukailat.stabilizer import (
+    NotInGammaV,
+    classify_minus2,
+    factor,
+    sym3_triple,
+    vperp_model,
+)
+
+from conftest import label_vector
 
 
 @pytest.mark.parametrize("gram, labels, message", [
@@ -66,3 +81,63 @@ def test_kernel_basis_of_empty_shapes():
     assert linalg.kernel_basis(((),)) == ()
     assert linalg.kernel_basis(((), ())) == ()
     assert linalg.kernel_basis(()) == ()
+
+
+def _sym3(l1, l2):
+    # v1 = (1, -L1, 2) and v2 = (1, -L2, 2) at m = 2, a = b = 1: the pair
+    # conditions ask L1^2 = L2^2 = 2 (and L1.L2 = 5)
+    return sym3_triple(2, MukaiVector(1, linalg.vec_neg(l1), 2),
+                       MukaiVector(1, linalg.vec_neg(l2), 2))
+
+
+def _plane(k3, block):
+    # e + f in U.block, of square 2
+    return label_vector(k3, **{f"e.{block}": 1, f"f.{block}": 1})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: word_from_json(vperp_model(2), {"letters": [{"kind": "sigma"}]}),
+     LatticeError, "unknown letter kind 'sigma'"),
+    (lambda: build_lattice((("free", (1,)),)),
+     LatticeError, "unknown block ('free', (1,))"),
+    (lambda: is_primitive(k3_lattice(), (1, 0)),
+     LatticeError, "vector length does not match lattice rank"),
+    (lambda: vperp_model(2).to_perp_coords(MukaiVector(1, (0,) * 22, 0)),
+     LatticeError, "vector is not orthogonal to v"),
+    (lambda: vperp_model(2).restrict(Isometry.identity(k3_lattice())),
+     LatticeError, "expected an isometry of the Mukai lattice"),
+    (lambda: vperp_model(2).extend_k3(Isometry.identity(mukai_lattice())),
+     LatticeError, "expected an isometry of the K3 lattice"),
+    # (1, 0, 1) has square -2 but pairs with v = (1, 0, -2) to 1
+    (lambda: classify_minus2(vperp_model(2), MukaiVector(1, (0,) * 22, 1)),
+     LatticeError, "vector is not orthogonal to v"),
+    (lambda: _sym3((0,) * 22, _plane(k3_lattice(), 1)),
+     LatticeError, "L1 square condition fails"),
+    (lambda: _sym3(_plane(k3_lattice(), 1), (0,) * 22),
+     LatticeError, "L2 square condition fails"),
+    (lambda: factor(vperp_model(2), Isometry.identity(k3_lattice())),
+     NotInGammaV, "expected an isometry of the Mukai lattice"),
+], ids=["word_letter_kind", "tuple_block", "is_primitive_length",
+        "to_perp_coords", "restrict_not_mukai", "extend_k3_not_k3",
+        "classify_not_orthogonal", "sym3_l1_square", "sym3_l2_square",
+        "factor_not_mukai"])
+def test_typed_raise(call, error, message):
+    with pytest.raises(error, match=re.escape(message)) as info:
+        call()
+    assert type(info.value) is error
+
+
+def test_verify_embedding_false_branches():
+    # lambda_1 = e.1 + f.1 and lambda_2 = e.2 + f.2, both of square 2 and
+    # orthogonal: a wrong square, then a wrong pairing, is False
+    k3 = k3_lattice()
+    lam1, lam2 = _plane(k3, 1), _plane(k3, 2)
+    assert verify_embedding(k3, lam1, lam2, 2, 0, 2)
+    assert not verify_embedding(k3, lam1, lam2, 2, 0, 4)
+    assert not verify_embedding(k3, lam1, lam2, 2, 1, 2)
+
+
+def test_isometry_equals_only_an_isometry():
+    identity = Isometry.identity(k3_lattice())
+    assert identity.__eq__(3) is NotImplemented
+    assert identity != 3

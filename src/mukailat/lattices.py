@@ -472,14 +472,14 @@ class DiscGroup:
 
 
 def discriminant_group(lattice: Lattice) -> DiscGroup:
-    """L*/L and q from the Smith form of G taken mod M = D^2, D = |det G|.
+    """L*/L and q from the Smith form of G taken mod D = |det G|.
 
-    The elimination gives G t = s^-1 diag(d) (mod M), s and t invertible
-    mod M.  So G t_i / d_i is integral, and it differs from column i of
-    s^-1 by (M / d_i) z, with z integral and M / d_i a multiple of D, which
-    lies in G Z^n.  The t_i / d_i with d_i != 1 therefore generate L*/L
-    with orders d_i.  t_i mod d_i is the same class; it is replayed mod
-    d_n, which every d_i divides.
+    The elimination gives G t = s^-1 diag(d) (mod D), t unimodular.  Each
+    d_i divides D, so G t_i = 0 (mod d_i) and t_i / d_i lies in L*.  If
+    sum a_i t_i / d_i is integral, t (a_i D / d_i) = 0 (mod D): d_i | a_i.
+    So the t_i / d_i embed the sum of the Z/d_i, of order prod d_i = D
+    (checked below), in L*/L of order D, and generate it with orders d_i.
+    t_i mod d_i is the same class; it is replayed mod d_n, a multiple of d_i.
     """
     g = lattice.gram
     order = abs(lattice.determinant())
@@ -487,7 +487,7 @@ def discriminant_group(lattice: Lattice) -> DiscGroup:
         raise LatticeError("degenerate Gram matrix")
     if order == 1:
         return DiscGroup((), (), (), 1)
-    diag, log = linalg.smith_elimination(g, order * order)
+    diag, log = linalg.smith_elimination(g, order)
     product = prod(diag)
     if product != order:
         raise LatticeError(f"discriminant order {product} is not |det G|")

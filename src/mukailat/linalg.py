@@ -5,7 +5,7 @@ Python ints (or ``fractions.Fraction`` where a function says so).  There is
 no floating point anywhere in this package; every result below is exact.
 
 The workhorses are one Smith elimination, taken over Z (for saturated
-kernels) or mod a modulus (for discriminant groups, mod det^2), and
+kernels) or mod a modulus (for discriminant groups, mod |det|), and
 fraction-free (Bareiss) elimination on integers (a rational matrix is first
 scaled to one), over the upper triangle alone for a symmetric Gram's
 signature and determinant (`symmetric_elimination`).  The Smith

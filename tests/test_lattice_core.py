@@ -5,10 +5,10 @@ import pathlib
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm, prod
+from math import isqrt, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
@@ -372,10 +372,30 @@ def test_disc_builds_only_the_nonunit_columns(monkeypatch, make, built):
     monkeypatch.setattr(linalg, "smith_columns", recording)
     dg = discriminant_group(lattice)
     det = abs(lattice.determinant())
-    diag, _ = linalg.smith_elimination(lattice.gram, det * det)
+    diag, _ = linalg.smith_elimination(lattice.gram, det)
     assert built == [i for i, x in enumerate(diag) if x != 1]
     expected = [(built, dg.divisors[-1])] if built else []
     assert asked == expected and len(dg.divisors) == len(built)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_lattice(("K3", ("diag", (-6, 4, 10)))),
+    lambda: vperp_model(30).lattice,
+    lambda: build_lattice((("diag", (-4, 8, 12, 18)), "U")),
+], ids=["K3,diag(-6:4:10)", "vperp30", "diag(-4:8:12:18)"])
+def test_disc_eliminates_once_mod_det(monkeypatch, make):
+    # the Smith elimination runs once, mod D = |det G| itself, not mod D^2
+    lattice = make()
+    moduli = []
+    eliminate = linalg.smith_elimination
+
+    def recording(mat, modulus=None):
+        moduli.append(modulus)
+        return eliminate(mat, modulus)
+
+    monkeypatch.setattr(linalg, "smith_elimination", recording)
+    discriminant_group(lattice)
+    assert moduli == [abs(lattice.determinant())]
 
 
 @pytest.mark.parametrize("lattice", [mukai_lattice(), e8_minus(),
@@ -412,6 +432,47 @@ def test_disc_of_non_cyclic_diagonal(entries, divisors):
     # the entries do not form a chain, so the elimination repairs it
     lattice = build_lattice((("diag", entries), "U"))
     assert assert_disc_pinned(lattice).divisors == divisors
+
+
+NON_CYCLIC_CHAINS = ((2, 2, 12, 12), (2, 4, 12, 72), (3, 9, 27, 81),
+                     (2,) * 6)
+
+
+@st.composite
+def non_cyclic_grams(draw):
+    """(V^T diag(+-d) V, chain): d is a chain of invariant factors that
+    share primes, padded with +-1 entries and shuffled, and V = L U is
+    unimodular, L and U unitriangular, with entries up to 10^20."""
+    chain = draw(st.sampled_from(NON_CYCLIC_CHAINS))
+    entries = draw(st.permutations(
+        list(chain) + [1] * draw(st.integers(0, 4))))
+    diag = [draw(st.sampled_from((1, -1))) * e for e in entries]
+    n = len(entries)
+    bound = isqrt(10**20 // n)
+    off = st.integers(-bound, bound)
+    low = [[1 if i == j else draw(off) if j < i else 0 for j in range(n)]
+           for i in range(n)]
+    up = [[1 if i == j else draw(off) if j > i else 0 for j in range(n)]
+          for i in range(n)]
+    v = [[sum(low[i][k] * up[k][j] for k in range(n)) for j in range(n)]
+         for i in range(n)]
+    assert all(abs(x) <= 10**20 for row in v for x in row)
+    gram = tuple(tuple(sum(v[k][i] * diag[k] * v[k][j] for k in range(n))
+                       for j in range(n)) for i in range(n))
+    return gram, chain
+
+
+@settings(max_examples=30, deadline=None)
+@given(non_cyclic_grams())
+def test_disc_of_non_cyclic_unimodular_conjugate(sample):
+    # where the invariants share primes, mod D and mod D^2 could part ways;
+    # the group must still be the chain itself, as sympy finds it too
+    gram, chain = sample
+    lattice = Lattice(gram, tuple(f"b{i}" for i in range(len(gram))))
+    dg = assert_disc_pinned(lattice)
+    invariants = (abs(int(x))
+                  for x in invariant_factors(Matrix(gram), domain=ZZ))
+    assert dg.divisors == tuple(x for x in invariants if x != 1) == chain
 
 
 def test_disc_of_vperp_under_python_O():

@@ -64,8 +64,8 @@ def test_compose_across_lattices():
 
 
 def test_discriminant_order_checks_the_kept_determinant():
-    # the Smith divisors mod D^2 multiply to |det G| = 24, not to a wrong
-    # kept determinant
+    # the Smith divisors mod the kept determinant, 48, multiply to
+    # |det G| = 24, not to 48
     lattice = build_lattice((("diag", (-6, 4)), "U"))
     pos, neg, zero, det = lattice._elimination
     assert (zero, abs(det)) == (0, 24)

@@ -170,14 +170,16 @@ def test_snf_diagonal_large_entries(a):
 @settings(max_examples=120, deadline=None)
 @given(square_matrices(n_max=5, bound=9)
        | square_matrices(n_max=4, bound=10**12),
-       st.integers(1, 10**6) | st.just(None))
+       st.integers(1, 10**6) | st.sampled_from(("det", "det^2")))
 def test_snf_mod_diagonal(a, modulus):
     # over Z/M the Smith form of a is diag(gcd(e_i, M)) for its invariant
-    # factors e_i over Z; M = det^2 (None) leaves every e_i as it is
+    # factors e_i over Z; M = |det| or det^2 leaves every e_i of a
+    # nonsingular a as it is
     invariants = sympy_invariants(a)
     invariants += (0,) * (len(a) - len(invariants))
-    if modulus is None:
-        modulus = linalg.det(a) ** 2 or 1
+    power = {"det": 1, "det^2": 2}.get(modulus)
+    if power:
+        modulus = abs(linalg.det(a)) ** power or 1
     diag, _ = linalg.smith_elimination(a, modulus)
     assert diag == tuple(math.gcd(e, modulus) for e in invariants)
 

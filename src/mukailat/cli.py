@@ -83,17 +83,13 @@ def _load_json(path: str):
 
 def _default_radius(args) -> int:
     """`stab embed`'s --radius, else MUKAI_SEARCH_RADIUS, else
-    DEFAULT_RADIUS; LatticeError when it is negative, whether or not a
-    witness search is reached."""
-    radius = args.radius
-    if radius is None:
-        env = os.environ.get("MUKAI_SEARCH_RADIUS")
-        radius = jsonio.int_from_text(env, "MUKAI_SEARCH_RADIUS") if env \
-            else DEFAULT_RADIUS
-    if radius < 0:
-        raise LatticeError(
-            f"the search radius must be non-negative, got {radius}")
-    return radius
+    DEFAULT_RADIUS; `embed_rank2` rejects a negative one before any other
+    work."""
+    if args.radius is not None:
+        return args.radius
+    env = os.environ.get("MUKAI_SEARCH_RADIUS")
+    return jsonio.int_from_text(env, "MUKAI_SEARCH_RADIUS") if env \
+        else DEFAULT_RADIUS
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,6 +9,7 @@ t_v(w) = w + (w, v) v.
 
 from __future__ import annotations
 
+from itertools import product
 from math import gcd
 
 from . import linalg
@@ -88,16 +89,8 @@ def even_stabilizer(v) -> EvenStabilizer:
 
 def enumerate_stabilizer(v, bound: int) -> list[linalg.Mat]:
     """All integer matrices with entries up to `bound`, det 1, fixing v."""
-    out = []
-    rng = range(-bound, bound + 1)
     v = tuple(v)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    if a * d - b * c != 1:
-                        continue
-                    mat = ((a, b), (c, d))
-                    if fixes_vector(mat, v):
-                        out.append(mat)
-    return out
+    det_one = (((a, b), (c, d))
+               for a, b, c, d in product(range(-bound, bound + 1), repeat=4)
+               if a * d - b * c == 1)
+    return [mat for mat in det_one if fixes_vector(mat, v)]

@@ -12,7 +12,9 @@ Nikulin statement; this module is the constructive side:
    Eichler transvections t(e, a), at most one per bit of its largest entry
    (on an odd lattice the walk may stop), solve there, and pull the witness
    back through the inverse steps t(e, -a), with no Gram inverse.
-3. As a last resort, bounded enumeration on small-rank supports.
+3. As a last resort, bounded enumeration: every candidate with entries up
+   to min(radius, 8) on at most 6 coordinates, those of the blocks
+   lambda_1 touches plus fresh blocks, in lexicographic order.
 
 Failure raises WitnessNotFound with the radius echoed; it never claims
 non-existence.  On an even unimodular lattice with two or more U blocks
@@ -23,6 +25,9 @@ exists, and b^2 (mu, mu) is even.
 
 from __future__ import annotations
 
+from itertools import product
+from operator import mul
+
 from . import linalg
 from .lattices import Isometry, Lattice, LatticeError, primitive_part
 
@@ -30,10 +35,10 @@ DEFAULT_RADIUS = 64
 
 
 class WitnessNotFound(RuntimeError):
-    def __init__(self, radius: int, message: str = ""):
+    def __init__(self, radius: int):
         self.radius = radius
         super().__init__(
-            message or f"no witness found within radius {radius}; "
+            f"no witness found within radius {radius}; "
             "the bound may be too small (existence is not refuted)"
         )
 
@@ -58,11 +63,6 @@ def eichler_transvection(lattice: Lattice, e, a) -> Isometry:
     # the Eichler transvection preserves the form for e isotropic and a
     # orthogonal to e, as checked above
     return Isometry._trusted(lattice, outer=(1, ((e, e_coef), (a, ge))))
-
-
-def _support_blocks(lattice: Lattice, v):
-    return [b for b in lattice.blocks
-            if any(v[b.start + i] for i in range(b.size))]
 
 
 def _free_u_block(lattice: Lattice, v):
@@ -170,9 +170,11 @@ def _walk_back(lattice: Lattice, steps, y):
 
 
 def _enumerate_witness(lattice: Lattice, lam1, two_a, b, two_d, radius: int):
-    indices = []
-    for blk in _support_blocks(lattice, lam1):
-        indices.extend(range(blk.start, blk.start + blk.size))
+    """Step 3 of the module docstring: the first candidate that verifies,
+    else None (past 6 indices, or none within min(radius, 8))."""
+    indices = [i for blk in lattice.blocks
+               if any(lam1[blk.start:blk.start + blk.size])
+               for i in range(blk.start, blk.start + blk.size)]
     for blk in lattice.blocks:
         fresh = [i for i in range(blk.start, blk.start + blk.size)
                  if i not in indices]
@@ -180,31 +182,18 @@ def _enumerate_witness(lattice: Lattice, lam1, two_a, b, two_d, radius: int):
             indices.extend(fresh)
     if len(indices) > 6:
         return None
-    n = lattice.rank
     gl1 = lattice.covector(lam1)
+    coefs = [gl1[i] for i in indices]
+    cand = [0] * lattice.rank
     for bound in range(1, min(radius, 8) + 1):
-        def rec(pos, partial):
-            if pos == len(indices):
-                cand = tuple(partial)
-                if sum(gl1[i] * cand[i] for i in indices) != b:
-                    return None
-                if lattice.square(cand) != two_d:
-                    return None
-                if verify_embedding(lattice, lam1, cand, two_a, b, two_d):
-                    return cand
-                return None
-            i = indices[pos]
-            for val in range(-bound, bound + 1):
-                partial[i] = val
-                hit = rec(pos + 1, partial)
-                if hit is not None:
-                    return hit
-            partial[i] = 0
-            return None
-
-        hit = rec(0, [0] * n)
-        if hit is not None:
-            return hit
+        for values in product(range(-bound, bound + 1), repeat=len(indices)):
+            if sum(map(mul, coefs, values)) != b:
+                continue
+            for i, x in zip(indices, values):
+                cand[i] = x
+            lam2 = tuple(cand)
+            if verify_embedding(lattice, lam1, lam2, two_a, b, two_d):
+                return lam2
     return None
 
 

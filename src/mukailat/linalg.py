@@ -6,8 +6,8 @@ no floating point anywhere in this package; every result below is exact.
 
 The workhorses are one Smith elimination, taken over Z (for saturated
 kernels) or mod a modulus (for discriminant groups, mod |det|), and
-fraction-free (Bareiss) elimination on integers (a rational matrix is first
-scaled to one), over the upper triangle alone for a symmetric Gram's
+fraction-free (Bareiss) elimination on integers (`det_q` and
+`symmetric_elimination` first scale a rational matrix to one), over the upper triangle alone for a symmetric Gram's
 signature and determinant (`symmetric_elimination`).  The Smith
 elimination records its unimodular column transform as the 2x2 column
 steps it made, and only the columns that are read are built from that log:
@@ -130,10 +130,7 @@ def vec_neg(v: Vec) -> Vec:
 
 def vec_content(v: Vec) -> int:
     """gcd of the entries (0 for the zero vector)."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*v)
 
 
 def is_zero_vec(v: Vec) -> bool:

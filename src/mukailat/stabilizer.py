@@ -369,6 +369,9 @@ def _canonical_tau_class(model: VPerpModel) -> tuple:
     return k3.plane_vector(k3.blocks_named("U")[0], 1, model.m - 1)
 
 
+TAU_TWISTS = 2  # the most reflections a sampled tau class goes through
+
+
 class GeneratorFamily:
     """Samplers for the two generator families of Gamma_v:
 
@@ -423,11 +426,11 @@ class GeneratorFamily:
         u = self.sample_pm2_vector(rng)
         return Gamma0Letter(general_reflection(self.k3, u))
 
-    def tau_letter(self, rng: random.Random, twists: int = 2) -> TauLetter:
+    def tau_letter(self, rng: random.Random) -> TauLetter:
         """tau_{(1, -L, m)} with L a random Gamma_0-image of the canonical
         class; keeps L primitive with square 2m - 2."""
         cls = _canonical_tau_class(self.model)
-        for _ in range(rng.randrange(twists + 1)):
+        for _ in range(rng.randrange(TAU_TWISTS + 1)):
             u = self.sample_pm2_vector(rng)
             cls = reflection(self.k3, u).apply(cls)
         # reflections keep L^2 = 2m - 2, so (1, -L, m) has square

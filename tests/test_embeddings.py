@@ -213,6 +213,71 @@ class TestGeneral:
         assert err.value.radius == 3
 
 
+class TestFallbackBranches:
+    """The branches of the free plane and of the enumeration fallback that
+    K3 and Mukai never take."""
+
+    @staticmethod
+    def record(monkeypatch, name):
+        calls = []
+        original = getattr(embeddings, name)
+
+        def spy(*args):
+            calls.append((args, original(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(embeddings, name, spy)
+        return calls
+
+    def test_covector_not_primitive(self, monkeypatch):
+        # on vperp:1 the covector of w is -2 w*, so no mu has (w, mu) = 1:
+        # the free plane gives nothing although three U blocks are free, and
+        # the fallback takes w and the fresh first E8(-1) block, 9 indices
+        lat = vperp_model(1).lattice
+        w = unit(lat.rank, lat.rank - 1)
+        assert linalg.vec_content(lat.covector(w)) == 2
+        planes = self.record(monkeypatch, "_free_plane_witness")
+        with pytest.raises(WitnessNotFound) as err:
+            embed_rank2(lat, w, (-2, 0, 0))
+        assert err.value.radius == embeddings.DEFAULT_RADIUS
+        assert [result for _, result in planes] == [None, None]
+
+    def test_odd_mu_square(self, monkeypatch):
+        # on <1> + U, lam1 = (1, 0, 0) has mu = lam1 of square 1, so an odd
+        # b makes b^2 (mu, mu) odd; indeed every lam2 pairing to 1 with
+        # lam1 has an odd square, so the enumeration finds nothing either
+        lat = build_lattice((("diag", (1,)), "U"))
+        planes = self.record(monkeypatch, "_free_plane_witness")
+        with pytest.raises(WitnessNotFound) as err:
+            embed_rank2(lat, (1, 0, 0), (1, 1, 2), radius=2)
+        assert err.value.radius == 2
+        assert [result for _, result in planes] == [None]
+
+    def test_witness_only_in_a_fresh_block(self):
+        # lam1 spans the <-2> block, which holds no lam2 of square 2; the
+        # fallback adds the fresh <2> block, where (0, -1) comes first
+        lat = build_lattice((("diag", (-2,)), ("diag", (2,))))
+        assert embed_rank2(lat, (1, 0), (-2, 0, 2)) == (0, -1)
+
+    def test_gives_up_past_six_indices(self, monkeypatch):
+        # lam1 in <-2> and the fresh E8(-1) block make 9 indices: the
+        # fallback tries no candidate, though an E8 root would do
+        lat = build_lattice((("diag", (-2,)), "E8_minus"))
+        checked = self.record(monkeypatch, "verify_embedding")
+        with pytest.raises(WitnessNotFound):
+            embed_rank2(lat, unit(9, 0), (-2, 0, -2))
+        assert checked == []
+
+    def test_right_pairing_wrong_square_skipped(self, monkeypatch):
+        # in <-2> + <2, 2>, (0, -1, -1) is the first candidate pairing to 0
+        # with lam1; its square is 4, not 2, so (0, -1, 0) is returned
+        lat = build_lattice((("diag", (-2,)), ("diag", (2, 2))))
+        checked = self.record(monkeypatch, "verify_embedding")
+        assert embed_rank2(lat, (1, 0, 0), (-2, 0, 2)) == (0, -1, 0)
+        assert [(args[2], result) for args, result in checked] == [
+            ((0, -1, -1), False), ((0, -1, 0), True)]
+
+
 @st.composite
 def unimodular_targets(draw):
     """(lattice, lambda_1, b, 2d): K3 or Mukai, a random primitive lambda_1

@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Every verb emits a JSON report {command, inputs, outputs, verification,
-status} on stdout; the verification block re-checks the mathematical claims
-of the output and any failed assertion forces a nonzero exit.
+`build_parser` binds each command to one handler, which returns the inputs,
+outputs and verification of its report; `run` wraps them in the JSON report
+{command, inputs, outputs, verification, status} printed on stdout.  The
+verification block re-checks the mathematical claims of the output and any
+failed assertion forces a nonzero exit.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a
-`LatticeError`, which every parser of arguments, environment variables and
-JSON files raises on malformed input, or an `OSError` opening a file: a
-missing file or a directory), 3 witness search
+`LatticeError`, which every parser of arguments and JSON files raises on
+malformed input, or an `OSError` opening a file: a missing file or a
+directory), 3 witness search
 exhausted (the radius is echoed in the report), 4 internal error: an
 `InvariantError` (a library bug) or any other unexpected exception, a
 `KeyError` or `ValueError` included, reported as
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -49,7 +50,7 @@ from .stabilizer import (
 )
 
 
-def _parse_block_spec(text: str):
+def _spec_lattice(text: str):
     spec = []
     for item in text.split(","):
         item = item.strip()
@@ -59,7 +60,7 @@ def _parse_block_spec(text: str):
             spec.append(("diag", entries))
         else:
             spec.append(item)
-    return tuple(spec)
+    return build_lattice(tuple(spec))
 
 
 def _int_list(text: str, what: str, count: int) -> tuple[int, ...]:
@@ -81,15 +82,12 @@ def _load_json(path: str):
             raise LatticeError(f"{path} is not a JSON file: {exc}") from None
 
 
-def _default_radius(args) -> int:
-    """`stab embed`'s --radius, else MUKAI_SEARCH_RADIUS, else
-    DEFAULT_RADIUS; `embed_rank2` rejects a negative one before any other
-    work."""
-    if args.radius is not None:
-        return args.radius
-    env = os.environ.get("MUKAI_SEARCH_RADIUS")
-    return jsonio.int_from_text(env, "MUKAI_SEARCH_RADIUS") if env \
-        else DEFAULT_RADIUS
+def _command(subparsers, name, handler, **kwargs):
+    """The parser of one command, bound to its handler and to the command
+    its report prints: the parser's prog without the program name."""
+    parser = subparsers.add_parser(name, **kwargs)
+    parser.set_defaults(run=handler, command=parser.prog.split(" ", 1)[1])
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,95 +101,92 @@ def build_parser() -> argparse.ArgumentParser:
 
     lat = sub.add_parser("lattice", help="build standard lattices")
     lat_sub = lat.add_subparsers(dest="action", required=True)
-    lat_build = lat_sub.add_parser("build")
+    lat_build = _command(lat_sub, "build", _lattice_build)
     lat_build.add_argument("--spec", required=True,
                            help="comma list of blocks, e.g. K3 or U,diag(-6)")
-    lat_disc = lat_sub.add_parser("disc")
+    lat_disc = _command(lat_sub, "disc", _lattice_disc)
     lat_disc.add_argument("--spec", required=True)
 
-    char = sub.add_parser("char", help="determinant and covariance characters")
+    char = _command(sub, "char", _char,
+                    help="determinant and covariance characters")
     char.add_argument("--lattice", default="mukai")
     char.add_argument("--isometry", required=True, help="isometry JSON file")
 
     stab = sub.add_parser("stab", help="the stabilizer of v = (1,0,-m)")
     stab_sub = stab.add_subparsers(dest="action", required=True)
-    stab_model = stab_sub.add_parser("model")
+    stab_model = _command(stab_sub, "model", _stab_model)
     stab_model.add_argument("--m", type=int, required=True)
-    stab_classify = stab_sub.add_parser("classify")
+    stab_classify = _command(stab_sub, "classify", _stab_classify)
     stab_classify.add_argument("--m", type=int, required=True)
     stab_classify.add_argument("--vector", required=True,
                                help="Mukai vector JSON file")
-    stab_factor = stab_sub.add_parser("factor")
+    stab_factor = _command(stab_sub, "factor", _stab_factor)
     stab_factor.add_argument("--m", type=int, required=True)
     stab_factor.add_argument("--isometry", required=True)
     stab_factor.add_argument("--normalize", action="store_true")
-    stab_order = stab_sub.add_parser("disc-order")
+    stab_order = _command(stab_sub, "disc-order", _stab_disc_order)
     stab_order.add_argument("--m", type=int, required=True)
-    stab_aplus = stab_sub.add_parser("aplus")
+    stab_aplus = _command(stab_sub, "aplus", _stab_aplus)
     stab_aplus.add_argument("--m", type=int, required=True)
-    stab_embed = stab_sub.add_parser("embed")
+    stab_embed = _command(stab_sub, "embed", _stab_embed)
     stab_embed.add_argument("--lattice", default="k3")
     stab_embed.add_argument("--lambda1", required=True,
                             help="coordinate vector JSON file")
     stab_embed.add_argument("--target", required=True,
                             help="2a,b,2d")
-    stab_embed.add_argument("--radius", type=int)
-    stab_sample = stab_sub.add_parser("sample")
+    stab_embed.add_argument("--radius", type=int, default=DEFAULT_RADIUS)
+    stab_sample = _command(stab_sub, "sample", _stab_sample)
     stab_sample.add_argument("--m", type=int, required=True)
     stab_sample.add_argument("--length", type=int, default=4)
 
     fm = sub.add_parser("fm", help="Fourier-Mukai isometries")
     fm_sub = fm.add_subparsers(dest="action", required=True)
-    fm_phi = fm_sub.add_parser("verify-phi")
+    fm_phi = _command(fm_sub, "verify-phi", _fm_verify_phi)
     fm_phi.add_argument("--n", type=int, required=True)
-    fm_sub.add_parser("verify-sigma-tau")
-    fm_mon = fm_sub.add_parser("mon")
+    _command(fm_sub, "verify-sigma-tau", _fm_verify_sigma_tau)
+    fm_mon = _command(fm_sub, "mon", _fm_mon)
     fm_mon.add_argument("--m", type=int, required=True)
     fm_mon.add_argument("--isometry", required=True)
 
     ell = sub.add_parser("elliptic", help="elliptic-curve analogue")
     ell_sub = ell.add_subparsers(dest="action", required=True)
-    ell_stab = ell_sub.add_parser("stab")
+    ell_stab = _command(ell_sub, "stab", _elliptic_stab)
     ell_stab.add_argument("--v", required=True, help="r,d")
     ell_stab.add_argument("--test", help="2x2 matrix JSON file")
 
     return parser
 
 
-def _report(command, inputs, outputs, verification):
-    status = 0 if all(item["pass"] for item in verification) else 1
-    return {
-        "command": command,
-        "inputs": inputs,
-        "outputs": outputs,
-        "verification": verification,
-        "status": status,
-    }
-
-
 def _check(name, condition):
     return {"name": name, "pass": bool(condition)}
 
 
-def _run_lattice(args):
-    spec = _parse_block_spec(args.spec)
-    lattice = build_lattice(spec)
-    if args.action == "build":
-        pos, neg = lattice.signature()
-        outputs = {
-            "lattice": jsonio.lattice_to_json(lattice),
-            "rank": lattice.rank,
-            "signature": [pos, neg],
-            "even": lattice.is_even,
-            "determinant": lattice.determinant(),
-        }
-        verification = [
-            _check("gram_symmetric",
-                   lattice.gram == linalg.transpose(lattice.gram)),
-            _check("signature_sums_to_rank", pos + neg == lattice.rank),
-        ]
-        return _report("lattice build", {"spec": args.spec}, outputs,
-                       verification)
+def _checks(checks: dict) -> list:
+    """The named checks of a dict that also holds their conjunction."""
+    return [_check(name, value) for name, value in checks.items()
+            if name != "all"]
+
+
+def _lattice_build(args):
+    lattice = _spec_lattice(args.spec)
+    pos, neg = lattice.signature()
+    outputs = {
+        "lattice": jsonio.lattice_to_json(lattice),
+        "rank": lattice.rank,
+        "signature": [pos, neg],
+        "even": lattice.is_even,
+        "determinant": lattice.determinant(),
+    }
+    verification = [
+        _check("gram_symmetric",
+               lattice.gram == linalg.transpose(lattice.gram)),
+        _check("signature_sums_to_rank", pos + neg == lattice.rank),
+    ]
+    return {"spec": args.spec}, outputs, verification
+
+
+def _lattice_disc(args):
+    lattice = _spec_lattice(args.spec)
     dg = discriminant_group(lattice)
     outputs = {
         "divisors": list(dg.divisors),
@@ -202,10 +197,10 @@ def _run_lattice(args):
     verification = [
         _check("order_equals_det", dg.order == abs(lattice.determinant())),
     ]
-    return _report("lattice disc", {"spec": args.spec}, outputs, verification)
+    return {"spec": args.spec}, outputs, verification
 
 
-def _run_char(args):
+def _char(args):
     # isometry_from_json rejects a matrix that does not preserve the form
     iso = jsonio.isometry_from_json(_load_json(args.isometry))
     if jsonio.resolve_lattice(args.lattice) != iso.lattice:
@@ -218,114 +213,111 @@ def _run_char(args):
         # implied by is_isometry when the lattice is nondegenerate
         _check("det_is_unit", det in (1, -1)),
     ]
-    return _report("char", {"lattice": args.lattice,
-                            "isometry": args.isometry}, outputs, verification)
+    return ({"lattice": args.lattice, "isometry": args.isometry}, outputs,
+            verification)
 
 
-def _run_stab(args):
-    if args.action == "model":
+def _stab_model(args):
+    model = vperp_model(args.m)
+    dg = model.disc_group
+    q = dg.q_values[0]
+    outputs = {
+        "m": args.m,
+        "rank": model.lattice.rank,
+        "gram_blocks": [b.name for b in model.lattice.blocks],
+        "disc_divisors": list(dg.divisors),
+        "disc_order": dg.order,
+        "q_generator": str(q),
+    }
+    verification = [
+        _check("disc_cyclic_order_2m",
+               dg.divisors == (2 * args.m,) and dg.order == 2 * args.m),
+        _check("w_square", model.lattice.gram[-1][-1] == -2 * args.m),
+        _check("q_of_generator_is_minus_1_over_2m",
+               (q - Fraction(-1, 2 * args.m)) % 2 == 0),
+    ]
+    return {"m": args.m}, outputs, verification
+
+
+def _stab_classify(args):
+    model = vperp_model(args.m)
+    v0 = jsonio.mukai_vector_from_json(_load_json(args.vector))
+    orbit = classify_minus2(model, v0)
+    verification = [
+        _check("is_minus2", mukai_pairing(v0, v0) == -2),
+        _check("orthogonal_to_v", mukai_pairing(v0, model.v) == 0),
+    ]
+    return ({"m": args.m, "vector": args.vector}, {"orbit": orbit.value},
+            verification)
+
+
+def _stab_factor(args):
+    model = vperp_model(args.m)
+    iso = jsonio.isometry_from_json(_load_json(args.isometry))
+    # factor raises NotInGammaV when iso does not fix v, and InvariantError
+    # (exit 4, a library bug) when the word's product is not iso
+    word = factor(model, iso, normalize=args.normalize)
+    outputs = {"word": jsonio.word_to_json(word),
+               "letters": len(word.letters)}
+    verification = [
+        _check("product_equals_input", True),
+        _check("fixes_v", True),
+    ]
+    if args.normalize:
+        verification.append(_check(
+            "tau_letters_rank_one",
+            all(r in (1, -1) for r in word.tau_ranks()),
+        ))
+    return ({"m": args.m, "isometry": args.isometry,
+             "normalize": args.normalize}, outputs, verification)
+
+
+def _stab_disc_order(args):
+    data = disc_group_order(args.m)
+    verification = [
+        _check("order_is_2_to_rho", data["order"] == 2 ** data["rho"]),
+    ]
+    return {"m": args.m}, data, verification
+
+
+def _stab_aplus(args):
+    witness = aplus_witness(args.m)
+    if witness is None:
+        outputs = {"result": "Impossible"}
+        verification = [_check("m_not_1_mod_4", args.m % 4 != 1)]
+    else:
         model = vperp_model(args.m)
-        dg = model.disc_group
-        q = dg.q_values[0]
-        outputs = {
-            "m": args.m,
-            "rank": model.lattice.rank,
-            "gram_blocks": [b.name for b in model.lattice.blocks],
-            "disc_divisors": list(dg.divisors),
-            "disc_order": dg.order,
-            "q_generator": str(q),
-        }
+        outputs = {"result": jsonio.mukai_vector_to_json(witness)}
         verification = [
-            _check("disc_cyclic_order_2m",
-                   dg.divisors == (2 * args.m,) and dg.order == 2 * args.m),
-            _check("w_square", model.lattice.gram[-1][-1] == -2 * args.m),
-            _check("q_of_generator_is_minus_1_over_2m",
-                   (q - Fraction(-1, 2 * args.m)) % 2 == 0),
+            _check("square_minus2", mukai_pairing(witness, witness) == -2),
+            _check("class_is_aplus",
+                   classify_minus2(model, witness).value == "APlus"),
         ]
-        return _report("stab model", {"m": args.m}, outputs, verification)
+    return {"m": args.m}, outputs, verification
 
-    if args.action == "classify":
-        model = vperp_model(args.m)
-        v0 = jsonio.mukai_vector_from_json(_load_json(args.vector))
-        orbit = classify_minus2(model, v0)
-        outputs = {"orbit": orbit.value}
-        verification = [
-            _check("is_minus2", mukai_pairing(v0, v0) == -2),
-            _check("orthogonal_to_v", mukai_pairing(v0, model.v) == 0),
-        ]
-        return _report("stab classify",
-                       {"m": args.m, "vector": args.vector},
-                       outputs, verification)
 
-    if args.action == "factor":
-        model = vperp_model(args.m)
-        iso = jsonio.isometry_from_json(_load_json(args.isometry))
-        # factor raises NotInGammaV when iso does not fix v, and
-        # InvariantError (exit 4, a library bug) when the word's product is
-        # not iso
-        word = factor(model, iso, normalize=args.normalize)
-        outputs = {"word": jsonio.word_to_json(word),
-                   "letters": len(word.letters)}
-        verification = [
-            _check("product_equals_input", True),
-            _check("fixes_v", True),
-        ]
-        if args.normalize:
-            verification.append(_check(
-                "tau_letters_rank_one",
-                all(r in (1, -1) for r in word.tau_ranks()),
-            ))
-        return _report("stab factor",
-                       {"m": args.m, "isometry": args.isometry,
-                        "normalize": args.normalize},
-                       outputs, verification)
+def _stab_embed(args):
+    lattice = jsonio.resolve_lattice(args.lattice)
+    lam1 = jsonio.vector_from_json(_load_json(args.lambda1))
+    two_a, b, two_d = _int_list(args.target, "--target", 3)
+    # embed_rank2 rejects a negative radius before any other work
+    lam2 = embed_rank2(lattice, lam1, (two_a, b, two_d), radius=args.radius)
+    verification = [
+        _check("embedding_contract",
+               verify_embedding(lattice, lam1, lam2, two_a, b, two_d)),
+    ]
+    return ({"lattice": args.lattice, "lambda1": args.lambda1,
+             "target": args.target, "radius": args.radius},
+            {"lambda2": jsonio.vector_to_json(lam2)}, verification)
 
-    if args.action == "disc-order":
-        data = disc_group_order(args.m)
-        verification = [
-            _check("order_is_2_to_rho", data["order"] == 2 ** data["rho"]),
-        ]
-        return _report("stab disc-order", {"m": args.m}, data, verification)
 
-    if args.action == "aplus":
-        witness = aplus_witness(args.m)
-        if witness is None:
-            outputs = {"result": "Impossible"}
-            verification = [_check("m_not_1_mod_4", args.m % 4 != 1)]
-        else:
-            model = vperp_model(args.m)
-            outputs = {"result": jsonio.mukai_vector_to_json(witness)}
-            verification = [
-                _check("square_minus2", mukai_pairing(witness, witness) == -2),
-                _check("class_is_aplus",
-                       classify_minus2(model, witness).value == "APlus"),
-            ]
-        return _report("stab aplus", {"m": args.m}, outputs, verification)
-
-    if args.action == "embed":
-        lattice = jsonio.resolve_lattice(args.lattice)
-        lam1 = jsonio.vector_from_json(_load_json(args.lambda1))
-        two_a, b, two_d = _int_list(args.target, "--target", 3)
-        radius = _default_radius(args)
-        lam2 = embed_rank2(lattice, lam1, (two_a, b, two_d), radius=radius)
-        outputs = {"lambda2": jsonio.vector_to_json(lam2)}
-        verification = [
-            _check("embedding_contract",
-                   verify_embedding(lattice, lam1, lam2, two_a, b, two_d)),
-        ]
-        return _report("stab embed",
-                       {"lattice": args.lattice, "lambda1": args.lambda1,
-                        "target": args.target, "radius": radius},
-                       outputs, verification)
-
-    # sample: argparse admits no other action
+def _stab_sample(args):
     model = vperp_model(args.m)
     family = GeneratorFamily(model)
     rng = random.Random(args.seed)
     word = family.sample_word(rng, args.length)
     product = word.product()
     restricted = model.restrict(product)
-    outputs = {"word": jsonio.word_to_json(word)}
     verification = [
         _check("fixes_v", product.fixes(model.v.coords())),
         _check("disc_action_trivial",
@@ -338,28 +330,21 @@ def _run_stab(args):
                in_gamma_v(model, mon_twist(model, product))
                is not ExtensionKind.DOES_NOT_EXTEND),
     ]
-    return _report("stab sample",
-                   {"m": args.m, "length": args.length, "seed": args.seed},
-                   outputs, verification)
+    return ({"m": args.m, "length": args.length, "seed": args.seed},
+            {"word": jsonio.word_to_json(word)}, verification)
 
 
-def _run_fm(args):
-    if args.action == "verify-phi":
-        phi, checks = elliptic_phi(args.n)
-        outputs = {
-            "phi": jsonio.isometry_to_json(phi, "mukai"),
-        }
-        verification = [_check(name, value)
-                        for name, value in checks.items() if name != "all"]
-        return _report("fm verify-phi", {"n": args.n}, outputs, verification)
+def _fm_verify_phi(args):
+    phi, checks = elliptic_phi(args.n)
+    return ({"n": args.n}, {"phi": jsonio.isometry_to_json(phi, "mukai")},
+            _checks(checks))
 
-    if args.action == "verify-sigma-tau":
-        checks = verify_sigma_tau_duality()
-        verification = [_check(name, value)
-                        for name, value in checks.items() if name != "all"]
-        return _report("fm verify-sigma-tau", {}, {}, verification)
 
-    # mon: argparse admits no other action
+def _fm_verify_sigma_tau(args):
+    return {}, {}, _checks(verify_sigma_tau_duality())
+
+
+def _fm_mon(args):
     model = vperp_model(args.m)
     iso = jsonio.isometry_from_json(_load_json(args.isometry))
     twisted = mon_twist(model, iso)
@@ -374,11 +359,10 @@ def _run_fm(args):
         _check("in_W", in_gamma_v(model, twisted)
                is not ExtensionKind.DOES_NOT_EXTEND),
     ]
-    return _report("fm mon", {"m": args.m, "isometry": args.isometry},
-                   outputs, verification)
+    return {"m": args.m, "isometry": args.isometry}, outputs, verification
 
 
-def _run_elliptic(args):
+def _elliptic_stab(args):
     r, d = _int_list(args.v, "--v", 2)
     stab = even_stabilizer((r, d))
     outputs = {"generator": [list(row) for row in stab.generator]}
@@ -396,27 +380,16 @@ def _run_elliptic(args):
             _check("power_reproduces_matrix",
                    k is None or stab.power(k) == mat)
         )
-    return _report("elliptic stab", {"v": args.v, "test": args.test},
-                   outputs, verification)
+    return {"v": args.v, "test": args.test}, outputs, verification
 
 
 def run(argv) -> tuple[dict, int]:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+    except SystemExit:
         return {"error": "usage", "status": 2}, 2
     try:
-        if args.verb == "lattice":
-            report = _run_lattice(args)
-        elif args.verb == "char":
-            report = _run_char(args)
-        elif args.verb == "stab":
-            report = _run_stab(args)
-        elif args.verb == "fm":
-            report = _run_fm(args)
-        else:  # elliptic: argparse admits no other verb
-            report = _run_elliptic(args)
+        inputs, outputs, verification = args.run(args)
     except WitnessNotFound as exc:
         report = {
             "command": args.verb,
@@ -431,7 +404,14 @@ def run(argv) -> tuple[dict, int]:
         return {"error": str(exc), "status": 2}, 2
     except Exception as exc:
         return _internal_error(exc)
-    return report, report["status"]
+    status = 0 if all(item["pass"] for item in verification) else 1
+    return {
+        "command": args.command,
+        "inputs": inputs,
+        "outputs": outputs,
+        "verification": verification,
+        "status": status,
+    }, status
 
 
 def _internal_error(exc: Exception) -> tuple[dict, int]:

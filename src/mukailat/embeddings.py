@@ -14,7 +14,8 @@ Nikulin statement; this module is the constructive side:
    back through the inverse steps t(e, -a), with no Gram inverse.
 3. As a last resort, bounded enumeration: every candidate with entries up
    to min(radius, 8) on at most 6 coordinates, those of the blocks
-   lambda_1 touches plus fresh blocks, in lexicographic order.
+   lambda_1 touches plus each fresh block that still fits, in
+   lexicographic order.
 
 Failure raises WitnessNotFound with the radius echoed; it never claims
 non-existence.  On an even unimodular lattice with two or more U blocks
@@ -171,14 +172,16 @@ def _walk_back(lattice: Lattice, steps, y):
 
 def _enumerate_witness(lattice: Lattice, lam1, two_a, b, two_d, radius: int):
     """Step 3 of the module docstring: the first candidate that verifies,
-    else None (past 6 indices, or none within min(radius, 8))."""
+    else None (lambda_1's blocks past 6 indices, or none within
+    min(radius, 8)).  A fresh block that would take the indices past 6 is
+    skipped; a smaller one further on may still fit."""
     indices = [i for blk in lattice.blocks
                if any(lam1[blk.start:blk.start + blk.size])
                for i in range(blk.start, blk.start + blk.size)]
     for blk in lattice.blocks:
         fresh = [i for i in range(blk.start, blk.start + blk.size)
                  if i not in indices]
-        if fresh and len(indices) < 6:
+        if fresh and len(indices) + len(fresh) <= 6:
             indices.extend(fresh)
     if len(indices) > 6:
         return None

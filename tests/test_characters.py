@@ -211,6 +211,14 @@ class TestOrientationChar:
         with pytest.raises(LatticeError, match="positive definite"):
             orientation_char(Isometry.identity(fake))
 
+    def test_singular_projection_raises(self, mukai):
+        # the zero matrix, let in unverified, is not an isometry
+        zero = Isometry._trusted(mukai, ((0,) * 24,) * 24)
+        with pytest.raises(LatticeError,
+                           match="projected map is singular") as info:
+            orientation_char(zero)
+        assert type(info.value) is LatticeError
+
     def test_singular_projection_raises_under_optimize(self):
         # the zero matrix is not an isometry; the check must hold with
         # assertions switched off

@@ -111,13 +111,32 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
     (["stab", "factor", "--m", "3", "--isometry", "inputs/factor_m3.json",
       "--normalize"], "stab_factor_m3_normalize.json"),
     (["fm", "verify-phi", "--n", "37"], "fm_verify_phi_n37.json"),
+    (["lattice", "build", "--spec", "K3,diag(-6)"],
+     "lattice_build_K3_diag-6.json"),
+    (["stab", "classify", "--m", "5", "--vector", "inputs/classify_m5.json"],
+     "stab_classify_m5.json"),
+    (["stab", "disc-order", "--m", "6"], "stab_disc_order_m6.json"),
+    (["stab", "aplus", "--m", "5"], "stab_aplus_m5.json"),
+    # no --radius: the report echoes the default, 64
+    (["stab", "embed", "--lambda1", "inputs/embed_k3.json",
+      "--target", "0,1,4"], "stab_embed_k3.json"),
+    (["--seed", "7", "stab", "sample", "--m", "2", "--length", "4"],
+     "stab_sample_m2_seed7.json"),
+    (["fm", "verify-sigma-tau"], "fm_verify_sigma_tau.json"),
+    (["elliptic", "stab", "--v", "2,3", "--test", "inputs/elliptic_v23.json"],
+     "elliptic_stab_v23_test.json"),
+    # an exhausted search (exit 3) and a usage error (exit 2)
+    (["stab", "embed", "--lattice", "U", "--lambda1", "inputs/embed_U.json",
+      "--target", "0,0,-2", "--radius", "2"], "stab_embed_U_radius2.json"),
+    (["stab", "aplus", "--m", "0"], "stab_aplus_m0.json"),
 ])
 def test_cli_stdout_is_golden(argv, golden):
     # stdout and exit code of a fresh `python -m mukailat.cli` process run
     # in tests/golden, byte for byte as recorded there; the exit code is the
-    # report's "status"
+    # report's "status".  A radius that `stab embed` would reject sits in
+    # the environment: no report reads it
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), MUKAI_SEARCH_RADIUS="-1")
     proc = subprocess.run([sys.executable, "-m", "mukailat.cli", *argv],
                           env=env, cwd=GOLDEN, capture_output=True,
                           timeout=120)
@@ -145,7 +164,6 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
     for name, data in inputs.items():
         (tmp_path / name).write_text(json.dumps(data))
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("MUKAI_SEARCH_RADIUS", raising=False)
     real = embeddings.clearing_isometry
     walks = []
 
@@ -446,6 +464,20 @@ class TestHarness:
             assert report["verification"]
 
 
+    @pytest.mark.parametrize("argv, golden", [
+        (["stab", "disc-order", "--m", "6"], "stab_disc_order_m6.json"),
+        (["stab", "aplus", "--m", "0"], "stab_aplus_m0.json"),
+    ])
+    def test_main_prints_the_report_and_exits_with_its_status(
+            self, monkeypatch, capsys, argv, golden):
+        monkeypatch.setattr(sys, "argv", ["mukailat", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        expected = (GOLDEN / golden).read_text()
+        assert exc.value.code == json.loads(expected)["status"]
+        assert capsys.readouterr().out == expected
+
+
 class TestInternalError:
     # a library bug is neither a failed verification (1) nor a usage
     # error (2): it exits 4 with a JSON report naming the exception
@@ -464,7 +496,7 @@ class TestInternalError:
         def handler(args):
             raise exc
 
-        monkeypatch.setattr(cli, "_run_stab", handler)
+        monkeypatch.setattr(cli, "_stab_disc_order", handler)
         report, status = invoke(["stab", "disc-order", "--m", "6"])
         assert status == 4
         assert report == {"error": expected, "status": 4}
@@ -473,7 +505,7 @@ class TestInternalError:
         def handler(args):
             raise lattices.LatticeError("bad input")
 
-        monkeypatch.setattr(cli, "_run_stab", handler)
+        monkeypatch.setattr(cli, "_stab_disc_order", handler)
         assert invoke(["stab", "disc-order", "--m", "6"]) == \
             ({"error": "bad input", "status": 2}, 2)
 
@@ -484,7 +516,7 @@ class TestInternalError:
             "from mukailat import cli\n"
             "def boom(args):\n"
             "    raise RuntimeError('boom')\n"
-            "cli._run_stab = boom\n"
+            "cli._stab_disc_order = boom\n"
             "sys.argv = ['mukailat', 'stab', 'disc-order', '--m', '6']\n"
             "cli.main()\n"
         )
@@ -504,45 +536,46 @@ class TestMalformedArguments:
     # each parser raises a LatticeError that names what it could not read
     # (exit 2), where it used to let int() or json.load raise
     EMBED = ["stab", "embed", "--lattice", "U", "--lambda1", "{lam}"]
-
-    @pytest.mark.parametrize("argv, env, expected", [
-        (["lattice", "build", "--spec", "U,diag(-6:x)"], None,
-         "a diag entry must be an integer, got 'x'"),
-        (["lattice", "disc", "--spec", "diag()"], None,
-         "a diag entry must be an integer, got ''"),
-        (EMBED + ["--target", "0,1"], None,
-         "--target needs 3 comma-separated integers, got '0,1'"),
-        (EMBED + ["--target", "0,1,0,4"], None,
-         "--target needs 3 comma-separated integers, got '0,1,0,4'"),
-        (EMBED + ["--target", "0,b,0"], None,
-         "an entry of --target must be an integer, got 'b'"),
-        (["stab", "embed", "--lattice", "vperp:x", "--lambda1", "{lam}",
-          "--target", "0,1,0"], None,
-         "the m of lattice id 'vperp:x' must be an integer, got 'x'"),
-        (EMBED + ["--target", "0,1,0"], "4.5",
-         "MUKAI_SEARCH_RADIUS must be an integer, got '4.5'"),
-        (["elliptic", "stab", "--v", "1"], None,
-         "--v needs 2 comma-separated integers, got '1'"),
-        (["elliptic", "stab", "--v", "1,r"], None,
-         "an entry of --v must be an integer, got 'r'"),
-        (["char", "--isometry", "{truncated}"], None,
-         "is not a JSON file: Expecting property name"),
-        (["stab", "classify", "--m", "2", "--vector", "{binary}"], None,
-         "is not a JSON file: 'utf-8' codec can't decode"),
-        (["stab", "aplus", "--m", "0"], None, "m must be a positive integer"),
-        (["stab", "sample", "--m", "2", "--length", "-1"], None,
-         "the word length must be non-negative, got -1"),
-        (EMBED + ["--target", "0,1,0", "--radius", "-1"], None,
-         "the search radius must be non-negative, got -1"),
-        (EMBED + ["--target", "0,1,0"], "-1",
-         "the search radius must be non-negative, got -1"),
+    # argv and the expected error text by each case's place in the table
+    # that also held the two rows and the column of MUKAI_SEARCH_RADIUS
+    # values the CLI no longer reads; the places keep each case's test id
+    CASES = {
+        0: (["lattice", "build", "--spec", "U,diag(-6:x)"],
+            "a diag entry must be an integer, got 'x'"),
+        1: (["lattice", "disc", "--spec", "diag()"],
+            "a diag entry must be an integer, got ''"),
+        2: (EMBED + ["--target", "0,1"],
+            "--target needs 3 comma-separated integers, got '0,1'"),
+        3: (EMBED + ["--target", "0,1,0,4"],
+            "--target needs 3 comma-separated integers, got '0,1,0,4'"),
+        4: (EMBED + ["--target", "0,b,0"],
+            "an entry of --target must be an integer, got 'b'"),
+        5: (["stab", "embed", "--lattice", "vperp:x", "--lambda1", "{lam}",
+             "--target", "0,1,0"],
+            "the m of lattice id 'vperp:x' must be an integer, got 'x'"),
+        7: (["elliptic", "stab", "--v", "1"],
+            "--v needs 2 comma-separated integers, got '1'"),
+        8: (["elliptic", "stab", "--v", "1,r"],
+            "an entry of --v must be an integer, got 'r'"),
+        9: (["char", "--isometry", "{truncated}"],
+            "is not a JSON file: Expecting property name"),
+        10: (["stab", "classify", "--m", "2", "--vector", "{binary}"],
+             "is not a JSON file: 'utf-8' codec can't decode"),
+        11: (["stab", "aplus", "--m", "0"], "m must be a positive integer"),
+        12: (["stab", "sample", "--m", "2", "--length", "-1"],
+             "the word length must be non-negative, got -1"),
+        13: (EMBED + ["--target", "0,1,0", "--radius", "-1"],
+             "the search radius must be non-negative, got -1"),
         # factor never searches, so it takes no radius
-        (["stab", "factor", "--m", "3", "--isometry",
-          str(GOLDEN / "inputs" / "factor_m3.json"), "--radius", "5"], None,
-         "usage"),
-    ])
-    def test_exits_2_naming_the_argument(self, tmp_path, monkeypatch, argv,
-                                         env, expected):
+        15: (["stab", "factor", "--m", "3", "--isometry",
+              str(GOLDEN / "inputs" / "factor_m3.json"), "--radius", "5"],
+             "usage"),
+    }
+
+    @pytest.mark.parametrize(
+        "argv, expected", list(CASES.values()),
+        ids=[f"argv{n}-None-{text}" for n, (_, text) in CASES.items()])
+    def test_exits_2_naming_the_argument(self, tmp_path, argv, expected):
         files = {"lam": "[1, 0]", "truncated": '{"lattice": "mukai", '}
         paths = {name: tmp_path / f"{name}.json" for name in files}
         for name, text in files.items():
@@ -550,38 +583,9 @@ class TestMalformedArguments:
         paths["binary"] = tmp_path / "binary.json"
         paths["binary"].write_bytes(b"\xff\xfe[1]")
         argv = [a.format(**paths) for a in argv]
-        if env is None:
-            monkeypatch.delenv("MUKAI_SEARCH_RADIUS", raising=False)
-        else:
-            monkeypatch.setenv("MUKAI_SEARCH_RADIUS", env)
         report, status = invoke(argv)
         assert status == 2
         assert expected in report["error"]
-
-
-class TestEnvRadius:
-    def test_factor_ignores_env_radius(self, monkeypatch):
-        # a radius that stab embed would reject leaves the stab factor
-        # report byte-identical to its golden
-        monkeypatch.chdir(GOLDEN)
-        monkeypatch.setenv("MUKAI_SEARCH_RADIUS", "-1")
-        report, status = invoke(
-            ["stab", "factor", "--m", "3", "--isometry",
-             "inputs/factor_m3.json", "--normalize"])
-        assert status == 0
-        assert (json.dumps(report, indent=2) + "\n").encode() == \
-            (GOLDEN / "stab_factor_m3_normalize.json").read_bytes()
-
-    def test_env_var_controls_radius(self, tmp_path, monkeypatch):
-        path = tmp_path / "lam.json"
-        path.write_text(json.dumps([1, 0]))
-        monkeypatch.setenv("MUKAI_SEARCH_RADIUS", "4")
-        report, status = invoke(
-            ["stab", "embed", "--lattice", "U", "--lambda1", str(path),
-             "--target", "0,0,-2"]
-        )
-        assert status == 3
-        assert report["radius"] == 4
 
 
 class TestUnreadableFile:
@@ -660,8 +664,7 @@ class TestExitContract:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_never_exits_4(self, verb, tmp_path, monkeypatch, data):
-        monkeypatch.delenv("MUKAI_SEARCH_RADIUS", raising=False)
+    def test_never_exits_4(self, verb, tmp_path, data):
         argv, valid = _FILE_VERBS[verb]
         kind = data.draw(st.sampled_from(["valid", "mutated", "json",
                                           "text"]))

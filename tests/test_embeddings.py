@@ -231,16 +231,19 @@ class TestFallbackBranches:
 
     def test_covector_not_primitive(self, monkeypatch):
         # on vperp:1 the covector of w is -2 w*, so no mu has (w, mu) = 1:
-        # the free plane gives nothing although three U blocks are free, and
-        # the fallback takes w and the fresh first E8(-1) block, 9 indices
+        # the free plane gives nothing although three U blocks are free.
+        # The fallback skips the E8(-1) blocks and the third U block, each
+        # of which would take it past 6 indices, and finds the witness on w
+        # and the first two U blocks
         lat = vperp_model(1).lattice
         w = unit(lat.rank, lat.rank - 1)
         assert linalg.vec_content(lat.covector(w)) == 2
         planes = self.record(monkeypatch, "_free_plane_witness")
-        with pytest.raises(WitnessNotFound) as err:
-            embed_rank2(lat, w, (-2, 0, 0))
-        assert err.value.radius == embeddings.DEFAULT_RADIUS
+        lam2 = embed_rank2(lat, w, (-2, 0, 0))
         assert [result for _, result in planes] == [None, None]
+        assert lam2 == label_vector(
+            lat, **{"e.1": -1, "f.1": -1, "e.2": -1, "f.2": 1})
+        assert verify_embedding(lat, w, lam2, -2, 0, 0)
 
     def test_odd_mu_square(self, monkeypatch):
         # on <1> + U, lam1 = (1, 0, 0) has mu = lam1 of square 1, so an odd
@@ -260,13 +263,16 @@ class TestFallbackBranches:
         assert embed_rank2(lat, (1, 0), (-2, 0, 2)) == (0, -1)
 
     def test_gives_up_past_six_indices(self, monkeypatch):
-        # lam1 in <-2> and the fresh E8(-1) block make 9 indices: the
-        # fallback tries no candidate, though an E8 root would do
+        # lam1 in <-2> and the fresh E8(-1) block would make 9 indices, so
+        # the block is skipped, though an E8 root would do: on the <-2>
+        # coordinate alone only the zero vector pairs to 0 with lam1, and it
+        # is tried and rejected at each bound up to min(64, 8)
         lat = build_lattice((("diag", (-2,)), "E8_minus"))
         checked = self.record(monkeypatch, "verify_embedding")
         with pytest.raises(WitnessNotFound):
             embed_rank2(lat, unit(9, 0), (-2, 0, -2))
-        assert checked == []
+        assert [(args[2], result) for args, result in checked] == \
+            [((0,) * 9, False)] * 8
 
     def test_right_pairing_wrong_square_skipped(self, monkeypatch):
         # in <-2> + <2, 2>, (0, -1, -1) is the first candidate pairing to 0

@@ -1,6 +1,7 @@
 """Each typed raise of `Lattice`, `Isometry`, `discriminant_group`,
-`kernel_basis`, the v-perp model, `factor`, `sym3_triple` and the word
-reader fires on its input, with its error type and message."""
+`kernel_basis`, the v-perp model, `disc_group_order`, `factor`,
+`sym3_triple` and the word reader fires on its input, with its error type
+and message."""
 
 import re
 
@@ -25,6 +26,7 @@ from mukailat.mukai import MukaiVector
 from mukailat.stabilizer import (
     NotInGammaV,
     classify_minus2,
+    disc_group_order,
     factor,
     sym3_triple,
     vperp_model,
@@ -117,10 +119,13 @@ def _plane(k3, block):
      LatticeError, "L2 square condition fails"),
     (lambda: factor(vperp_model(2), Isometry.identity(k3_lattice())),
      NotInGammaV, "expected an isometry of the Mukai lattice"),
+    (lambda: vperp_model(0), LatticeError, "m must be a positive integer"),
+    (lambda: disc_group_order(0), LatticeError,
+     "m must be a positive integer"),
 ], ids=["word_letter_kind", "tuple_block", "is_primitive_length",
         "to_perp_coords", "restrict_not_mukai", "extend_k3_not_k3",
         "classify_not_orthogonal", "sym3_l1_square", "sym3_l2_square",
-        "factor_not_mukai"])
+        "factor_not_mukai", "vperp_model_m0", "disc_group_order_m0"])
 def test_typed_raise(call, error, message):
     with pytest.raises(error, match=re.escape(message)) as info:
         call()

@@ -13,7 +13,7 @@ form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -44,39 +44,41 @@ def _e8_cartan() -> Mat:
     return freeze(g)
 
 
-@dataclass(frozen=True)
-class Block:
-    name: str
-    start: int
-    size: int
+def _make_checked(cls, iterable):
+    """`_make`, through which `_replace` also builds, for a record that
+    checks or normalises its fields in __new__: it goes through __new__."""
+    return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Lattice:
-    gram: Mat
-    basis_labels: tuple[str, ...]
-    blocks: tuple[Block, ...] = ()
-    name: str = ""
-    # per row of G, the (j, g_ij) with g_ij != 0: the only form in which
-    # G multiplies a vector
-    _rows: tuple = field(init=False, repr=False, compare=False)
-    # the hash of the compared fields, formed once: lattices key caches
-    _hash: int = field(init=False, repr=False, compare=False)
+class Block(namedtuple("Block", "name start size")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.gram)
-        if any(len(row) != n for row in self.gram):
+
+class Lattice(namedtuple("Lattice", "gram basis_labels blocks name")):
+    """A named tuple of the four compared fields.  Its instance dict holds
+    what is derived from them, unseen by == and repr: `_rows`, per row of G
+    the (j, g_ij) with g_ij != 0, the only form in which G multiplies a
+    vector; `_hash`, the hash of the fields, formed once because lattices
+    key caches; and the `_elimination` cached below."""
+
+    def __new__(cls, gram: Mat, basis_labels: tuple[str, ...],
+                blocks: tuple[Block, ...] = (), name: str = ""):
+        self = tuple.__new__(cls, (gram, basis_labels, blocks, name))
+        n = len(gram)
+        if any(len(row) != n for row in gram):
             raise LatticeError("Gram matrix must be square")
-        if len(self.basis_labels) != n:
+        if len(basis_labels) != n:
             raise LatticeError("basis labels must match the rank")
-        if self.gram != linalg.transpose(self.gram):
+        if gram != linalg.transpose(gram):
             raise LatticeError("Gram matrix must be symmetric")
-        if not all(isinstance(g, int) for row in self.gram for g in row):
+        if not all(isinstance(g, int) for row in gram for g in row):
             raise LatticeError("Gram matrix must have integer entries")
-        object.__setattr__(self, "_rows", tuple(
-            tuple((j, g) for j, g in enumerate(r) if g) for r in self.gram))
-        object.__setattr__(self, "_hash", hash(
-            (self.gram, self.basis_labels, self.blocks, self.name)))
+        self._rows = tuple(
+            tuple((j, g) for j, g in enumerate(r) if g) for r in gram)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    _make = classmethod(_make_checked)
 
     def __hash__(self):
         return self._hash
@@ -282,14 +284,11 @@ def _isometry_det(lattice: Lattice, matrix: Mat) -> int:
     return 1 if r == 1 else -1
 
 
-@dataclass(frozen=True)
-class IsometryCheck:
+class IsometryCheck(namedtuple("IsometryCheck", "is_isometry matrix lattice")):
     """Whether a matrix preserves the Gram form; its determinant is computed
     only when read, mod 3 when it is an isometry (`_isometry_det`)."""
 
-    is_isometry: bool
-    matrix: Mat = field(repr=False)
-    lattice: Lattice = field(repr=False, compare=False)
+    __slots__ = ()
 
     @property
     def det(self) -> int:
@@ -450,8 +449,7 @@ def orthogonal_complement(lattice: Lattice, vectors) -> tuple[tuple[Vec, ...], M
     return basis, freeze(gram)
 
 
-@dataclass(frozen=True)
-class DiscGroup:
+class DiscGroup(namedtuple("DiscGroup", "divisors lifts q_values order")):
     """(L*/L, q): elementary divisors with rational generator lifts.
 
     lifts[i] has order divisors[i] in L*/L; d * lift lies in L and every lift
@@ -461,10 +459,7 @@ class DiscGroup:
     representative and only q mod 1 does not.
     """
 
-    divisors: tuple[int, ...]
-    lifts: tuple[tuple[Fraction, ...], ...]
-    q_values: tuple[Fraction, ...]
-    order: int
+    __slots__ = ()
 
     @property
     def is_trivial(self) -> bool:

@@ -10,21 +10,23 @@ class, exponential Chern character to total Chern class).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
-from .lattices import LatticeError, k3_lattice, mukai_lattice
+from .lattices import LatticeError, _make_checked, k3_lattice, mukai_lattice
 
 
-@dataclass(frozen=True)
-class MukaiVector:
-    r: int
-    c: tuple[int, ...]
-    s: int
+class MukaiVector(namedtuple("MukaiVector", "r c s")):
+    """(r, c, s) with r, s integers and c a tuple of K3 coordinates; + and
+    unary - act on it as a vector, not as a tuple."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", tuple(self.c))
+    __slots__ = ()
+
+    def __new__(cls, r: int, c, s: int):
+        return tuple.__new__(cls, (r, tuple(c), s))
+
+    _make = classmethod(_make_checked)
 
     @property
     def is_zero(self) -> bool:
@@ -73,20 +75,20 @@ def _canonical_number(x):
     return int(f) if f.denominator == 1 else f
 
 
-@dataclass(frozen=True)
-class GradedSurfaceClass:
-    """Rational class in degrees 0, 2, 4 of the cohomology of a surface."""
+class GradedSurfaceClass(namedtuple("GradedSurfaceClass",
+                                     "deg0 deg2 deg4")):
+    """Rational class in degrees 0, 2, 4 of the cohomology of a surface;
+    each entry is kept an int when integral, else a Fraction."""
 
-    deg0: int | Fraction
-    deg2: tuple
-    deg4: int | Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "deg0", _canonical_number(self.deg0))
-        object.__setattr__(
-            self, "deg2", tuple(_canonical_number(x) for x in self.deg2)
-        )
-        object.__setattr__(self, "deg4", _canonical_number(self.deg4))
+    def __new__(cls, deg0, deg2, deg4):
+        return tuple.__new__(cls, (
+            _canonical_number(deg0),
+            tuple(_canonical_number(x) for x in deg2),
+            _canonical_number(deg4)))
+
+    _make = classmethod(_make_checked)
 
     @classmethod
     def from_mukai(cls, x: MukaiVector) -> "GradedSurfaceClass":

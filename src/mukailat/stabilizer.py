@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -29,6 +29,7 @@ from .lattices import (
     Isometry,
     Lattice,
     LatticeError,
+    _make_checked,
     is_primitive,
     k3_lattice,
     mukai_lattice,
@@ -52,16 +53,13 @@ def _ensure(condition: bool, message: str):
         raise InvariantError(message)
 
 
-@dataclass(frozen=True)
-class VPerpModel:
-    """v-perp for v = (1, 0, -m): basis = 22 K3 vectors plus w = (1, 0, m)."""
+class VPerpModel(namedtuple("VPerpModel",
+                             "m mukai k3 lattice disc_group")):
+    """v-perp for v = (1, 0, -m): basis = 22 K3 vectors plus w = (1, 0, m).
+    `lattice` is that rank-23 lattice, Gram K3 + <-2m>, and `disc_group`
+    its discriminant group, in closed form (see vperp_model)."""
 
-    m: int
-    mukai: Lattice
-    k3: Lattice
-    lattice: Lattice  # rank 23, Gram K3 + <-2m>
-    # the discriminant group of lattice, in closed form (see vperp_model)
-    disc_group: DiscGroup = field(compare=False, repr=False)
+    __slots__ = ()
 
     @property
     def v(self) -> MukaiVector:
@@ -298,8 +296,7 @@ def sym3_triple(m: int, v1: MukaiVector, v2: MukaiVector) -> dict:
 # -- generator families and factorization -------------------------------------
 
 
-@dataclass(frozen=True)
-class Gamma0Letter:
+class Gamma0Letter(namedtuple("Gamma0Letter", "isometry")):
     """An isometry of the K3 lattice, extended by the identity on h0, h4.
 
     It holds an `Isometry`, so its form was verified where the matrix
@@ -307,13 +304,16 @@ class Gamma0Letter:
     built it as one (a K3 reflection, or `factor`'s residual).  Anything
     else raises LatticeError here."""
 
-    isometry: Isometry
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.isometry, Isometry) or \
-                self.isometry.lattice.gram != k3_lattice().gram:
+    def __new__(cls, isometry: Isometry):
+        if not isinstance(isometry, Isometry) or \
+                isometry.lattice.gram != k3_lattice().gram:
             raise LatticeError("a gamma0 letter needs an isometry of the K3 "
                                "lattice")
+        return tuple.__new__(cls, (isometry,))
+
+    _make = classmethod(_make_checked)
 
     @property
     def k3_matrix(self) -> linalg.Mat:
@@ -323,11 +323,10 @@ class Gamma0Letter:
         return model.extend_k3(self.isometry)
 
 
-@dataclass(frozen=True)
-class TauLetter:
-    """The reflection in a -2 vector of v-perp."""
+class TauLetter(namedtuple("TauLetter", "v0")):
+    """The reflection in the -2 vector v0 of v-perp, a MukaiVector."""
 
-    v0: MukaiVector
+    __slots__ = ()
 
     def to_isometry(self, model: VPerpModel) -> Isometry:
         return reflection(model.mukai, self.v0.coords())
@@ -336,16 +335,14 @@ class TauLetter:
 Letter = Gamma0Letter | TauLetter
 
 
-@dataclass(frozen=True)
-class GeneratorWord:
-    """A word in the Gamma_v generators; the product (in list order) is the
-    isometry the word factors.  Each letter is an isometry: a gamma0 letter
-    holds a K3 `Isometry`, and a tau letter's `reflection` takes only a +-2
-    class.  `jsonio.word_from_json` also checks that a tau class it reads
-    is a -2 vector of v-perp."""
+class GeneratorWord(namedtuple("GeneratorWord", "model letters")):
+    """A word in the Gamma_v generators on a VPerpModel; the product of the
+    tuple of letters (in order) is the isometry the word factors.  Each
+    letter is an isometry: a gamma0 letter holds a K3 `Isometry`, and a tau
+    letter's `reflection` takes only a +-2 class.  `jsonio.word_from_json`
+    also checks that a tau class it reads is a -2 vector of v-perp."""
 
-    model: VPerpModel
-    letters: tuple[Letter, ...]
+    __slots__ = ()
 
     def product(self) -> Isometry:
         # folded from the right, starting at the last letter, so that each

@@ -274,6 +274,19 @@ class TestFallbackBranches:
         assert [(args[2], result) for args, result in checked] == \
             [((0,) * 9, False)] * 8
 
+    def test_gives_up_when_lam1_blocks_hold_past_six_indices(
+            self, monkeypatch):
+        # lam1 lies in the E8(-1) block, whose 8 indices alone pass 6, so
+        # the enumeration returns None before it verifies any candidate
+        lat = build_lattice(("E8_minus",))
+        searches = self.record(monkeypatch, "_enumerate_witness")
+        checked = self.record(monkeypatch, "verify_embedding")
+        with pytest.raises(WitnessNotFound) as err:
+            embed_rank2(lat, unit(8, 0), (-2, 0, -2), radius=5)
+        assert err.value.radius == 5
+        assert [result for _, result in searches] == [None]
+        assert checked == []
+
     def test_right_pairing_wrong_square_skipped(self, monkeypatch):
         # in <-2> + <2, 2>, (0, -1, -1) is the first candidate pairing to 0
         # with lam1; its square is 4, not 2, so (0, -1, 0) is returned

@@ -44,9 +44,6 @@ from .characters import (
     orientation_char,
     reflection,
 )
-# clearing_isometry(lattice, v) returns (steps, image): Eichler transvections
-# t(e_j, -q) recorded as integers (p, j, q, h), at most one per bit of the
-# largest |v_i|, with image = t_k(... t_1(v)) free of some U block
 from .embeddings import WitnessNotFound, clearing_isometry, embed_rank2
 from .stabilizer import (
     ExtensionKind,

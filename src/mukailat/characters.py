@@ -69,7 +69,7 @@ def _reference(lattice: Lattice) -> tuple[tuple[Vec, ...], tuple]:
                for block in lattice.blocks_named(name)]
     gram = linalg.freeze([[lattice.pair(a, b) for b in vectors]
                           for a in vectors])
-    if not linalg.is_positive_definite(gram):
+    if linalg.signature(gram)[0] != len(vectors):
         raise LatticeError("reference vectors must span a positive definite space")
     n_plus = lattice.signature()[0]
     if len(vectors) != n_plus:

@@ -133,8 +133,7 @@ def clearing_isometry(lattice: Lattice, v):
     # other U block is free or has a nonzero coefficient of size at most
     # |c|/2.  So each pivot is at most half the last, the first is at most
     # max |v_i|, and the walk ends within bitlength(max |v_i|) steps; the
-    # loop's one further pass sees the free block.  A walk past the bound
-    # would return None.
+    # loop's one further pass sees the free block.
     for _ in range(max(abs(x) for x in v).bit_length() + 1):
         if _free_u_block(lattice, v) is not None:
             return tuple(steps), v
@@ -151,7 +150,6 @@ def clearing_isometry(lattice: Lattice, v):
         image[partner] += lattice.pair(q, v) - h * c
         v = tuple(image)
         steps.append((pivot, partner, q, h))
-    return None
 
 
 def _walk_back(lattice: Lattice, steps, y):

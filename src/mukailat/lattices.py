@@ -17,7 +17,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
-from math import prod
+from math import gcd, prod
 from operator import mul
 
 from . import linalg
@@ -170,10 +170,6 @@ def _divide_exact(v: Vec, d: int) -> Vec:
     return tuple(x // d for x in v)
 
 
-def _u_gram() -> Mat:
-    return ((0, 1), (1, 0))
-
-
 def _block_pieces(spec_item):
     """Expand one block descriptor into a list of (name, labels, gram)."""
     if isinstance(spec_item, (tuple, list)):
@@ -188,7 +184,7 @@ def _block_pieces(spec_item):
         )
         return [(f"diag{list(entries)}", labels, g)]
     if spec_item == "U":
-        return [("U", ("e", "f"), _u_gram())]
+        return [("U", ("e", "f"), ((0, 1), (1, 0)))]
     if spec_item == "E8_minus":
         return [("E8_minus", tuple(f"a{i+1}" for i in range(8)),
                  linalg.mat_neg(_e8_cartan()))]
@@ -255,16 +251,15 @@ def mukai_lattice() -> Lattice:
 
 
 def is_primitive(lattice: Lattice, x: Vec) -> bool:
-    if len(x) != lattice.rank:
-        raise LatticeError("vector length does not match lattice rank")
+    lattice._check_length(x)
     if linalg.is_zero_vec(x):
         raise LatticeError("the zero vector is neither primitive nor imprimitive")
-    return linalg.vec_content(x) == 1
+    return gcd(*x) == 1
 
 
 def primitive_part(x: Vec) -> tuple[int, Vec]:
     """x = c * x0 with c > 0 and x0 primitive (x must be nonzero)."""
-    c = linalg.vec_content(x)
+    c = gcd(*x)
     if c == 0:
         raise LatticeError("zero vector has no primitive part")
     return c, tuple(a // c for a in x)

@@ -128,11 +128,6 @@ def vec_neg(v: Vec) -> Vec:
     return tuple(-x for x in v)
 
 
-def vec_content(v: Vec) -> int:
-    """gcd of the entries (0 for the zero vector)."""
-    return gcd(*v)
-
-
 def is_zero_vec(v: Vec) -> bool:
     return all(x == 0 for x in v)
 
@@ -511,7 +506,3 @@ def symmetric_elimination(gram: Mat) -> tuple:
 def signature(gram: Mat) -> tuple[int, int, int]:
     """(n_plus, n_minus, n_zero): `symmetric_elimination` without det."""
     return symmetric_elimination(gram)[:3]
-
-
-def is_positive_definite(gram) -> bool:
-    return signature(gram)[0] == len(gram)

@@ -35,7 +35,7 @@ from .lattices import (
     mukai_lattice,
     primitive_part,
 )
-from .mukai import MukaiVector, mukai_pairing
+from .mukai import MukaiVector, hilbert_scheme_vector, mukai_pairing
 
 
 class NotInGammaV(LatticeError):
@@ -63,7 +63,7 @@ class VPerpModel(namedtuple("VPerpModel",
 
     @property
     def v(self) -> MukaiVector:
-        return MukaiVector(1, linalg.zero_vec(self.k3.rank), -self.m)
+        return hilbert_scheme_vector(self.m)
 
     @property
     def w(self) -> MukaiVector:
@@ -275,18 +275,19 @@ def sym3_triple(m: int, v1: MukaiVector, v2: MukaiVector) -> dict:
     t0 = reflection(mukai, v0.coords())
     t1 = reflection(mukai, v1.coords())
     t2 = reflection(mukai, v2.coords())
-    checks["tau0_eq_121"] = (t1 @ t2 @ t1).matrix == t0.matrix
-    checks["tau0_eq_212"] = (t2 @ t1 @ t2).matrix == t0.matrix
+    t12, t21 = t1 @ t2, t2 @ t1
+    t121, t12_sq = t12 @ t1, t12 @ t12
+    checks["tau0_eq_121"] = t121.matrix == t0.matrix
+    checks["tau0_eq_212"] = (t21 @ t2).matrix == t0.matrix
     # group closure: {1, t1, t2, t1t2, t2t1, t1t2t1} with (t1 t2)^3 = 1
-    t12 = t1 @ t2
     checks["order_six"] = (
-        (t12 @ t12 @ t12).is_identity()
+        (t12_sq @ t12).is_identity()
         and not t12.is_identity()
-        and not (t12 @ t12).is_identity()
+        and not t12_sq.is_identity()
     )
     elements = {
         Isometry.identity(mukai).matrix, t1.matrix, t2.matrix,
-        t12.matrix, (t2 @ t1).matrix, (t1 @ t2 @ t1).matrix,
+        t12.matrix, t21.matrix, t121.matrix,
     }
     checks["six_elements"] = len(elements) == 6
     checks["all"] = all(checks.values())
@@ -497,9 +498,11 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False
         if x == w:
             break
         if x == -w:
-            # forces m = 1; reflect in (1, L, 1) with L primitive isotropic
-            if m != 1:
-                raise NotInGammaV("g(w) = -w: acts by -1 on the discriminant")
+            # forces m = 1: an integer g with g(v) = v has g(h4) = (g(w) -
+            # v)/2m integral, so g(w) = -w makes -h0/m integral; each
+            # residual is g composed with reflections in v-perp classes, so
+            # the same holds for it.  Reflect in (1, L, 1) with L primitive
+            # isotropic
             block = model.k3.blocks_named("U")[0]
             x = reflect(MukaiVector(1, model.k3.plane_vector(block, 1, 0), 1))
             continue

@@ -119,7 +119,7 @@ def old_orientation_char(g):
             for name, sign in (("U", 1), ("H04", -1))
             for block in lat.blocks_named(name)]
     gram = linalg.freeze([[lat.pair(a, b) for b in refs] for a in refs])
-    if not linalg.is_positive_definite(gram):
+    if linalg.signature(gram)[0] != len(refs):
         raise LatticeError("positive definite")
     if len(refs) != lat.signature()[0]:
         raise LatticeError("the positive index")

@@ -1,13 +1,14 @@
 """Each typed raise of `Lattice`, `Isometry`, `discriminant_group`,
 `kernel_basis`, the v-perp model, `disc_group_order`, `factor`,
-`sym3_triple` and the word reader fires on its input, with its error type
-and message."""
+`sym3_triple`, `elliptic_phi`, `mon_twist` and the word reader fires on its
+input, with its error type and message."""
 
 import re
 
 import pytest
 
-from mukailat import linalg
+from mukailat import fourier_mukai, linalg
+from mukailat.characters import covariance
 from mukailat.embeddings import verify_embedding
 from mukailat.jsonio import word_from_json
 from mukailat.lattices import (
@@ -24,6 +25,7 @@ from mukailat.lattices import (
 )
 from mukailat.mukai import MukaiVector
 from mukailat.stabilizer import (
+    InvariantError,
     NotInGammaV,
     classify_minus2,
     disc_group_order,
@@ -97,6 +99,16 @@ def _plane(k3, block):
     return label_vector(k3, **{f"e.{block}": 1, f"f.{block}": 1})
 
 
+def _off_disc_kernel(m):
+    # h0 -> v and h4 -> 0 fixes v = h0 - m h4 and sends w = h0 + m h4 to v,
+    # whose s = -m is not r m
+    mukai = mukai_lattice()
+    h0, h4 = mukai.rank - 2, mukai.rank - 1
+    rows = [list(row) for row in linalg.identity(mukai.rank)]
+    rows[h4][h0], rows[h4][h4] = -m, 0
+    return Isometry._trusted(mukai, linalg.freeze(rows))
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: word_from_json(vperp_model(2), {"letters": [{"kind": "sigma"}]}),
      LatticeError, "unknown letter kind 'sigma'"),
@@ -119,13 +131,18 @@ def _plane(k3, block):
      LatticeError, "L2 square condition fails"),
     (lambda: factor(vperp_model(2), Isometry.identity(k3_lattice())),
      NotInGammaV, "expected an isometry of the Mukai lattice"),
+    (lambda: factor(vperp_model(2), _off_disc_kernel(2)),
+     NotInGammaV, "not in the kernel of the disc action"),
+    (lambda: factor(vperp_model(3), _off_disc_kernel(3)),
+     NotInGammaV, "not in the kernel of the disc action"),
     (lambda: vperp_model(0), LatticeError, "m must be a positive integer"),
     (lambda: disc_group_order(0), LatticeError,
      "m must be a positive integer"),
 ], ids=["word_letter_kind", "tuple_block", "is_primitive_length",
         "to_perp_coords", "restrict_not_mukai", "extend_k3_not_k3",
         "classify_not_orthogonal", "sym3_l1_square", "sym3_l2_square",
-        "factor_not_mukai", "vperp_model_m0", "disc_group_order_m0"])
+        "factor_not_mukai", "factor_off_disc_kernel_m2",
+        "factor_off_disc_kernel_m3", "vperp_model_m0", "disc_group_order_m0"])
 def test_typed_raise(call, error, message):
     with pytest.raises(error, match=re.escape(message)) as info:
         call()
@@ -146,3 +163,26 @@ def test_isometry_equals_only_an_isometry():
     identity = Isometry.identity(k3_lattice())
     assert identity.__eq__(3) is NotImplemented
     assert identity != 3
+
+
+def test_elliptic_phi_checks_the_extended_matrix(monkeypatch):
+    # not an isometry of Lambda, so its extension by -1 is none of the
+    # Mukai lattice
+    monkeypatch.setattr(fourier_mukai, "PHI_LAMBDA_MATRIX",
+                        ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                         (0, 0, 1, 1)))
+    with pytest.raises(LatticeError, match=re.escape(
+            "matrix does not preserve the Gram form")) as info:
+        fourier_mukai.elliptic_phi(5)
+    assert type(info.value) is LatticeError
+
+
+def test_mon_twist_checks_the_orientation(monkeypatch):
+    # the wrong sign negates the restriction, and -1 on the positive
+    # 3-space of v-perp reverses its orientation
+    monkeypatch.setattr(fourier_mukai, "covariance",
+                        lambda g: 1 - covariance(g))
+    with pytest.raises(InvariantError, match=re.escape(
+            "twisted restriction must preserve orientation")):
+        fourier_mukai.mon_twist(vperp_model(2),
+                                Isometry.identity(mukai_lattice()))

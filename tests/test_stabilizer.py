@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -788,4 +789,4 @@ def test_sampled_generators_have_their_squares(m):
         assert mukai_pairing(v0, v0) == -2
         assert mukai_pairing(v0, fam.model.v) == 0
         assert v0.r == 1 and v0.s == m
-        assert linalg.vec_content(v0.c) == 1
+        assert gcd(*v0.c) == 1

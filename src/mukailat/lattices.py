@@ -107,8 +107,10 @@ class Lattice(namedtuple("Lattice", "gram basis_labels blocks name")):
         return self._elimination[3]
 
     def _check_length(self, *vectors):
-        if any(len(v) != self.rank for v in vectors):
-            raise LatticeError("vector length does not match lattice rank")
+        n = len(self.gram)
+        for v in vectors:
+            if len(v) != n:
+                raise LatticeError("vector length does not match lattice rank")
 
     def pair(self, x: Vec, y: Vec):
         """(x, y) = x^T G y, for int or Fraction entries."""

@@ -13,7 +13,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mukailat import characters, cli, embeddings, jsonio, lattices, linalg
 from mukailat.cli import run
-from mukailat.stabilizer import InvariantError, generator_family, vperp_model
+from mukailat.stabilizer import (
+    GeneratorWord,
+    InvariantError,
+    generator_family,
+    vperp_model,
+)
 
 from conftest import label_vector
 
@@ -288,6 +293,19 @@ class TestStab:
         # the emitted word re-ingests to the same product
         word = jsonio.word_from_json(model, report["outputs"]["word"])
         assert word.product().matrix == g.matrix
+
+    def test_factor_computes_its_product_check(self, monkeypatch):
+        # factor proves the product of its word without computing it; the
+        # report multiplies the word, so a wrong product fails it (exit 1)
+        monkeypatch.setattr(
+            GeneratorWord, "product",
+            lambda word: lattices.Isometry.identity(word.model.mukai))
+        report, status = invoke(
+            ["stab", "factor", "--m", "3", "--isometry",
+             str(GOLDEN / "inputs" / "factor_m3.json"), "--normalize"])
+        assert status == 1
+        assert {"name": "product_equals_input", "pass": False} \
+            in report["verification"]
 
     def test_sample_deterministic(self):
         r1, s1 = invoke(["--seed", "5", "stab", "sample", "--m", "2",

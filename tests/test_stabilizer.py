@@ -8,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from mukailat import embeddings, linalg
+from mukailat import embeddings, linalg, stabilizer
 from mukailat.lattices import (
     Isometry,
     LatticeError,
@@ -535,15 +535,38 @@ class TestFactor:
         assert len(word.letters) == 1
         assert isinstance(word.letters[0], Gamma0Letter)
 
-    def test_wrong_product_raises_lattice_error(self, monkeypatch, rng):
-        # the final product check is kept under python -O; after the
-        # residual check a mismatch is a library bug, so an InvariantError
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_never_multiplies_its_word(self, monkeypatch, normalize):
+        # factor proves that its word multiplies to g (see its docstring),
+        # so it returns with GeneratorWord.product gone; the m = 5 letter
+        # (3, -2 L', 15) is an imprimitive odd-rank class, which
+        # normalize_word factors again
+        model = vperp_model(5)
+        fam = generator_family(5)
+        rng = random.Random(5)
+        inputs = [fam.sample_word(rng, n).product() for n in (1, 5, 15)]
+        odd = GeneratorWord(model, (TauLetter(MukaiVector(
+            3, linalg.vec_neg(u1_vector(model, 2, 22)), 15)),))
+        odd_g = odd.product()
+        monkeypatch.setattr(
+            GeneratorWord, "product",
+            lambda word: pytest.fail("factor multiplied its word"))
+        words = [factor(model, g, normalize=normalize) for g in inputs]
+        norm = normalize_word(odd)
+        monkeypatch.undo()
+        for g, word in zip(inputs, words):
+            assert word.product() == g
+        assert norm.product() == odd_g
+
+    def test_residual_check_trips(self, monkeypatch, rng):
+        # with every reflection the identity, x never reaches w, so the
+        # residual g does not fix w: the one check factor's proof reads
         model = vperp_model(3)
         g = generator_family(3).tau_letter(rng).to_isometry(model)
-        monkeypatch.setattr(GeneratorWord, "product",
-                            lambda word: Isometry.identity(model.mukai))
-        with pytest.raises(InvariantError,
-                           match="the factorization does not reproduce g"):
+        monkeypatch.setattr(stabilizer, "reflection",
+                            lambda lattice, u: Isometry.identity(lattice))
+        with pytest.raises(InvariantError, match=(
+                "^the Gamma_0 residual does not fix v and w$")):
             factor(model, g)
 
     def test_rejects_non_stabilizing(self):
@@ -641,6 +664,46 @@ class TestFactor:
         assert norm.product().matrix == word.product().matrix
         assert all(l.v0.r in (1, -1) for l in norm.letters
                    if isinstance(l, TauLetter))
+
+
+class TestNormalizeWord:
+    """normalize_word on its own: each Sym3 rewrite keeps the product,
+    which factor proves and does not compute."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.sampled_from([1, 2, 3, 7]),
+           ranks=st.lists(st.integers(2, 12), min_size=1, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_keeps_the_product(self, m, ranks, seed):
+        # tau letters in (a, L, a m), L = e + (m a^2 - 1) f of square
+        # 2 m a^2 - 2 moved by up to two K3 reflections, with either sign,
+        # between sampled Gamma_0 letters
+        fam = generator_family(m)
+        rng = random.Random(seed)
+        letters = [fam.gamma0_letter(rng)]
+        for a in ranks:
+            cls = u1_vector(fam.model, 1, m * a * a - 1)
+            for _ in range(rng.randrange(3)):
+                cls = reflection(fam.model.k3,
+                                 fam.sample_pm2_vector(rng)).apply(cls)
+            v0 = MukaiVector(a, cls, a * m)
+            letters += [TauLetter(rng.choice((v0, -v0))),
+                        fam.gamma0_letter(rng)]
+        word = GeneratorWord(fam.model, tuple(letters))
+        norm = normalize_word(word)
+        assert norm.product() == word.product()
+        assert all(r in (1, -1) for r in norm.tau_ranks())
+
+    def test_rank_34(self):
+        # (a, e + (m a^2 - 1) f, m a) at m = 2, a = 34, as perfbench's
+        # rank_tau_vector builds it
+        m, a = 2, 34
+        model = vperp_model(m)
+        v0 = MukaiVector(a, u1_vector(model, 1, m * a * a - 1), m * a)
+        word = GeneratorWord(model, (TauLetter(v0),))
+        norm = normalize_word(word)
+        assert norm.product() == word.product()
+        assert all(r in (1, -1) for r in norm.tau_ranks())
 
 
 class TestNoWitnessSearch:

@@ -62,8 +62,7 @@ from .stabilizer import (
     generator_family,
     in_gamma_v,
     normalize_word,
-    pair_witness_extend,
-    pair_witness_split,
+    pair_witness_peel,
     sym3_triple,
     vperp_model,
     w_membership,

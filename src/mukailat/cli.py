@@ -254,14 +254,14 @@ def _stab_classify(args):
 def _stab_factor(args):
     model = vperp_model(args.m)
     iso = jsonio.isometry_from_json(_load_json(args.isometry))
-    # factor raises NotInGammaV when iso does not fix v; it proves the
-    # word's product rather than computing it, so the report computes it
+    # factor raises NotInGammaV when iso does not fix v, and it proves the
+    # word's product rather than computing it; the report computes both
     word = factor(model, iso, normalize=args.normalize)
     outputs = {"word": jsonio.word_to_json(word),
                "letters": len(word.letters)}
     verification = [
         _check("product_equals_input", word.product().matrix == iso.matrix),
-        _check("fixes_v", True),
+        _check("fixes_v", iso.fixes(model.v.coords())),
     ]
     if args.normalize:
         verification.append(_check(

@@ -202,49 +202,25 @@ def aplus_witness(m: int) -> MukaiVector | None:
         return None
     k3 = k3_lattice()
     c = k3.plane_vector(k3.blocks_named("U")[0], 2, 2 * ((m - 1) // 4))
-    v0 = MukaiVector(1, c, m)
-    _ensure(mukai_pairing(v0, v0) == -2, "A_+ witness is not a -2 vector")
-    return v0
+    # L0^2 = 2 (m - 1)/4, so (2 L0)^2 = 8 (m - 1)/4 = 2m - 2 and
+    # (1, 2 L0, m)^2 = 2m - 2 - 2m = -2
+    return MukaiVector(1, c, m)
 
 
 # -- pairs of classes and the Sym3 relations ----------------------------------
 
 
-def pair_witness_split(m: int, l0, r: int):
-    """Split L0 (square 2 r^2 m - 2, r >= 2 even) as L1 + L2 with both
-    primitive, L_i^2 = 2 (r/2)^2 m - 2 and L1.L2 = 1 + 2 (r/2)^2 m.  On
-    K3, `embed_rank2` never enumerates or raises WitnessNotFound."""
-    k3 = k3_lattice()
+def pair_witness_peel(m: int, l0, r: int):
+    """(L1, L0 - L1) for L0 primitive of square 2 r^2 m - 2: L1 has L1^2 =
+    2m - 2 and L0.L1 = 2rm - 1, so v1 = (1, -L1, m) and v2 = v0 - v1 =
+    (r - 1, -(L0 - L1), (r - 1) m) form a Sym3 pair, (v1, v2) = 1, for v0 =
+    (r, -L0, rm).  `embed_rank2` checks L0 and returns a saturated {L0, L1},
+    so L0 - L1 is primitive; on K3 it never enumerates or raises
+    WitnessNotFound."""
     l0 = tuple(l0)
-    if r < 2 or r % 2:
-        raise LatticeError("rank r must be even and at least 2")
-    if k3.square(l0) != 2 * r * r * m - 2:
-        raise LatticeError("L0 must have square 2 r^2 m - 2")
-    # L0 = i L0' and K3 is even, so L0'^2 = 2 (r^2 m - 1)/i^2 = 2d exactly
-    i, l0_prim = primitive_part(l0)
-    d = (r * r * m - 1) // (i * i)
-    l1 = embed_rank2(k3, l0_prim, (2 * d, i * d, (r * r * m - 4) // 2))
-    # embed_rank2 verified L0'.L1 = i d and L1^2 = 2 (r/2)^2 m - 2, so L2 =
-    # i L0' - L1 has the same square and L1.L2 = 1 + 2 (r/2)^2 m; both are
-    # primitive, as {L0', L1} is saturated
+    l1 = embed_rank2(k3_lattice(), l0,
+                     (2 * r * r * m - 2, 2 * r * m - 1, 2 * m - 2))
     return l1, linalg.vec_sub(l0, l1)
-
-
-def pair_witness_extend(m: int, l1, a: int):
-    """L2 primitive with L2^2 = 2m - 2 and L1.L2 = 1 + 2am, given L1
-    primitive of square 2 a^2 m - 2.  On K3, `embed_rank2` never enumerates
-    or raises WitnessNotFound."""
-    k3 = k3_lattice()
-    l1 = tuple(l1)
-    if a < 1:
-        raise LatticeError("rank a must be at least 1")
-    if not is_primitive(k3, l1):
-        raise LatticeError("L1 must be primitive")
-    if k3.square(l1) != 2 * a * a * m - 2:
-        raise LatticeError("L1 must have square 2 a^2 m - 2")
-    # embed_rank2 verifies both Gram entries and that {L1, L2} is saturated,
-    # so L2 is primitive
-    return embed_rank2(k3, l1, (2 * a * a * m - 2, 1 + 2 * a * m, 2 * m - 2))
 
 
 def _check_pair_conditions(m: int, l1, l2, a: int, b: int):
@@ -461,8 +437,9 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False
     to -1, and a third sends x back to w, leaving an isometry that fixes
     both v and w, i.e. a Gamma_0 letter.  With normalize=True, every tau
     letter of rank a with |a| >= 2 is rewritten into rank-one letters
-    through the Sym3 relations.  The witnesses come from `embed_rank2` on
-    K3 with a primitive first class: it never enumerates there.
+    through the Sym3 relations, 2|a| - 1 of them when its class part is
+    primitive.  The witnesses come from `embed_rank2` on K3 with a
+    primitive first class: it never enumerates there.
 
     The returned word multiplies to g; factor proves this rather than
     multiplying the word back:
@@ -473,12 +450,13 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False
       itself: it is `extend_k3` of its K3 block, the Gamma_0 letter;
     - so the word tau_1 ... tau_N residual multiplies to
       tau_1 ... tau_N tau_N ... tau_1 g = g;
-    - `normalize_word` rewrites tau_{v0} as tau_s tau_t tau_s with
-      tau_s(t) = v0, a conjugate of tau_t: an even rank splits as v0 = s + t
-      with (s, t) = 1, an odd one extends as v0 = t - s with (s, t) = -1,
-      from pairings that `embed_rank2` verifies (see `_normalize_tau`); a
-      rank-0 letter is the K3 reflection extended by the identity, and an
-      imprimitive odd-rank class is factored again, under the same proof.
+    - `normalize_word` rewrites tau_{v0} as tau_{v1} tau_{v2} tau_{v1}, a
+      conjugate of tau_{v2}: it peels off v1 = (1, -L1, m) with (v0, v1) =
+      -1, from pairings that `embed_rank2` verifies (see
+      `pair_witness_peel`), so v2 = v0 - v1 has v2^2 = -2 + 2 - 2 = -2 and
+      tau_{v1}(v2) = v2 + (v2, v1) v1 = v0; a rank-0 letter is the K3
+      reflection extended by the identity, and a class with an imprimitive
+      class part is factored again, under the same proof.
     The residual check is the one fact the proof reads from the run, so it
     stays: a failure is a library bug (`InvariantError`).
     """
@@ -593,33 +571,23 @@ def _normalize_tau(model: VPerpModel, v0: MukaiVector) -> list[Letter]:
     m = model.m
     if v0.r < 0:
         v0 = -v0  # tau_{v0} = tau_{-v0}
-    r, l0 = v0.r, linalg.vec_neg(v0.c)
-    if r == 0:
+    if v0.r == 0:
         # (0, A, 0) with A^2 = -2: a K3 reflection extended by the identity
         return [Gamma0Letter(reflection(model.k3, v0.c))]
-    if r % 2 and not is_primitive(model.k3, l0):
-        # an odd rank with an imprimitive class part: refactor the
-        # reflection; factor's own classes all have primitive class parts
+    if not is_primitive(model.k3, v0.c):
+        # refactor the reflection; factor's own classes all have primitive
+        # class parts
         inner = factor(model, reflection(model.mukai, v0.coords()))
         return list(normalize_word(inner).letters)
-    if r == 1:
-        return [TauLetter(v0)]
-    if r % 2 == 0:
-        l1, l2 = pair_witness_split(m, l0, r)
-        # L1 + L2 = L0 and L1.L2 = 1 + 2 (r/2)^2 m, so v1 + v2 = v0 and
-        # (v1, v2) = 1: tau_{v0} = tau_{v1} tau_{v2} tau_{v1}
-        middle = _normalize_tau(
-            model, MukaiVector(r // 2, linalg.vec_neg(l2), (r // 2) * m))
-        side = _normalize_tau(
-            model, MukaiVector(r // 2, linalg.vec_neg(l1), (r // 2) * m))
-        return side + middle + side
-    # odd rank >= 3 with primitive L0: extend to even rank r + 1.  L0.L2 =
-    # 1 + 2rm and L2^2 = 2m - 2 give (v0, v2) = 1 and (v0 + v2)^2 = -2, so
-    # tau_{v0} = tau_{v2} tau_{v0 + v2} tau_{v2}
-    l2 = pair_witness_extend(m, l0, r)
-    v2 = MukaiVector(1, linalg.vec_neg(l2), m)
-    side = [TauLetter(v2)]
-    return side + _normalize_tau(model, v0 + v2) + side
+    # peel a rank-one v1 off v0 until rank one is left: (v1, v0 - v1) = 1,
+    # so tau_{v0} = tau_{v1} tau_{v0 - v1} tau_{v1}
+    sides = []
+    while v0.r > 1:
+        r = v0.r
+        l1, l2 = pair_witness_peel(m, linalg.vec_neg(v0.c), r)
+        sides.append(TauLetter(MukaiVector(1, linalg.vec_neg(l1), m)))
+        v0 = MukaiVector(r - 1, linalg.vec_neg(l2), (r - 1) * m)
+    return sides + [TauLetter(v0)] + sides[::-1]
 
 
 # -- the discriminant isometry count ------------------------------------------

@@ -236,9 +236,9 @@ def test_criterion_06_orbits():
 
 def test_criterion_07_sym3_relations():
     """tau_{v0} = tau_{v1} tau_{v2} tau_{v1} = tau_{v2} tau_{v1} tau_{v2}
-    and the group has order 6, on 50+ pair_witness instances, m in 1..6."""
-    from mukailat.stabilizer import pair_witness_extend, pair_witness_split
-    from mukailat.stabilizer import sym3_triple
+    and the group has order 6, on 50+ pair_witness_peel instances, m in
+    1..6."""
+    from mukailat.stabilizer import pair_witness_peel, sym3_triple
 
     k3 = k3_lattice()
     rng = random.Random(3007)
@@ -246,28 +246,28 @@ def test_criterion_07_sym3_relations():
     for m in range(1, 7):
         fam = generator_family(m)
         for trial in range(9):
-            a = rng.choice((1, 1, 2))
-            # a primitive class of square 2 a^2 m - 2 via a random twist
-            l1 = [0] * 22
-            l1[16] = 1
-            l1[17] = a * a * m - 1
-            l1 = tuple(l1)
+            r = rng.choice((2, 2, 3))
+            # a primitive class of square 2 r^2 m - 2 via a random twist
+            l0 = [0] * 22
+            l0[16] = 1
+            l0[17] = r * r * m - 1
+            l0 = tuple(l0)
             for _ in range(rng.randrange(3)):
-                l1 = general_reflection(
+                l0 = general_reflection(
                     k3, fam.sample_pm2_vector(rng)
-                ).apply(l1)
-            l2 = pair_witness_extend(m, l1, a)
-            v1 = MukaiVector(a, linalg.vec_neg(l1), a * m)
-            v2 = MukaiVector(1, linalg.vec_neg(l2), m)
+                ).apply(l0)
+            l1, l2 = pair_witness_peel(m, l0, r)
+            v1 = MukaiVector(1, linalg.vec_neg(l1), m)
+            v2 = MukaiVector(r - 1, linalg.vec_neg(l2), (r - 1) * m)
             checks = sym3_triple(m, v1, v2)
             assert checks["all"], (m, trial, checks)
             instances += 1
-        # one split-mode instance per m
+        # one split-mode instance per m: at r = 2 the peel halves L0
         r = 2
         l0 = [0] * 22
         l0[16] = 1
         l0[17] = r * r * m - 1
-        la, lb = pair_witness_split(m, tuple(l0), r)
+        la, lb = pair_witness_peel(m, tuple(l0), r)
         va = MukaiVector(1, linalg.vec_neg(la), m)
         vb = MukaiVector(1, linalg.vec_neg(lb), m)
         assert sym3_triple(m, va, vb)["all"]

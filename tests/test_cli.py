@@ -307,6 +307,21 @@ class TestStab:
         assert {"name": "product_equals_input", "pass": False} \
             in report["verification"]
 
+    def test_factor_computes_its_fixes_v_check(self, monkeypatch, tmp_path):
+        # factor rejects an isometry that moves v; with a factor that
+        # returns the empty word instead, the report's own check fails
+        model = vperp_model(2)
+        path = tmp_path / "minus.json"
+        path.write_text(json.dumps(jsonio.isometry_to_json(
+            lattices.Isometry.identity(model.mukai).negate(), "mukai")))
+        monkeypatch.setattr(
+            cli, "factor",
+            lambda model, iso, normalize: GeneratorWord(model, ()))
+        report, status = invoke(
+            ["stab", "factor", "--m", "2", "--isometry", str(path)])
+        assert status == 1
+        assert {"name": "fixes_v", "pass": False} in report["verification"]
+
     def test_sample_deterministic(self):
         r1, s1 = invoke(["--seed", "5", "stab", "sample", "--m", "2",
                          "--length", "3"])

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mukailat import embeddings, linalg, stabilizer
 from mukailat.lattices import (
@@ -38,8 +38,7 @@ from mukailat.stabilizer import (
     in_gamma_v,
     nontrivial_disc_isometry,
     normalize_word,
-    pair_witness_extend,
-    pair_witness_split,
+    pair_witness_peel,
     sym3_triple,
     vperp_model,
     w_membership,
@@ -249,6 +248,26 @@ class TestDiscAction:
             u = disc_action(model, minus)
             assert (u * u - 1) % (4 * m) == 0
 
+    def test_w_image_off_the_discriminant_trips(self, m3):
+        # a 1 in row 0 of w's column: g(w) has a K3 part that is not 0 mod
+        # 2m, which no isometry of v-perp gives
+        rows = [list(r) for r in linalg.identity(m3.lattice.rank)]
+        rows[0][-1] = 1
+        g = Isometry._trusted(m3.lattice, linalg.freeze(rows))
+        with pytest.raises(InvariantError, match=(
+                "^induced map on the discriminant is not multiplication by "
+                "a unit$")):
+            disc_action(m3, g)
+
+    def test_unit_not_preserving_q_trips(self):
+        # w -> 3w at m = 7: 3^2 = 9 is not 1 mod 28, so q(w/14) moves
+        model = vperp_model(7)
+        rows = [list(r) for r in linalg.identity(model.lattice.rank)]
+        rows[-1][-1] = 3
+        g = Isometry._trusted(model.lattice, linalg.freeze(rows))
+        with pytest.raises(InvariantError, match="^q is not preserved$"):
+            disc_action(model, g)
+
 
 class TestInGammaV:
     def test_m1_minus_id(self):
@@ -407,53 +426,28 @@ class TestAPlusWitness:
 class TestPairWitness:
     def test_split_m1(self, k3):
         l0 = label_vector(k3, **{"e.1": 1, "f.1": 3})  # square 6 = 2*4*1-2
-        l1, l2 = pair_witness_split(1, l0, 2)
+        l1, l2 = pair_witness_peel(1, l0, 2)
         assert k3.square(l1) == 0 and k3.square(l2) == 0
         assert k3.pair(l1, l2) == 3
-
-    def test_extend_m1(self, k3):
-        l1 = label_vector(k3, **{"e.1": 1})
-        l2 = pair_witness_extend(1, l1, 1)
-        assert k3.square(l2) == 0 and k3.pair(l1, l2) == 3
-        # the stated witness 3f is equally valid
-        stated = label_vector(k3, **{"f.1": 3})
-        assert k3.square(stated) == 0 and k3.pair(l1, stated) == 3
-
-    def test_odd_rank_rejected(self, k3):
-        l0 = label_vector(k3, **{"e.1": 1, "f.1": 8})  # square 16 = 2*9*1-2
-        with pytest.raises(LatticeError,
-                           match="rank r must be even and at least 2"):
-            pair_witness_split(1, l0, 3)
-
-    @pytest.mark.parametrize("r", [0, -2])
-    def test_small_rank_rejected(self, k3, r):
-        l0 = label_vector(k3, **{"e.1": 1, "f.1": -1})  # square -2
-        with pytest.raises(LatticeError,
-                           match="rank r must be even and at least 2"):
-            pair_witness_split(1, l0, r)
 
     def test_split_wrong_square_rejected(self, k3):
         l0 = label_vector(k3, **{"e.1": 1, "f.1": 2})  # square 4, not 6
         with pytest.raises(LatticeError,
-                           match=r"L0 must have square 2 r\^2 m - 2"):
-            pair_witness_split(1, l0, 2)
-
-    @pytest.mark.parametrize("l1, a, match", [
-        ({"e.1": 1}, 0, "rank a must be at least 1"),
-        ({"e.1": 2}, 1, "L1 must be primitive"),
-        ({"e.1": 1, "f.1": 1}, 1, r"L1 must have square 2 a\^2 m - 2"),
-    ])
-    def test_extend_arguments_rejected(self, k3, l1, a, match):
-        with pytest.raises(LatticeError, match=match):
-            pair_witness_extend(1, label_vector(k3, **l1), a)
+                           match=r"^\(lambda_1, lambda_1\) = 4 != 6$"):
+            pair_witness_peel(1, l0, 2)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_split_various(self, m, k3):
-        for r in (2, 4):
-            # L0 = e + k f with 2k = 2 r^2 m - 2
+        for r in (2, 3, 4):
+            # L0 = e + k f with 2k = 2 r^2 m - 2; L1 has rank one and L2
+            # rank r - 1, with the pair conditions for (1, r - 1)
             l0 = label_vector(k3, **{"e.1": 1, "f.1": r * r * m - 1})
-            l1, l2 = pair_witness_split(m, l0, r)
+            l1, l2 = pair_witness_peel(m, l0, r)
             assert linalg.vec_add(l1, l2) == l0
+            assert k3.square(l1) == 2 * m - 2
+            assert k3.square(l2) == 2 * (r - 1) ** 2 * m - 2
+            assert k3.pair(l1, l2) == 1 + 2 * (r - 1) * m
+            assert is_primitive(k3, l2)
 
 
 class TestSym3:
@@ -478,11 +472,11 @@ class TestSym3:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_from_pair_witness(self, m, k3):
-        a = 1
-        l1 = label_vector(k3, **{"e.1": 1, "f.1": a * a * m - 1})
-        l2 = pair_witness_extend(m, l1, a)
-        v1 = MukaiVector(a, linalg.vec_neg(l1), a * m)
-        v2 = MukaiVector(1, linalg.vec_neg(l2), m)
+        r = 3
+        l0 = label_vector(k3, **{"e.1": 1, "f.1": r * r * m - 1})
+        l1, l2 = pair_witness_peel(m, l0, r)
+        v1 = MukaiVector(1, linalg.vec_neg(l1), m)
+        v2 = MukaiVector(r - 1, linalg.vec_neg(l2), (r - 1) * m)
         assert sym3_triple(m, v1, v2)["all"]
 
 
@@ -662,8 +656,7 @@ class TestFactor:
         word = GeneratorWord(model, (TauLetter(v0),))
         norm = normalize_word(word)
         assert norm.product().matrix == word.product().matrix
-        assert all(l.v0.r in (1, -1) for l in norm.letters
-                   if isinstance(l, TauLetter))
+        assert norm.tau_ranks() == (1, 1, 1)
 
 
 class TestNormalizeWord:
@@ -704,6 +697,23 @@ class TestNormalizeWord:
         norm = normalize_word(word)
         assert norm.product() == word.product()
         assert all(r in (1, -1) for r in norm.tau_ranks())
+
+    def test_rank_301(self):
+        # the canonical tau letter, then one of rank 301 as in test_rank_34:
+        # factor's rank-301 letter peels into 601 rank-one letters, next to
+        # the rho and final reflections and a Gamma_0 letter
+        m, a = 2, 301
+        model = vperp_model(m)
+        letters = (
+            TauLetter(MukaiVector(1, linalg.vec_neg(u1_vector(model, 1, m - 1)),
+                                  m)),
+            TauLetter(MukaiVector(a, u1_vector(model, 1, m * a * a - 1),
+                                  m * a)))
+        g = GeneratorWord(model, letters).product()
+        word = factor(model, g, normalize=True)
+        assert word.tau_ranks() == (1,) * 603
+        assert len(word.letters) == 604
+        assert word.product() == g
 
 
 class TestNoWitnessSearch:
@@ -753,6 +763,27 @@ class TestNoWitnessSearch:
             word = factor(model, g, normalize=True)
             assert all(r in (1, -1) for r in word.tau_ranks())
 
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(m=st.sampled_from([1, 2, 3, 7]), r=st.integers(1, 40),
+           sign=st.sampled_from([1, -1]), seed=st.integers(0, 2**32 - 1))
+    def test_normalize_peels_2r_minus_1_letters(self, m, r, sign, seed,
+                                                no_enumeration):
+        # sign (r, L, rm), L = e + (m r^2 - 1) f of square 2 m r^2 - 2 moved
+        # by up to two K3 reflections: primitive, so the peel alone
+        # rewrites it, into r - 1 side letters on each side of the last
+        fam = generator_family(m)
+        rng = random.Random(seed)
+        cls = u1_vector(fam.model, 1, m * r * r - 1)
+        for _ in range(rng.randrange(3)):
+            cls = reflection(fam.model.k3,
+                             fam.sample_pm2_vector(rng)).apply(cls)
+        v0 = MukaiVector(r, cls, r * m)
+        word = GeneratorWord(fam.model, (TauLetter(v0 if sign > 0 else -v0),))
+        norm = normalize_word(word)
+        assert norm.tau_ranks() == (1,) * (2 * r - 1)
+        assert norm.product() == word.product()
+
     def test_normalize_rank_zero(self, no_enumeration):
         model = vperp_model(2)
         word = GeneratorWord(
@@ -797,6 +828,19 @@ class TestNoWitnessSearch:
                 assert is_primitive(model.k3, letter.v0.c)
             else:
                 assert isinstance(letter, Gamma0Letter)
+
+    def test_normalize_imprimitive_even_rank(self, no_enumeration):
+        # (2, -L0, 14) with L0 = 3 (e + 3 f) of square 54 = 2 * 4 * 7 - 2:
+        # no peel starts from an imprimitive class, so factor rewrites it
+        m = 7
+        model = vperp_model(m)
+        v0 = MukaiVector(2, linalg.vec_neg(u1_vector(model, 3, 9)), 2 * m)
+        assert mukai_pairing(v0, v0) == -2
+        word = GeneratorWord(model, (TauLetter(v0),))
+        norm = normalize_word(word)
+        assert len(norm.letters) == 4
+        assert norm.product() == word.product()
+        assert all(r in (1, -1) for r in norm.tau_ranks())
 
 
 class TestDiscGroupOrder:

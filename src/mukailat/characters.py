@@ -16,7 +16,6 @@ from functools import lru_cache
 
 from . import linalg
 from .lattices import Isometry, Lattice, LatticeError
-from .linalg import Vec
 
 
 class ReflectionError(LatticeError):
@@ -59,11 +58,13 @@ def general_reflection(lattice: Lattice, u) -> Isometry:
 
 
 @lru_cache(maxsize=None)
-def _reference(lattice: Lattice) -> tuple[tuple[Vec, ...], tuple]:
+def _reference(lattice: Lattice) -> tuple:
     """e + f per hyperbolic block and h0 - h4 = (1, 0, -1) per H04 block,
     checked once to be a basis of a maximal positive definite subspace.
-    Returned as the vectors r_i and, per r_i, the (j, (G r_i)_j) with
-    (G r_i)_j != 0, the only entries a pairing (r_i, y) reads."""
+    Returned as (rows, covectors, supports): rows, the indices j with
+    (G r_i)_j != 0 for some r_i, the only entries a pairing (r_i, y) reads;
+    per r_i, the (t, (G r_i)_j) with j = rows[t]; and per r_k, its nonzero
+    (l, (r_k)_l)."""
     vectors = [lattice.plane_vector(block, 1, sign)
                for name, sign in (("U", 1), ("H04", -1))
                for block in lattice.blocks_named(name)]
@@ -76,10 +77,12 @@ def _reference(lattice: Lattice) -> tuple[tuple[Vec, ...], tuple]:
         raise LatticeError(
             f"reference must have {n_plus} vectors (the positive index)"
         )
-    supports = tuple(
-        tuple((j, x) for j, x in enumerate(lattice.covector(v)) if x)
-        for v in vectors)
-    return tuple(vectors), supports
+    covectors = [[(j, x) for j, x in enumerate(lattice.covector(v)) if x]
+                 for v in vectors]
+    rows = tuple(sorted({j for cov in covectors for j, _ in cov}))
+    at = {j: t for t, j in enumerate(rows)}
+    return (rows, tuple(tuple((at[j], x) for j, x in c) for c in covectors),
+            tuple(tuple((l, x) for l, x in enumerate(v) if x) for v in vectors))
 
 
 def orientation_char(g: Isometry) -> int:
@@ -89,18 +92,18 @@ def orientation_char(g: Isometry) -> int:
     B^{-1} C with B the reference Gram and C the pairing of references with
     their images; since det B > 0 only the sign of det C matters.  That sign
     is the same for every basis of every maximal positive definite subspace.
-    The images g r_k come from `Isometry.apply`, so a g kept in outer form
-    never builds its matrix, and C_ik = (r_i, g r_k) reads only the cached
-    nonzero entries of G r_i.  The value is kept on g and read from there
-    on every later call.
+    C_ik = (r_i, g r_k) reads g r_k only where G r_i is nonzero (8 of 24
+    entries on the Mukai lattice), and `Isometry.image_entries` forms only
+    those, without building a matrix kept in outer form.  The value is kept
+    on g and read from there on every later call.
     """
     char = getattr(g, "_orientation_char", None)
     if char is not None:
         return char
-    refs, supports = _reference(g.lattice)
-    images = [g.apply(v) for v in refs]
-    c = linalg.freeze([[sum(x * img[j] for j, x in support)
-                        for img in images] for support in supports])
+    rows, covectors, supports = _reference(g.lattice)
+    images = g.image_entries(rows, supports)
+    c = linalg.freeze([[sum(x * img[t] for t, x in cov) for img in images]
+                       for cov in covectors])
     d = linalg.det_q(c)
     if d == 0:
         raise LatticeError(

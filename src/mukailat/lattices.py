@@ -35,12 +35,9 @@ _E8_EDGES = ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4))
 
 
 def _e8_cartan() -> Mat:
-    g = [[0] * 8 for _ in range(8)]
-    for i in range(8):
-        g[i][i] = 2
+    g = [[2 * (i == j) for j in range(8)] for i in range(8)]
     for i, j in _E8_EDGES:
-        g[i - 1][j - 1] = -1
-        g[j - 1][i - 1] = -1
+        g[i - 1][j - 1] = g[j - 1][i - 1] = -1
     return freeze(g)
 
 
@@ -139,8 +136,7 @@ class Lattice(namedtuple("Lattice", "gram basis_labels blocks name")):
     def basis_vector(self, label: str) -> Vec:
         if label not in self.basis_labels:
             raise LatticeError(f"no basis vector labelled {label!r}")
-        i = self.basis_labels.index(label)
-        return tuple(1 if j == i else 0 for j in range(self.rank))
+        return linalg.identity(self.rank)[self.basis_labels.index(label)]
 
     def plane_vector(self, block: Block, a: int, b: int) -> Vec:
         """a e + b f, for the basis (e, f) of a rank-2 block."""
@@ -180,10 +176,8 @@ def _block_pieces(spec_item):
             raise LatticeError(f"unknown block {spec_item!r}")
         entries = tuple(int(x) for x in spec_item[1])
         labels = tuple(f"d{i+1}" for i in range(len(entries)))
-        g = freeze(
-            [[entries[i] if i == j else 0 for j in range(len(entries))]
-             for i in range(len(entries))]
-        )
+        g = freeze([[x if i == j else 0 for j in range(len(entries))]
+                    for i, x in enumerate(entries)])
         return [(f"diag{list(entries)}", labels, g)]
     if spec_item == "U":
         return [("U", ("e", "f"), ((0, 1), (1, 0)))]
@@ -224,9 +218,8 @@ def build_lattice(spec) -> Lattice:
         suffix = "" if name in ("H04",) else f".{k}"
         blocks.append(Block(name, offset, len(piece_labels)))
         labels.extend(f"{lab}{suffix}" for lab in piece_labels)
-        for i in range(len(piece_labels)):
-            for j in range(len(piece_labels)):
-                gram[offset + i][offset + j] = piece_gram[i][j]
+        for i, row in enumerate(piece_gram, offset):
+            gram[i][offset:offset + len(row)] = row
         offset += len(piece_labels)
     return Lattice(freeze(gram), tuple(labels), tuple(blocks),
                    name="+".join(str(s) for s in spec))
@@ -270,9 +263,10 @@ def primitive_part(x: Vec) -> tuple[int, Vec]:
 def _isometry_det(lattice: Lattice, matrix: Mat) -> int:
     """det M for an M with M^T G M = G.  Then det(M)^2 det G = det G, so on
     a nondegenerate lattice det M = +-1, and 1 and -1 differ mod 3: M is
-    eliminated over F_3 (`linalg.det_mod`).  A residue 0 means M is not an
-    isometry (LatticeError).  A degenerate lattice puts no bound on det M,
-    which is then taken by Bareiss."""
+    eliminated over F_3 (`linalg.det_mod`, with each row of the block M
+    moves packed into one int and no reduction per entry after packing).
+    A residue 0 means M is not an isometry (LatticeError).  A degenerate
+    lattice puts no bound on det M, which is then taken by Bareiss."""
     if not lattice.determinant():
         return linalg.det(matrix)
     r = linalg.det_mod(matrix, 3)
@@ -305,9 +299,9 @@ class Isometry:
     `outer` is (s, terms) when a library site built M = s I + sum_k b_k
     c_k^T that way, through `_trusted(lattice, outer=(s, terms))`; this
     class alone reads it.  Then `.matrix` is formed only when first read
-    (`linalg.identity_plus_outer_mul` applied to I), and `apply` and
-    `compose` with M on the left use the terms instead.  ==, hash and repr
-    are those of (lattice, matrix) either way.
+    (`linalg.identity_plus_outer_mul` applied to I), and `apply`,
+    `image_entries` and `compose` with M on the left use the terms instead.
+    ==, hash and repr are those of (lattice, matrix) either way.
 
     `_orientation_char` holds `characters.orientation_char(self)` once it
     has been read, and `_restricted` holds (model, model.restrict(self))
@@ -366,6 +360,25 @@ class Isometry:
         if self.outer is not None:
             return linalg.identity_plus_outer_vec(*self.outer, v)
         return linalg.mat_vec(self.matrix, v)
+
+    def image_entries(self, rows, supports) -> list:
+        """For each v in supports, given as its nonzero (l, v_l), the entries
+        (M v)_j for j in rows, from rows j of M alone; in outer form row j is
+        M^T e_j = s e_j + sum_k b_kj c_k, and no matrix is built."""
+        if self.outer is None:
+            picked = [self.matrix[j] for j in rows]
+        else:
+            s, terms = self.outer
+            unit = linalg.identity(self.lattice.rank)
+            picked = [linalg.identity_plus_outer_vec(
+                s, [(c, b) for b, c in terms], unit[j]) for j in rows]
+        images = []
+        for support in supports:
+            out = [0] * len(rows)
+            for l, x in support:
+                out = [y + x * r[l] for y, r in zip(out, picked)]
+            images.append(out)
+        return images
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other (matrix product self.matrix @ other.matrix)."""
@@ -433,8 +446,7 @@ def orthogonal_complement(lattice: Lattice, vectors) -> tuple[tuple[Vec, ...], M
     """Saturated complement {x : (x, s) = 0 for all s}, with restricted Gram."""
     vectors = [tuple(v) for v in vectors]
     if not vectors:
-        basis = tuple(linalg.identity(lattice.rank))
-        return basis, lattice.gram
+        return linalg.identity(lattice.rank), lattice.gram
     rows = tuple(lattice.covector(v) for v in vectors)
     basis = linalg.kernel_basis(rows)
     # (b_i, b_j) = (G b_i) . b_j, formed for j >= i and mirrored

@@ -4,28 +4,24 @@ Matrices are tuples of row tuples, vectors are flat tuples.  Entries are
 Python ints (or ``fractions.Fraction`` where a function says so).  There is
 no floating point anywhere in this package; every result below is exact.
 
-The workhorses are one Smith elimination, taken over Z (for saturated
-kernels) or mod a modulus (for discriminant groups, mod |det|), and
-fraction-free (Bareiss) elimination on integers (`det_q` and
-`symmetric_elimination` first scale a rational matrix to one), over the upper triangle alone for a symmetric Gram's
-signature and determinant (`symmetric_elimination`).  The Smith
-elimination records its unimodular column transform as the 2x2 column
-steps it made, and only the columns that are read are built from that log:
-all of them for a kernel, the few with d_i != 1 for a discriminant group.
+The workhorses are one Smith elimination, over Z (saturated kernels) or
+mod a modulus (discriminant groups, mod |det|), and fraction-free (Bareiss)
+elimination on integers (`det_q` and `symmetric_elimination` first scale a
+rational matrix to one), over the upper triangle alone for a symmetric
+Gram (`symmetric_elimination`).  The Smith elimination logs its column
+transform as 2x2 column steps and builds only the columns read from it.
 
-Isometries here are mostly zeros, so the products skip zero entries:
-`mat_vec` sums the columns of the nonzero entries of the vector, `mat_mul`
-builds each row from the rows of b picked by its nonzero entries, and an
-elimination step only rescales a row whose multiplier is 0.  An entry with
-no nonzero term is the int 0, whatever the type of the other entries.  An
-isometry also fixes many basis vectors e_i (column i is e_i) or coordinates
-x_i (row i is e_i); `det` drops those indices and eliminates only the
-block the matrix moves, and so does `det_mod`, its elimination over F_p for
-a caller that knows the determinant up to a residue (an isometry of a
-nondegenerate lattice has determinant +-1, told apart mod 3).  A reflection
-or transvection s I + sum_k b_k c_k^T has one kernel for matrices,
-`identity_plus_outer_mul` (its own matrix is the product with I), and one
-for vectors, `identity_plus_outer_vec`.
+Isometries here are mostly zeros, so the products skip zero entries, and
+an elimination step only rescales a row whose multiplier is 0; an entry
+with no nonzero term is the int 0.  An isometry also fixes many basis
+vectors e_i (column i is e_i) or coordinates x_i (row i is e_i); `det`
+drops those indices and eliminates only the block the matrix moves, and
+so does `det_mod`, its elimination over F_p with each row packed into one
+int, for a caller that knows the determinant up to a residue (an isometry
+of a nondegenerate lattice has determinant +-1, told apart mod 3).  A
+reflection or transvection s I + sum_k b_k c_k^T has one kernel for
+matrices, `identity_plus_outer_mul`, and one for vectors,
+`identity_plus_outer_vec`.
 """
 
 from __future__ import annotations
@@ -133,68 +129,67 @@ def is_zero_vec(v: Vec) -> bool:
 
 
 def _moved_block(m: Mat) -> list:
-    """The principal minor of m, as a list of lists, on the indices m moves:
-    every index i whose row i or column i is the unit vector e_i is dropped.
-    Expanding along that row or column leaves the principal minor without
-    i, with sign (-1)^(i+i) = +, so the minor has the determinant of m.
+    """The indices m moves, in order: every index i whose row i or column i
+    is the unit vector e_i is dropped.  Expanding along that row or column
+    leaves the principal minor without i, with sign (-1)^(i+i) = +, so the
+    principal minor on the kept indices has the determinant of m.
     Dropping i keeps row j (column j) of every other such index j equal to
     e_j on the indices that remain, so all of them go in one pass."""
     n = len(m)
-    keep = [i for i, (row, col) in enumerate(zip(m, zip(*m)))
-            if row[i] != 1 or (row.count(0) < n - 1 and col.count(0) < n - 1)]
-    if len(keep) == n:
-        return [list(row) for row in m]
-    return [[m[i][j] for j in keep] for i in keep]
+    return [i for i, row in enumerate(m)
+            if row[i] != 1 or (row.count(0) < n - 1
+                               and [r[i] for r in m].count(0) < n - 1)]
 
 
 def det(m: Mat) -> int:
     """Determinant of an integer matrix by fraction-free (Bareiss)
     elimination on the block it moves (`_moved_block`)."""
-    a = _moved_block(m)
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    keep = _moved_block(m)
+    a = [[m[i][j] for j in keep] for i in keep]
+    sign = prev = 1
+    for k in range(len(a) - 1):
         if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
+            if i is None:
                 return 0
+            a[k], a[i], sign = a[i], a[k], -sign
         _bareiss_step(a, k, prev)
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return sign * a[-1][-1] if a else 1
 
 
 def det_mod(m: Mat, p: int) -> int:
     """det m mod the prime p, in [0, p), by Gaussian elimination over F_p
-    on the block m moves (`_moved_block`).  Each step clears column k below
-    the pivot row with the multiplier a_ik / a_kk; a row with a_ik = 0 is
-    left as it is."""
-    a = [[x % p for x in row] for row in _moved_block(m)]
-    n = len(a)
+    on the n x n block m moves (`_moved_block`), each row packed into one
+    int: entry j, reduced into [0, p), fills the field of w =
+    bitlength(p^(n+1)) + 1 bits at bit w j.  A step takes the first row
+    whose field 0 is nonzero mod p as the pivot row r (moved to the front
+    past i rows: sign (-1)^i), adds c r to every other row, c = -a / pivot
+    mod p in [0, p) for its field 0 = a, and shifts every row right by w,
+    dropping the cleared column.  No field carries into the next: fields
+    stay nonnegative, and if all are below B, after a step all are below
+    B + (p - 1) B = p B; they start below p, so after t <= n steps they lie
+    in [0, p^(t+1)), below 2^(w-1).  Only field 0 is ever reduced mod p."""
+    keep = _moved_block(m)
+    w = (p ** (len(keep) + 1)).bit_length() + 1
+    mask = (1 << w) - 1
+    rows = []
+    for i in keep:
+        row, r = m[i], 0
+        for j in reversed(keep):
+            r = r << w | row[j] % p
+        rows.append(r)
     d = 1
-    for k in range(n):
-        i = next((i for i in range(k, n) if a[i][k]), None)
+    while rows:
+        i = next((i for i, r in enumerate(rows) if (r & mask) % p), None)
         if i is None:
             return 0
-        if i != k:
-            a[k], a[i] = a[i], a[k]
-            d = -d
-        rk = a[k][k + 1:]
-        pivot = a[k][k]
-        d = d * pivot % p
-        inv = pow(pivot, -1, p)
-        for ri in a[k + 1:]:
-            c = ri[k]
-            if c:
-                c = c * inv % p
-                ri[k + 1:] = [(x - c * y) % p for x, y in zip(ri[k + 1:], rk)]
-    return d % p
+        r = rows.pop(i)
+        pivot = (r & mask) % p
+        d = (-d if i & 1 else d) * pivot % p
+        inv = p - pow(pivot, -1, p)
+        rows = [(x + (x & mask) * inv % p * r) >> w for x in rows]
+    return d
 
 
 def _bareiss_step(a: list, k: int, prev: int) -> None:
@@ -266,16 +261,11 @@ def xgcd_vector(coeffs) -> tuple[int, Vec]:
     g = 0
     combo = [0] * len(coeffs)
     for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if g == 0:
-            g = abs(c)
-            combo[i] = 1 if c > 0 else -1
-            continue
-        g2, p, q = xgcd(g, c)
-        combo = [p * x for x in combo]
-        combo[i] += q
-        g = g2
+        if c:
+            # the first step is xgcd(0, c) = (|c|, 0, sign c)
+            g, p, q = xgcd(g, c)
+            combo = [p * x for x in combo]
+            combo[i] += q
     return g, tuple(combo)
 
 
@@ -450,14 +440,11 @@ def is_saturated_pair(u: Vec, v: Vec) -> bool:
 def kernel_basis(mat: Mat) -> tuple[Vec, ...]:
     """Basis of the saturated integer kernel {x : mat @ x = 0}, as columns of
     the SNF column transform; the span is automatically primitive in Z^n."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0  # no rows: no column count either
-    if ncols == 0:
+    if not mat or not mat[0]:  # no rows: no column count either
         return ()
     d, t = smith_normal_form(mat)
-    rank = sum(1 for i in range(min(nrows, ncols)) if d[i][i] != 0)
-    cols = transpose(t)
-    return tuple(cols[rank:])
+    rank = sum(1 for i in range(min(len(mat), len(t))) if d[i][i])
+    return transpose(t)[rank:]
 
 
 def symmetric_elimination(gram: Mat) -> tuple:

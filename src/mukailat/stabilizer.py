@@ -139,12 +139,11 @@ def disc_action(model: VPerpModel, g: Isometry) -> int:
     """
     if g.lattice.gram != model.lattice.gram:
         raise LatticeError("expected an isometry of v-perp")
-    n = model.lattice.rank
-    gw = tuple(g.matrix[i][n - 1] for i in range(n))
     two_m = 2 * model.m
-    _ensure(all(x % two_m == 0 for x in gw[:-1]),
+    # g(w) is the last column of g
+    *k3_part, u = (row[-1] % two_m for row in g.matrix)
+    _ensure(not any(k3_part),
             "induced map on the discriminant is not multiplication by a unit")
-    u = gw[-1] % two_m
     _ensure((u * u - 1) % (2 * two_m) == 0, "q is not preserved")
     return u
 
@@ -158,11 +157,10 @@ class ExtensionKind(enum.Enum):
 def in_gamma_v(model: VPerpModel, g: Isometry) -> ExtensionKind:
     """Nikulin's criterion: an isometry of v-perp extends to the Mukai
     lattice iff it acts on the discriminant by +-1; the kernel is Gamma_v."""
-    u = disc_action(model, g)
-    two_m = 2 * model.m
-    if u % two_m == 1 % two_m:
+    u = disc_action(model, g)  # in [0, 2m), and 2m >= 2
+    if u == 1:
         return ExtensionKind.IN_GAMMA_V
-    if u % two_m == (two_m - 1) % two_m:
+    if u == 2 * model.m - 1:
         return ExtensionKind.EXTENDS_SENDING_V_TO_MINUS_V
     return ExtensionKind.DOES_NOT_EXTEND
 

@@ -296,6 +296,48 @@ class TestOrientationChar:
         else:
             assert {0, 1} <= seen
 
+    @pytest.mark.parametrize("name", ["Mukai", "K3", "vperp:7"])
+    def test_no_image_is_formed_whole(self, name, monkeypatch):
+        # C reads each image g r_k only where some G r_i is nonzero (8 of 24
+        # entries on the Mukai lattice, 6 on K3 and v-perp), so mat_vec,
+        # which forms a whole image of a dense g, is never called; the value
+        # is the old formula's on dense isometries, their negations and
+        # outer-form ones
+        fam = generator_family(7)
+        rng = random.Random(name)
+        words = [fam.sample_word(rng, k).product() for k in (1, 4, 9, 15)]
+        if name == "Mukai":
+            lat = words[0].lattice
+            dense = words
+            structured = [reflection(lat, fam.sample_pm2_vector(rng) + (0, 0))
+                          for _ in range(4)]
+        elif name == "K3":
+            lat = fam.k3
+            rhos = [reflection(lat, fam.sample_pm2_vector(rng))
+                    for _ in range(10)]
+            structured, dense = rhos[:4], [rhos[4] @ rhos[5],
+                                           rhos[6] @ rhos[7] @ rhos[8],
+                                           rhos[9] @ rhos[4] @ rhos[6]]
+        else:
+            lat = fam.model.lattice
+            dense = [fam.model.restrict(w) for w in words]
+            structured = [
+                general_reflection(lat, fam.sample_pm2_vector(rng) + (0,))
+                for _ in range(4)]
+        dense = [Isometry._trusted(lat, g.matrix) for g in dense]
+        dense += [g.negate() for g in dense]
+        assert all(g.outer is not None for g in structured)
+        cases = [(g, old_orientation_char(g)) for g in dense + structured]
+        assert {expected for _, expected in cases} == {0, 1}
+
+        def whole_image(m, v):
+            raise AssertionError("an image was formed whole")
+
+        monkeypatch.setattr(linalg, "mat_vec", whole_image)
+        for g, expected in cases:
+            assert orientation_char(g) == expected
+        assert all(g._matrix is None for g in structured)
+
     def test_vperp_reference(self):
         from mukailat.stabilizer import vperp_model
 

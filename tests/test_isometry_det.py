@@ -146,8 +146,8 @@ def test_zero_matrix_raises_under_optimize():
 
 
 @st.composite
-def square_matrices(draw):
-    n = draw(st.integers(0, 8))
+def square_matrices(draw, min_n=0, max_n=8):
+    n = draw(st.integers(min_n, max_n))
     bound = draw(st.sampled_from((2, 9, 10**40)))
     entry = st.integers(-bound, bound)
     return linalg.freeze(
@@ -159,6 +159,53 @@ def square_matrices(draw):
 @given(square_matrices(), st.sampled_from((2, 3, 5)))
 def test_det_mod_is_det_reduced(a, p):
     assert linalg.det_mod(a, p) == linalg.det(a) % p
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices(9, 24), st.sampled_from((2, 3, 5)))
+def test_det_mod_is_det_reduced_to_rank_24(a, p):
+    assert linalg.det_mod(a, p) == linalg.det(a) % p
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_det_mod_matches_sympy_at_rank_24(seed, p):
+    rng = random.Random(seed)
+    bound = 10**40 if seed else 9
+    a = [[rng.randint(-bound, bound) for _ in range(24)] for _ in range(24)]
+    assert linalg.det_mod(linalg.freeze(a), p) == Matrix(a).det() % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_det_mod_largest_residues_at_rank_24(p):
+    # every entry p - 1, the largest residue, so every packed field starts
+    # at its largest value: rank 1, det 0.  With the superdiagonal lowered
+    # by one, column k below row k is constant mod p at every step, so each
+    # step adds (p - 1) times the pivot row to every other row and the
+    # fields grow by nearly p per step: the last step reads fields near
+    # (p - 1) p^23, against the bound p^24 of the docstring.  That matrix
+    # is L U with L unitriangular and U of diagonal (p - 1, 1, ..., 1)
+    ones = [[p - 1] * 24 for _ in range(24)]
+    lowered = [[p - 1 - (j == i + 1) for j in range(24)] for i in range(24)]
+    for a, d in ((ones, 0), (lowered, p - 1)):
+        assert linalg.det(linalg.freeze(a)) == Matrix(a).det() == d
+        assert linalg.det_mod(linalg.freeze(a), p) == d % p
+
+
+@pytest.mark.parametrize("m", [1, 7, 30])
+def test_det_mod_on_gamma_v_elements(m):
+    # dense isometries of the Mukai lattice, det +-1 and entries of up to
+    # about 150 bits at length 30
+    fam = generator_family(m)
+    rng = random.Random(m)
+    for length in (2, 5, 15, 30):
+        a = fam.sample_word(rng, length).product().matrix
+        d = linalg.det(a)
+        assert d in (1, -1)
+        if length == 5:
+            assert Matrix(a).det() == d
+        for p in (2, 3, 5):
+            assert linalg.det_mod(a, p) == d % p
 
 
 @pytest.mark.parametrize("a, p, expected", [

@@ -874,6 +874,39 @@ class TestDiscGroupOrder:
         assert disc_group_order(m) == \
             {"order": 2 ** rho, "rho": rho, "index_O_vperp_over_GammaV": 2 ** rho}
 
+    def test_root_check_trips(self, monkeypatch):
+        # a factorization with 2^-1 in it, of no integer m: then 4m = 2, and
+        # the table of roots mod 2^e reads e = 1 as (1, 0, 2, 1), where 0
+        # is not a root
+        monkeypatch.setattr(stabilizer, "_prime_powers", lambda m: {2: -1})
+        with pytest.raises(InvariantError, match=(
+                "^a CRT root is not a square root of 1 mod 4m$")):
+            disc_group_order(6)
+
+    def test_root_check_trips_on_a_wrong_crt_inverse(self, monkeypatch):
+        # the CRT step's inverse of the modulus so far, off by one: the
+        # glued root is no longer the local root mod the new prime power
+        monkeypatch.setattr(stabilizer, "pow",
+                            lambda a, e, q: (pow(a, e, q) + 1) % q,
+                            raising=False)
+        with pytest.raises(InvariantError, match=(
+                "^a CRT root is not a square root of 1 mod 4m$")):
+            disc_group_order(15)
+
+    @pytest.mark.parametrize("m", [1, 6, 30])
+    def test_power_of_two_check_trips(self, monkeypatch, m):
+        # one root too many: the count 2^rho + 1 is not 2^rho
+        real = stabilizer._square_roots_of_one
+
+        def one_more(factors):
+            roots = real(factors)
+            return roots + [roots[-1] + 2 * m]
+
+        monkeypatch.setattr(stabilizer, "_square_roots_of_one", one_more)
+        with pytest.raises(InvariantError, match=(
+                r"^\|O\(disc\)\| = \d+ is not 2\^\d+$")):
+            disc_group_order(m)
+
     def test_kernel_criterion_on_samples(self, rng):
         for m in (1, 2, 3, 4, 6):
             model = vperp_model(m)

@@ -94,8 +94,8 @@ def orientation_char(g: Isometry) -> int:
     is the same for every basis of every maximal positive definite subspace.
     C_ik = (r_i, g r_k) reads g r_k only where G r_i is nonzero (8 of 24
     entries on the Mukai lattice), and `Isometry.image_entries` forms only
-    those, without building a matrix kept in outer form.  The value is kept
-    on g and read from there on every later call.
+    those, from those rows of g's matrix.  The value is kept on g and read
+    from there on every later call.
     """
     char = getattr(g, "_orientation_char", None)
     if char is not None:

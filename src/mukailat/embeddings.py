@@ -5,13 +5,14 @@ Given a primitive lambda_1 with (lambda_1, lambda_1) = 2a and a target Gram
 primitive (saturated) rank-2 sublattice with that Gram.  Existence is the
 Nikulin statement; this module is the constructive side:
 
-1. If some hyperbolic block U_j is disjoint from the support of lambda_1,
-   take lambda_2 = b*mu + e_j + (d - b^2 (mu,mu)/2) f_j where (lambda_1, mu)
-   = 1; the span is automatically saturated.
-2. Otherwise clear a hyperbolic block from lambda_1 by a Euclidean walk of
-   Eichler transvections t(e, a), at most one per bit of its largest entry
-   (on an odd lattice the walk may stop), solve there, and pull the witness
-   back through the inverse steps t(e, -a), with no Gram inverse.
+1. Clear a hyperbolic block U_j from the support of lambda_1 by a
+   Euclidean walk of Eichler transvections t(e, a), at most one per bit of
+   its largest entry (on an odd lattice the walk may stop); when a block
+   is already free the walk has no steps.
+2. With lambda_1' the walk's image, take lambda_2' = b*mu + e_j +
+   (d - b^2 (mu,mu)/2) f_j where (lambda_1', mu) = 1, whose span with
+   lambda_1' is automatically saturated, and pull it back through the
+   inverse steps t(e, -a), with no Gram inverse.
 3. As a last resort, bounded enumeration: every candidate with entries up
    to min(radius, 8) on at most 6 coordinates, those of the blocks
    lambda_1 touches plus each fresh block that still fits, in
@@ -19,7 +20,7 @@ Nikulin statement; this module is the constructive side:
 
 Failure raises WitnessNotFound with the radius echoed; it never claims
 non-existence.  On an even unimodular lattice with two or more U blocks
-(K3, Mukai) step 1 or 2 always returns, so step 3 is never reached: the
+(K3, Mukai) steps 1 and 2 always return, so step 3 is never reached: the
 covector of a primitive vector of a unimodular lattice is primitive, so mu
 exists, and b^2 (mu, mu) is even.
 """
@@ -221,14 +222,7 @@ def embed_rank2(lattice: Lattice, lam1, target, radius: int = DEFAULT_RADIUS):
     d = two_d // 2
 
     free = _free_u_block(lattice, lam1)
-    if free is not None:
-        lam2 = _free_plane_witness(lattice, lam1, b, d, free)
-        if lam2 is not None and verify_embedding(
-            lattice, lam1, lam2, two_a, b, two_d
-        ):
-            return lam2
-
-    cleared = clearing_isometry(lattice, lam1)
+    cleared = clearing_isometry(lattice, lam1) if free is None else ((), lam1)
     if cleared is not None:
         steps, image = cleared
         free = _free_u_block(lattice, image)

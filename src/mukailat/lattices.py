@@ -299,8 +299,8 @@ class Isometry:
     `outer` is (s, terms) when a library site built M = s I + sum_k b_k
     c_k^T that way, through `_trusted(lattice, outer=(s, terms))`; this
     class alone reads it.  Then `.matrix` is formed only when first read
-    (`linalg.identity_plus_outer_mul` applied to I), and `apply`,
-    `image_entries` and `compose` with M on the left use the terms instead.
+    (`linalg.identity_plus_outer_mul` applied to I), and `apply` and
+    `compose` with M on the left use the terms instead.
     ==, hash and repr are those of (lattice, matrix) either way.
 
     `_orientation_char` holds `characters.orientation_char(self)` once it
@@ -363,15 +363,8 @@ class Isometry:
 
     def image_entries(self, rows, supports) -> list:
         """For each v in supports, given as its nonzero (l, v_l), the entries
-        (M v)_j for j in rows, from rows j of M alone; in outer form row j is
-        M^T e_j = s e_j + sum_k b_kj c_k, and no matrix is built."""
-        if self.outer is None:
-            picked = [self.matrix[j] for j in rows]
-        else:
-            s, terms = self.outer
-            unit = linalg.identity(self.lattice.rank)
-            picked = [linalg.identity_plus_outer_vec(
-                s, [(c, b) for b, c in terms], unit[j]) for j in rows]
+        (M v)_j for j in rows, from rows j of M alone."""
+        picked = [self.matrix[j] for j in rows]
         images = []
         for support in supports:
             out = [0] * len(rows)

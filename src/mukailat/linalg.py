@@ -1,27 +1,26 @@
-"""Exact integer / rational linear algebra kernels.
+"""Exact integer linear algebra kernels.
 
 Matrices are tuples of row tuples, vectors are flat tuples.  Entries are
-Python ints (or ``fractions.Fraction`` where a function says so).  There is
-no floating point anywhere in this package; every result below is exact.
+Python ints; only `det_q` and `mat_inv_q` take or give
+``fractions.Fraction`` entries.  There is no floating point anywhere in
+this package; every result below is exact.
 
 The workhorses are one Smith elimination, over Z (saturated kernels) or
 mod a modulus (discriminant groups, mod |det|), and fraction-free (Bareiss)
-elimination on integers (`det_q` and `symmetric_elimination` first scale a
-rational matrix to one), over the upper triangle alone for a symmetric
-Gram (`symmetric_elimination`).  The Smith elimination logs its column
+elimination on integers (`det`, which `det_q` runs on a rational matrix
+scaled to integers), over the upper triangle alone for a symmetric Gram
+(`symmetric_elimination`).  The Smith elimination logs its column
 transform as 2x2 column steps and builds only the columns read from it.
 
-Isometries here are mostly zeros, so the products skip zero entries, and
-an elimination step only rescales a row whose multiplier is 0; an entry
-with no nonzero term is the int 0.  An isometry also fixes many basis
-vectors e_i (column i is e_i) or coordinates x_i (row i is e_i); `det`
-drops those indices and eliminates only the block the matrix moves, and
-so does `det_mod`, its elimination over F_p with each row packed into one
-int, for a caller that knows the determinant up to a residue (an isometry
-of a nondegenerate lattice has determinant +-1, told apart mod 3).  A
-reflection or transvection s I + sum_k b_k c_k^T has one kernel for
-matrices, `identity_plus_outer_mul`, and one for vectors,
-`identity_plus_outer_vec`.
+Isometries here are mostly zeros, so the products skip zero entries; an
+entry with no nonzero term is the int 0.  An isometry also fixes many
+basis vectors e_i (column i is e_i) or coordinates x_i (row i is e_i);
+`det_mod`, an elimination over F_p with each row packed into one int for
+a caller that knows the determinant up to a residue (an isometry of a
+nondegenerate lattice has determinant +-1, told apart mod 3), drops those
+indices and eliminates only the block the matrix moves.  A reflection or
+transvection s I + sum_k b_k c_k^T has one kernel for matrices,
+`identity_plus_outer_mul`, and one for vectors, `identity_plus_outer_vec`.
 """
 
 from __future__ import annotations
@@ -143,9 +142,10 @@ def _moved_block(m: Mat) -> list:
 
 def det(m: Mat) -> int:
     """Determinant of an integer matrix by fraction-free (Bareiss)
-    elimination on the block it moves (`_moved_block`)."""
-    keep = _moved_block(m)
-    a = [[m[i][j] for j in keep] for i in keep]
+    elimination: each step below the pivot p = a_kk sets every later
+    entry to (p a_ij - a_ik a_kj) / prev, prev the last pivot, an exact
+    division."""
+    a = [list(row) for row in m]
     sign = prev = 1
     for k in range(len(a) - 1):
         if a[k][k] == 0:
@@ -153,8 +153,12 @@ def det(m: Mat) -> int:
             if i is None:
                 return 0
             a[k], a[i], sign = a[i], a[k], -sign
-        _bareiss_step(a, k, prev)
-        prev = a[k][k]
+        p, rk = a[k][k], a[k][k + 1:]
+        for ri in a[k + 1:]:
+            c = ri[k]
+            ri[k + 1:] = [(p * x - c * y) // prev
+                          for x, y in zip(ri[k + 1:], rk)]
+        prev = p
     return sign * a[-1][-1] if a else 1
 
 
@@ -192,37 +196,13 @@ def det_mod(m: Mat, p: int) -> int:
     return d
 
 
-def _bareiss_step(a: list, k: int, prev: int) -> None:
-    """One fraction-free elimination step below the pivot p = a[k][k]: each
-    later row's entries right of column k become (p x - a_ik y) / prev, y
-    the pivot row's, an exact division.  A row with a_ik = 0 is only
-    rescaled by p / prev, and left as it is when p == prev.  Column k below
-    the pivot is not cleared; no later step reads it."""
-    rk = a[k][k + 1:]
-    p = a[k][k]
-    for ri in a[k + 1:]:
-        c = ri[k]
-        if c:
-            ri[k + 1:] = [(p * x - c * y) // prev
-                          for x, y in zip(ri[k + 1:], rk)]
-        elif p != prev:
-            ri[k + 1:] = [p * x // prev for x in ri[k + 1:]]
-
-
-def _clear_denominators(m) -> tuple[int, list]:
-    """(scale, a): the positive lcm of the denominators of the entries of m,
-    and the integer matrix a = scale * m as a list of lists."""
-    if all(type(x) is int for row in m for x in row):
-        return 1, [list(row) for row in m]
-    scale = lcm(*(x.denominator for row in m for x in row))
-    return scale, [[x.numerator * (scale // x.denominator) for x in row]
-                   for row in m]
-
-
 def det_q(m) -> Fraction:
-    """Determinant of a rational matrix, det(scale * m) / scale^n."""
-    scale, a = _clear_denominators(m)
-    return Fraction(det(a), scale ** len(a))
+    """Determinant of a rational matrix, det(scale * m) / scale^n with
+    scale the lcm of the denominators of its entries (an int is its own
+    numerator over 1)."""
+    scale = lcm(*(x.denominator for row in m for x in row))
+    return Fraction(det([[x.numerator * (scale // x.denominator) for x in row]
+                         for row in m]), scale ** len(m))
 
 
 def mat_inv_q(m) -> Mat:
@@ -448,21 +428,20 @@ def kernel_basis(mat: Mat) -> tuple[Vec, ...]:
 
 
 def symmetric_elimination(gram: Mat) -> tuple:
-    """(n_plus, n_minus, n_zero, det) of a symmetric integer or rational
-    matrix, by one fraction-free (Bareiss) elimination that reads and
-    updates only the upper triangle, kept as u[i][j - i] = a_ij for j >= i.
+    """(n_plus, n_minus, n_zero, det) of a symmetric integer matrix, by one
+    fraction-free (Bareiss) elimination that reads and updates only the
+    upper triangle, kept as u[i][j - i] = a_ij for j >= i.
 
-    Rational input is first scaled by the lcm of its denominators, which
-    keeps the signature; det is scaled back.  After each pivot the trailing
-    block is prev * S, S the rational Schur complement and prev that pivot:
-    symmetric, so the multiplier a_ik is read as a_ki, and the next pivot
-    a_kk / prev of S has the sign of a_kk * prev.  Every division by prev
-    is exact.  A zero row counts once in n_zero; another zero pivot is
-    repaired by e_k <- e_k + c e_j for an a_kj != 0, which changes only row
-    k and makes a_kk = c (2 a_kj + c a_jj), nonzero for c = 1 or 2.  That
-    keeps det, so det is the last pivot when no row was zero."""
+    After each pivot the trailing block is prev * S, S the rational Schur
+    complement and prev that pivot: symmetric, so the multiplier a_ik is
+    read as a_ki, and the next pivot a_kk / prev of S has the sign of
+    a_kk * prev.  Every division by prev is exact.  A zero row counts once
+    in n_zero; another zero pivot is repaired by e_k <- e_k + c e_j for an
+    a_kj != 0, which changes only row k and makes a_kk = c (2 a_kj + c a_jj),
+    nonzero for c = 1 or 2.  That keeps det, so det is the last pivot when
+    no row was zero."""
     n = len(gram)
-    scale, u = _clear_denominators([row[i:] for i, row in enumerate(gram)])
+    u = [list(row[i:]) for i, row in enumerate(gram)]
     pos = zero = 0
     prev = 1
     for k in range(n):
@@ -486,10 +465,10 @@ def symmetric_elimination(gram: Mat) -> tuple:
             elif p != prev:
                 u[i] = [p * x // prev for x in u[i]]
         prev = p
-    det = 0 if zero else prev if scale == 1 else Fraction(prev, scale ** n)
-    return pos, n - zero - pos, zero, det
+    return pos, n - zero - pos, zero, 0 if zero else prev
 
 
 def signature(gram: Mat) -> tuple[int, int, int]:
-    """(n_plus, n_minus, n_zero): `symmetric_elimination` without det."""
+    """(n_plus, n_minus, n_zero) of a symmetric integer matrix:
+    `symmetric_elimination` without det."""
     return symmetric_elimination(gram)[:3]

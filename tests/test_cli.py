@@ -190,6 +190,15 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
     assert sum(1 for w in walks if w is not None and w[0]) >= 2
 
 
+def test_readme_python_tour_runs():
+    # the README's Python quick tour, as written; its asserts are the checks
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    tour = readme.read_text().split("A quick tour:", 1)[1]
+    block = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "factor(model, g, normalize=True)" in block
+    exec(compile(block, "README.md", "exec"), {})
+
+
 class TestChar(object):
     def test_duality(self, tmp_path):
         from mukailat.fourier_mukai import duality_isometry

@@ -240,7 +240,7 @@ class TestFallbackBranches:
         assert gcd(*lat.covector(w)) == 2
         planes = self.record(monkeypatch, "_free_plane_witness")
         lam2 = embed_rank2(lat, w, (-2, 0, 0))
-        assert [result for _, result in planes] == [None, None]
+        assert [result for _, result in planes] == [None]
         assert lam2 == label_vector(
             lat, **{"e.1": -1, "f.1": -1, "e.2": -1, "f.2": 1})
         assert verify_embedding(lat, w, lam2, -2, 0, 0)
@@ -401,6 +401,27 @@ class TestClearing:
             lam2 = embed_rank2(k3, lam1, (two_a, 7, -4))
             assert verify_embedding(k3, lam1, lam2, two_a, 7, -4)
         assert len(walks) == 2 and all(w[0] for w in walks)
+
+    def test_walk_runs_only_without_a_free_block(self, k3, monkeypatch):
+        # a lambda_1 with a free U block is the walk of no steps, so the
+        # walk runs only for one that meets every U block, and the share
+        # of embed_rank2 calls without a walk still counts the free ones
+        walked = []
+        walk = embeddings.clearing_isometry
+
+        def spy(lattice, v):
+            walked.append(v)
+            return walk(lattice, v)
+
+        monkeypatch.setattr(embeddings, "clearing_isometry", spy)
+        free = label_vector(k3, **{"e.1": 3, "f.1": 5, "e.2": 1, "f.2": -15})
+        held = label_vector(k3, **{"e.1": 3, "f.1": 5, "e.2": 1, "f.2": -15,
+                                   "e.3": 7})
+        for lam1 in (free, held):
+            two_a = k3.square(lam1)
+            lam2 = embed_rank2(k3, lam1, (two_a, 7, -4))
+            assert verify_embedding(k3, lam1, lam2, two_a, 7, -4)
+        assert walked == [held]
 
     @pytest.mark.parametrize("spec", [("U",), ("U", "E8_minus")])
     def test_none_without_two_u_blocks(self, spec):

@@ -61,10 +61,9 @@ def general_reflection(lattice: Lattice, u) -> Isometry:
 def _reference(lattice: Lattice) -> tuple:
     """e + f per hyperbolic block and h0 - h4 = (1, 0, -1) per H04 block,
     checked once to be a basis of a maximal positive definite subspace.
-    Returned as (rows, covectors, supports): rows, the indices j with
-    (G r_i)_j != 0 for some r_i, the only entries a pairing (r_i, y) reads;
-    per r_i, the (t, (G r_i)_j) with j = rows[t]; and per r_k, its nonzero
-    (l, (r_k)_l)."""
+    Returned as the terms of each pairing (r_i, M r_k) = sum_j (G r_i)_j
+    sum_l M[j][l] (r_k)_l: per i, per k, the (j, l, (G r_i)_j (r_k)_l)
+    with both factors nonzero."""
     vectors = [lattice.plane_vector(block, 1, sign)
                for name, sign in (("U", 1), ("H04", -1))
                for block in lattice.blocks_named(name)]
@@ -77,12 +76,10 @@ def _reference(lattice: Lattice) -> tuple:
         raise LatticeError(
             f"reference must have {n_plus} vectors (the positive index)"
         )
-    covectors = [[(j, x) for j, x in enumerate(lattice.covector(v)) if x]
-                 for v in vectors]
-    rows = tuple(sorted({j for cov in covectors for j, _ in cov}))
-    at = {j: t for t, j in enumerate(rows)}
-    return (rows, tuple(tuple((at[j], x) for j, x in c) for c in covectors),
-            tuple(tuple((l, x) for l, x in enumerate(v) if x) for v in vectors))
+    supports = [[(l, x) for l, x in enumerate(v) if x] for v in vectors]
+    return tuple(tuple(tuple((j, l, a * x) for j, a in enumerate(gr) if a
+                             for l, x in support) for support in supports)
+                 for gr in map(lattice.covector, vectors))
 
 
 def orientation_char(g: Isometry) -> int:
@@ -92,18 +89,17 @@ def orientation_char(g: Isometry) -> int:
     B^{-1} C with B the reference Gram and C the pairing of references with
     their images; since det B > 0 only the sign of det C matters.  That sign
     is the same for every basis of every maximal positive definite subspace.
-    C_ik = (r_i, g r_k) reads g r_k only where G r_i is nonzero (8 of 24
-    entries on the Mukai lattice), and `Isometry.image_entries` forms only
-    those, from those rows of g's matrix.  The value is kept on g and read
-    from there on every later call.
+    C_ik = (r_i, g r_k) = sum a x M[j][l] over the nonzero (j, a) of G r_i
+    and the nonzero (l, x) of r_k, read from g's matrix M: 2 x 2 entries
+    per pairing on the Mukai lattice, and no image g r_k formed whole.  The
+    value is kept on g and read from there on every later call.
     """
     char = getattr(g, "_orientation_char", None)
     if char is not None:
         return char
-    rows, covectors, supports = _reference(g.lattice)
-    images = g.image_entries(rows, supports)
-    c = linalg.freeze([[sum(x * img[t] for t, x in cov) for img in images]
-                       for cov in covectors])
+    m = g.matrix
+    c = tuple(tuple(sum([ax * m[j][l] for j, l, ax in terms]) for terms in row)
+              for row in _reference(g.lattice))
     d = linalg.det_q(c)
     if d == 0:
         raise LatticeError(

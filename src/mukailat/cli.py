@@ -392,7 +392,7 @@ def run(argv) -> tuple[dict, int]:
         inputs, outputs, verification = args.run(args)
     except WitnessNotFound as exc:
         report = {
-            "command": args.verb,
+            "command": args.command,
             "error": "WitnessNotFound",
             "radius": exc.radius,
             "status": 3,

@@ -297,10 +297,11 @@ class Isometry:
     through `_trusted`, each stating why its result preserves the form.
 
     `outer` is (s, terms) when a library site built M = s I + sum_k b_k
-    c_k^T that way, through `_trusted(lattice, outer=(s, terms))`; this
-    class alone reads it.  Then `.matrix` is formed only when first read
-    (`linalg.identity_plus_outer_mul` applied to I), and `apply` and
-    `compose` with M on the left use the terms instead.
+    c_k^T that way, through `_trusted(lattice, outer=(s, terms))`.  Only
+    two methods read it: `.matrix`, which forms M when first read
+    (`linalg.identity_plus_outer_mul` applied to I), and `compose` with M
+    on the left, which multiplies through the terms instead.  Everything
+    else, `apply` included, reads the matrix.
     ==, hash and repr are those of (lattice, matrix) either way.
 
     `_orientation_char` holds `characters.orientation_char(self)` once it
@@ -357,21 +358,7 @@ class Isometry:
 
     def apply(self, v: Vec) -> Vec:
         self.lattice._check_length(v)
-        if self.outer is not None:
-            return linalg.identity_plus_outer_vec(*self.outer, v)
         return linalg.mat_vec(self.matrix, v)
-
-    def image_entries(self, rows, supports) -> list:
-        """For each v in supports, given as its nonzero (l, v_l), the entries
-        (M v)_j for j in rows, from rows j of M alone."""
-        picked = [self.matrix[j] for j in rows]
-        images = []
-        for support in supports:
-            out = [0] * len(rows)
-            for l, x in support:
-                out = [y + x * r[l] for y, r in zip(out, picked)]
-            images.append(out)
-        return images
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other (matrix product self.matrix @ other.matrix)."""

@@ -19,8 +19,9 @@ basis vectors e_i (column i is e_i) or coordinates x_i (row i is e_i);
 a caller that knows the determinant up to a residue (an isometry of a
 nondegenerate lattice has determinant +-1, told apart mod 3), drops those
 indices and eliminates only the block the matrix moves.  A reflection or
-transvection s I + sum_k b_k c_k^T has one kernel for matrices,
-`identity_plus_outer_mul`, and one for vectors, `identity_plus_outer_vec`.
+transvection s I + sum_k b_k c_k^T has one kernel,
+`identity_plus_outer_mul`: its product with a matrix, and with I the
+matrix itself; a vector is multiplied by that matrix through `mat_vec`.
 """
 
 from __future__ import annotations
@@ -94,17 +95,6 @@ def identity_plus_outer_mul(s: int, terms, m: Mat) -> Mat:
                 out = [x + b[i] * y for x, y in zip(out, cm)]
         rows.append(tuple(out))
     return tuple(rows)
-
-
-def identity_plus_outer_vec(s: int, terms, v: Vec) -> Vec:
-    """(s I + sum_k b_k c_k^T) v = s v + sum_k (c_k . v) b_k, in O(n) per
-    term."""
-    out = [s * x for x in v]
-    for b, c in terms:
-        t = sum(x * y for x, y in zip(c, v) if x)
-        if t:
-            out = [x + t * y for x, y in zip(out, b)]
-    return tuple(out)
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:

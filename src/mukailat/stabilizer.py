@@ -467,17 +467,17 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False
 
     w = model.w
     taus: list[MukaiVector] = []
-    # residual = tau_N ... tau_1 g; once x = w it fixes v and w: a Gamma_0
-    # letter
+    # residual = tau_N ... tau_1 g and x = residual(w); once x = w it fixes
+    # v and w: a Gamma_0 letter
     residual = g
 
     def reflect(u: MukaiVector) -> MukaiVector:
-        """Compose tau_u into the residual; returns tau_u(x)."""
+        """Compose tau_u into the residual; returns the new residual's
+        image of w, which is tau_u(x)."""
         nonlocal residual
-        tau = reflection(model.mukai, u.coords())
-        residual = tau @ residual
+        residual = reflection(model.mukai, u.coords()) @ residual
         taus.append(u)
-        return MukaiVector.from_coords(tau.apply(x.coords()))
+        return MukaiVector.from_coords(residual.apply(w.coords()))
 
     x = MukaiVector.from_coords(g.apply(w.coords()))
     # Each pass reflects once or stops at x = w; three reflections suffice,
@@ -536,7 +536,7 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False
             x = reflect(MukaiVector(1, a_vec, m))
 
     # also catches a loop that ran out before x = w
-    _ensure(residual.fixes(model.v.coords()) and residual.fixes(w.coords()),
+    _ensure(x == w and residual.fixes(model.v.coords()),
             "the Gamma_0 residual does not fix v and w")
     k = model.k3.rank
     h = linalg.freeze(tuple(residual.matrix[i][:k] for i in range(k)))

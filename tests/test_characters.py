@@ -296,11 +296,10 @@ class TestOrientationChar:
 
     @pytest.mark.parametrize("name", ["Mukai", "K3", "vperp:7"])
     def test_no_image_is_formed_whole(self, name, monkeypatch):
-        # C reads each image g r_k only where some G r_i is nonzero (8 of 24
-        # entries on the Mukai lattice, 6 on K3 and v-perp), so mat_vec,
-        # which forms a whole image of a dense g, is never called; the value
-        # is the old formula's on dense isometries, their negations and
-        # outer-form ones
+        # C reads g's matrix only at the entries (j, l) where (G r_i)_j and
+        # (r_k)_l are nonzero, so mat_vec, which forms a whole image of g,
+        # is never called; the value is the old formula's on dense
+        # isometries, their negations and outer-form ones
         fam = generator_family(7)
         rng = random.Random(name)
         words = [fam.sample_word(rng, k).product() for k in (1, 4, 9, 15)]

@@ -155,8 +155,8 @@ def _random_transvection(lat, rnd, bound):
 @settings(max_examples=15, deadline=None)
 @given(rnd=st.randoms(use_true_random=False), data=st.data())
 def test_outer_form_matches_dense(kind, rnd, data):
-    # apply and hash on a generator whose matrix has not been read, then ==
-    # and the lazily built matrix
+    # apply, hash, == and the lazily built matrix of a generator kept in
+    # outer form, against the entry-by-entry reference
     for gen in _outer_generators(kind, rnd):
         lat = gen.lattice
         dense = Isometry(lat, dense_outer(*gen.outer))

@@ -563,6 +563,33 @@ class TestFactor:
                 "^the Gamma_0 residual does not fix v and w$")):
             factor(model, g)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 7])
+    def test_builds_no_tau_matrix(self, m, monkeypatch):
+        # each tau is composed into the residual through its outer form and
+        # x is read from the residual, so no reflection's matrix is built;
+        # at m = 1, tau_w h with h in Gamma_0 sends w to -w, which takes the
+        # (1, L, 1) reflection
+        fam = generator_family(m)
+        model = fam.model
+        rng = random.Random(m)
+        inputs = [fam.sample_word(rng, n).product() for n in (1, 5, 15, 30)]
+        if m == 1:
+            h = GeneratorWord(model, tuple(fam.gamma0_letter(rng)
+                                           for _ in range(3))).product()
+            inputs.append(reflection(model.mukai, model.w.coords()) @ h)
+            assert inputs[-1].apply(model.w.coords()) == (-model.w).coords()
+        made = []
+
+        def spy(lattice, u):
+            made.append(reflection(lattice, u))
+            return made[-1]
+
+        monkeypatch.setattr(stabilizer, "reflection", spy)
+        for g in inputs:
+            factor(model, g, normalize=True)
+        assert len(made) >= len(inputs)
+        assert all(tau._matrix is None for tau in made)
+
     def test_rejects_non_stabilizing(self):
         model = vperp_model(2)
         with pytest.raises(NotInGammaV):

@@ -22,17 +22,23 @@ class ReflectionError(LatticeError):
     pass
 
 
-def reflection(lattice: Lattice, u) -> Isometry:
-    """rho_u for a +-2 vector u: w -> (-2/(u,u)) w + (w,u) u."""
-    u = tuple(u)
+def _rho(lattice: Lattice, u) -> tuple:
+    """(s, G u) with rho_u(x) = s x + (G u . x) u, s = -2/(u,u), for a +-2
+    vector u; ReflectionError for any other u."""
     q = lattice.square(u)
     if q not in (2, -2):
         raise ReflectionError(
             f"(u,u) = {q}; rho_u needs a +-2 vector (use general_reflection)"
         )
-    gu = lattice.covector(u)
+    return -2 // q, lattice.covector(u)
+
+
+def reflection(lattice: Lattice, u) -> Isometry:
+    """rho_u for a +-2 vector u: w -> (-2/(u,u)) w + (w,u) u."""
+    u = tuple(u)
+    s, gu = _rho(lattice, u)
     # (rho x, rho y) = (x, y) + (x,u)(y,u)(q - 4/q), and q - 4/q = 0
-    return Isometry._trusted(lattice, outer=(-2 // q, ((u, gu),)))
+    return Isometry._trusted(lattice, outer=(s, ((u, gu),)))
 
 
 def general_reflection(lattice: Lattice, u) -> Isometry:

@@ -30,11 +30,7 @@ from .elliptic import even_stabilizer
 from .embeddings import DEFAULT_RADIUS, WitnessNotFound, embed_rank2, \
     verify_embedding
 from .fourier_mukai import elliptic_phi, mon_twist, verify_sigma_tau_duality
-from .lattices import (
-    LatticeError,
-    build_lattice,
-    discriminant_group,
-)
+from .lattices import LatticeError, discriminant_group
 from .mukai import mukai_pairing
 from .stabilizer import (
     ExtensionKind,
@@ -48,19 +44,6 @@ from .stabilizer import (
     in_gamma_v,
     vperp_model,
 )
-
-
-def _spec_lattice(text: str):
-    spec = []
-    for item in text.split(","):
-        item = item.strip()
-        if item.startswith("diag(") and item.endswith(")"):
-            entries = tuple(jsonio.int_from_text(x, "a diag entry")
-                            for x in item[5:-1].split(":"))
-            spec.append(("diag", entries))
-        else:
-            spec.append(item)
-    return build_lattice(tuple(spec))
 
 
 def _int_list(text: str, what: str, count: int) -> tuple[int, ...]:
@@ -168,7 +151,7 @@ def _checks(checks: dict) -> list:
 
 
 def _lattice_build(args):
-    lattice = _spec_lattice(args.spec)
+    lattice = jsonio.resolve_lattice(args.spec)
     pos, neg = lattice.signature()
     outputs = {
         "lattice": jsonio.lattice_to_json(lattice),
@@ -186,7 +169,7 @@ def _lattice_build(args):
 
 
 def _lattice_disc(args):
-    lattice = _spec_lattice(args.spec)
+    lattice = jsonio.resolve_lattice(args.spec)
     dg = discriminant_group(lattice)
     outputs = {
         "divisors": list(dg.divisors),

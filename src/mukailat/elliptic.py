@@ -23,14 +23,7 @@ def even_pairing(x, y) -> int:
 
 def transvection(v) -> linalg.Mat:
     """Matrix of w -> w + (w, v) v for a primitive even vector v."""
-    r, d = v
-    if r == 0 and d == 0:
-        raise LatticeError("transvection needs a nonzero vector")
-    if gcd(r, d) != 1:
-        raise LatticeError("transvection needs a primitive vector")
-    # (w, v) = r w_1 - d w_0
-    return linalg.identity_plus_outer_mul(1, (((r, d), (-d, r)),),
-                                          linalg.identity(2))
+    return EvenStabilizer(v).generator
 
 
 def preserves_even_pairing(mat) -> bool:
@@ -47,39 +40,33 @@ class EvenStabilizer:
 
     def __init__(self, v):
         self.v = tuple(v)
-        self.generator = transvection(self.v)
-        self._nilpotent = linalg.freeze(
-            [
-                (self.generator[0][0] - 1, self.generator[0][1]),
-                (self.generator[1][0], self.generator[1][1] - 1),
-            ]
-        )
+        r, d = self.v
+        if r == 0 and d == 0:
+            raise LatticeError("transvection needs a nonzero vector")
+        if gcd(r, d) != 1:
+            raise LatticeError("transvection needs a primitive vector")
+        self.generator = self.power(1)
 
     def power(self, k: int) -> linalg.Mat:
-        """t_v^k = I + k N with N = t_v - I nilpotent."""
-        n = self._nilpotent
-        return linalg.freeze(
-            [
-                (1 + k * n[0][0], k * n[0][1]),
-                (k * n[1][0], 1 + k * n[1][1]),
-            ]
-        )
+        """t_v^k = I + k N: as (w, v) = r w_1 - d w_0, t_v - I is N =
+        ((-rd, r^2), (-d^2, rd)), and N^2 = 0."""
+        r, d = self.v
+        return ((1 - k * r * d, k * r * r), (-k * d * d, 1 + k * r * d))
 
     def is_power(self, mat) -> int | None:
         """The exponent k with mat = t_v^k, or None.
 
         mat must fix v.  N = t_v - I is nonzero, so k is the quotient of
-        (mat - I) by N at the first nonzero entry of N, and mat is a power
-        iff it equals t_v^k.
+        (mat - I) by N at a nonzero entry of N, r^2 or -d^2, and mat is a
+        power iff it equals t_v^k.
         """
         mat = linalg.freeze(mat)
         if len(mat) != 2 or any(len(row) != 2 for row in mat):
             raise LatticeError("expected a 2x2 matrix")
         if not fixes_vector(mat, self.v):
             raise LatticeError("matrix does not fix v")
-        n = self._nilpotent
-        i, j = next((i, j) for i in range(2) for j in range(2) if n[i][j])
-        k = (mat[i][j] - (i == j)) // n[i][j]
+        r, d = self.v
+        k = mat[0][1] // (r * r) if r else -mat[1][0] // (d * d)
         return k if mat == self.power(k) else None
 
 

@@ -16,7 +16,8 @@ Nikulin statement; this module is the constructive side:
 3. As a last resort, bounded enumeration: every candidate with entries up
    to min(radius, 8) on at most 6 coordinates, those of the blocks
    lambda_1 touches plus each fresh block that still fits, in
-   lexicographic order.
+   lexicographic order; if none verifies, the same again with the first
+   fresh block that did not fit filling the coordinates up to 6.
 
 Failure raises WitnessNotFound with the radius echoed; it never claims
 non-existence.  On an even unimodular lattice with two or more U blocks
@@ -173,29 +174,39 @@ def _enumerate_witness(lattice: Lattice, lam1, two_a, b, two_d, radius: int):
     """Step 3 of the module docstring: the first candidate that verifies,
     else None (lambda_1's blocks past 6 indices, or none within
     min(radius, 8)).  A fresh block that would take the indices past 6 is
-    skipped; a smaller one further on may still fit."""
+    skipped; a smaller one further on may still fit.  When those indices
+    find nothing, the first skipped block fills them up to 6 and the search
+    runs again on the filled set."""
     indices = [i for blk in lattice.blocks
                if any(lam1[blk.start:blk.start + blk.size])
                for i in range(blk.start, blk.start + blk.size)]
+    skipped = []
     for blk in lattice.blocks:
         fresh = [i for i in range(blk.start, blk.start + blk.size)
                  if i not in indices]
-        if fresh and len(indices) + len(fresh) <= 6:
+        if len(indices) + len(fresh) <= 6:
             indices.extend(fresh)
+        else:
+            skipped.extend(fresh)
     if len(indices) > 6:
         return None
+    searched = [indices]
+    if skipped and len(indices) < 6:
+        searched.append(indices + skipped[:6 - len(indices)])
     gl1 = lattice.covector(lam1)
-    coefs = [gl1[i] for i in indices]
     cand = [0] * lattice.rank
-    for bound in range(1, min(radius, 8) + 1):
-        for values in product(range(-bound, bound + 1), repeat=len(indices)):
-            if sum(map(mul, coefs, values)) != b:
-                continue
-            for i, x in zip(indices, values):
-                cand[i] = x
-            lam2 = tuple(cand)
-            if verify_embedding(lattice, lam1, lam2, two_a, b, two_d):
-                return lam2
+    for chosen in searched:
+        coefs = [gl1[i] for i in chosen]
+        for bound in range(1, min(radius, 8) + 1):
+            for values in product(range(-bound, bound + 1),
+                                  repeat=len(chosen)):
+                if sum(map(mul, coefs, values)) != b:
+                    continue
+                for i, x in zip(chosen, values):
+                    cand[i] = x
+                lam2 = tuple(cand)
+                if verify_embedding(lattice, lam1, lam2, two_a, b, two_d):
+                    return lam2
     return None
 
 

@@ -8,7 +8,8 @@ Formats:
   word        {"letters": [{"kind": "tau", "v0": {...}} |
                            {"kind": "gamma0", "matrix": [[...]]}]}
 
-Lattice ids: "mukai", "k3", "U", "E8_minus", "vperp:<m>".
+Lattice ids: "vperp:<m>", or a comma list of blocks "U", "E8_minus",
+"K3" or "k3", "Mukai" or "mukai", "diag(n1:...:nk)" (`resolve_lattice`).
 
 The readers raise LatticeError on JSON of the wrong shape.
 """
@@ -29,17 +30,26 @@ from .stabilizer import Gamma0Letter, GeneratorWord, TauLetter, vperp_model
 
 
 def resolve_lattice(identifier: str) -> Lattice:
-    if identifier in ("mukai", "Mukai"):
-        return mukai_lattice()
-    if identifier in ("k3", "K3"):
-        return k3_lattice()
-    if identifier in ("U", "E8_minus"):
-        return build_lattice((identifier,))
-    if isinstance(identifier, str) and identifier.startswith("vperp:"):
-        m = int_from_text(identifier.split(":", 1)[1],
+    """The lattice a `--spec`, a `--lattice` or an isometry file names:
+    "vperp:<m>", or a comma list of the blocks of `build_lattice`, each
+    "U", "E8_minus", "K3" (or "k3"), "Mukai" (or "mukai") or
+    "diag(n1:...:nk)".  A lone "K3" or "Mukai" is the cached lattice."""
+    if not isinstance(identifier, str):
+        raise LatticeError(f"unknown lattice id {identifier!r}")
+    if identifier.startswith("vperp:"):
+        m = int_from_text(identifier[6:],
                           f"the m of lattice id {identifier!r}")
         return vperp_model(m).lattice
-    raise LatticeError(f"unknown lattice id {identifier!r}")
+    spec = []
+    for item in identifier.split(","):
+        item = item.strip()
+        if item.startswith("diag(") and item.endswith(")"):
+            spec.append(("diag", tuple(int_from_text(x, "a diag entry")
+                                       for x in item[5:-1].split(":"))))
+        else:
+            spec.append({"k3": "K3", "mukai": "Mukai"}.get(item, item))
+    cached = {("K3",): k3_lattice, ("Mukai",): mukai_lattice}.get(tuple(spec))
+    return cached() if cached else build_lattice(spec)
 
 
 def _field(data, key: str):
@@ -94,16 +104,11 @@ def mukai_vector_to_json(v: MukaiVector) -> dict:
 
 
 def mukai_vector_from_json(data) -> MukaiVector:
-    # also accepts a bare Mukai-lattice coordinate vector [c..., r, s]
-    if isinstance(data, dict):
-        c = vector_from_json(_field(data, "c"))
-        data = [*c, _field(data, "r"), _field(data, "s")]
-    coords = vector_from_json(data)
-    rank = mukai_lattice().rank
-    if len(coords) != rank:
-        raise LatticeError(
-            f"expected {rank} Mukai coordinates, got {len(coords)}")
-    return MukaiVector.from_coords(coords)
+    c = vector_from_json(_field(data, "c"))
+    rank = k3_lattice().rank
+    if len(c) != rank:
+        raise LatticeError(f"expected {rank} K3 coordinates, got {len(c)}")
+    return MukaiVector(_int(_field(data, "r")), c, _int(_field(data, "s")))
 
 
 def isometry_to_json(iso: Isometry, identifier: str) -> dict:

@@ -21,7 +21,8 @@ nondegenerate lattice has determinant +-1, told apart mod 3), drops those
 indices and eliminates only the block the matrix moves.  A reflection or
 transvection s I + sum_k b_k c_k^T has one kernel,
 `identity_plus_outer_mul`: its product with a matrix, and with I the
-matrix itself; a vector is multiplied by that matrix through `mat_vec`.
+matrix itself.  Only `lattices.Isometry` calls it; a site that moves one
+vector by such a map uses s x + sum_k c_k(x) b_k and builds no matrix.
 """
 
 from __future__ import annotations

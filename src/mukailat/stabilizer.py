@@ -19,9 +19,10 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from . import linalg
-from .characters import general_reflection, orientation_char, reflection
+from .characters import _rho, general_reflection, orientation_char, reflection
 from .embeddings import embed_rank2
 from .lattices import (
     Block,
@@ -404,7 +405,10 @@ class GeneratorFamily:
         cls = _canonical_tau_class(self.model)
         for _ in range(rng.randrange(TAU_TWISTS + 1)):
             u = self.sample_pm2_vector(rng)
-            cls = reflection(self.k3, u).apply(cls)
+            # rho_u(cls) = s cls + (G u . cls) u: one pairing, no matrix
+            s, gu = _rho(self.k3, u)
+            p = sum(map(mul, gu, cls))
+            cls = tuple(s * x + p * y for x, y in zip(cls, u))
         # reflections keep L^2 = 2m - 2, so (1, -L, m) has square
         # L^2 - 2m = -2 and pairs to m - m = 0 with v = (1, 0, -m)
         return TauLetter(MukaiVector(1, linalg.vec_neg(cls), self.model.m))
@@ -425,6 +429,58 @@ def generator_family(m: int) -> GeneratorFamily:
     return GeneratorFamily(vperp_model(m))
 
 
+def _reduction_class(model: VPerpModel, x: MukaiVector) -> MukaiVector:
+    """The -2 class u of v-perp whose reflection takes x one step toward w
+    in `factor`; NotInGammaV when x shows that g is not in Gamma_v.
+
+    Write x = (r, 2m c l, rm), l primitive, rho = (r - 1)/2m; as (x, x) =
+    -2m, c = 0 only at x = +-w.  The content reflection adds 2m u, making
+    the class part 2m (c l + A); the rho one adds -2m (rho + 1) u, making it
+    2m (l - (rho + 1) A) and rho = -1.  {l, A} is saturated, so either
+    leaves c = 1 and x != +-w, and then the final reflection sends x to w.
+    x = -w (m = 1) reflects to (1, 2e, 1), where c = 1 and rho = 0."""
+    m = model.m
+    two_m = 2 * m
+    if x == -model.w:
+        # forces m = 1: an integer g with g(v) = v has g(h4) = (g(w) -
+        # v)/2m integral, so g(w) = -w makes -h0/m integral; each
+        # residual is g composed with reflections in v-perp classes, so
+        # the same holds for it.  Reflect in (1, L, 1) with L primitive
+        # isotropic: the canonical class e + (m - 1) f is e at m = 1
+        return MukaiVector(1, _canonical_tau_class(model), 1)
+    r = x.r
+    if x.s != r * m or (r - 1) % two_m or any(ci % two_m for ci in x.c):
+        raise NotInGammaV("not in the kernel of the disc action")
+    rho = (r - 1) // two_m
+    c2m = tuple(ci // two_m for ci in x.c)
+    c, l = primitive_part(c2m)
+    l_sq = model.k3.square(l)
+    if c * c * l_sq != 2 * rho + 2 * m * rho * rho:
+        raise NotInGammaV("g(w) does not have the square of w")
+    # Each class u below is a -2 vector: embed_rank2 verified A^2, so
+    # (a, A, am)^2 = A^2 - 2 a^2 m = -2, and the final class (-1, L, -m)
+    # has L^2 = 2m - 2 by the square check with c = 1, rho = -1.
+    if c != 1:
+        # drive the content of the class part to 1: pick bc - ar = 1 with
+        # minimal |a| and reflect in u = (a, A, am), A.L = b.  The square
+        # check gives r^2 = 1 + 2m c^2 L^2 = 1 mod c, so r is a unit mod c,
+        # and a = -r^-1 mod c is nonzero as c >= 2
+        _, r_inv, _ = linalg.xgcd(r % c, c)
+        a = (-r_inv) % c
+        if a > c - a:
+            a -= c
+        b = (1 + a * r) // c
+        a_vec = embed_rank2(model.k3, l, (l_sq, b, 2 * a * a * m - 2))
+        return MukaiVector(a, a_vec, a * m)
+    if rho == -1:
+        # (x, v0) = -2m, so tau_{v0}(x) = x - 2m v0 = w
+        return MukaiVector(-1, c2m, -m)
+    # c = 1, rho != -1: drive rho to -1 with u = (1, A, m), A.L = 2m rho -
+    # rho, A^2 = 2m - 2
+    a_vec = embed_rank2(model.k3, l, (l_sq, two_m * rho - rho, two_m - 2))
+    return MukaiVector(1, a_vec, m)
+
+
 def factor(model: VPerpModel, g: Isometry, normalize: bool = False
            ) -> GeneratorWord:
     """Factor g in Gamma_v into Gamma_0 and tau letters.
@@ -433,7 +489,9 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False
     x = g(w); a first reflection makes the class part of x equal to 2m L
     with L primitive (c = 1), a second drives the invariant rho = (r-1)/2m
     to -1, and a third sends x back to w, leaving an isometry that fixes
-    both v and w, i.e. a Gamma_0 letter.  With normalize=True, every tau
+    both v and w, i.e. a Gamma_0 letter.  Each reflection moves x by
+    tau_u(x) = x + (x, u) u, one pairing; the residual tau_N ... tau_1 g is
+    composed once, after the loop.  With normalize=True, every tau
     letter of rank a with |a| >= 2 is rewritten into rank-one letters
     through the Sym3 relations, 2|a| - 1 of them when its class part is
     primitive.  The witnesses come from `embed_rank2` on K3 with a
@@ -458,85 +516,31 @@ def factor(model: VPerpModel, g: Isometry, normalize: bool = False
     The residual check is the one fact the proof reads from the run, so it
     stays: a failure is a library bug (`InvariantError`).
     """
-    m = model.m
-    two_m = 2 * m
     if g.lattice.gram != model.mukai.gram:
         raise NotInGammaV("expected an isometry of the Mukai lattice")
-    if not g.fixes(model.v.coords()):
+    v, w = model.v.coords(), model.w
+    if not g.fixes(v):
         raise NotInGammaV("isometry does not fix v")
 
-    w = model.w
+    # x = tau_N ... tau_1 g(w); each pass reflects once or stops at x = w,
+    # and three reflections suffice, so four passes do (`_reduction_class`)
     taus: list[MukaiVector] = []
-    # residual = tau_N ... tau_1 g and x = residual(w); once x = w it fixes
-    # v and w: a Gamma_0 letter
-    residual = g
-
-    def reflect(u: MukaiVector) -> MukaiVector:
-        """Compose tau_u into the residual; returns the new residual's
-        image of w, which is tau_u(x)."""
-        nonlocal residual
-        residual = reflection(model.mukai, u.coords()) @ residual
-        taus.append(u)
-        return MukaiVector.from_coords(residual.apply(w.coords()))
-
     x = MukaiVector.from_coords(g.apply(w.coords()))
-    # Each pass reflects once or stops at x = w; three reflections suffice,
-    # so four passes do.  Write x = (r, 2m c l, rm), l primitive, rho =
-    # (r - 1)/2m; as (x, x) = -2m, c = 0 only at x = +-w.  The content
-    # reflection adds 2m u, making the class part 2m (c l + A); the rho one
-    # adds -2m (rho + 1) u, making it 2m (l - (rho + 1) A) and rho = -1.
-    # {l, A} is saturated, so either leaves c = 1 and x != +-w, and then the
-    # final reflection sends x to w.  x = -w (m = 1) reflects to (1, 2e, 1),
-    # where c = 1 and rho = 0.
     for _ in range(4):
         if x == w:
             break
-        if x == -w:
-            # forces m = 1: an integer g with g(v) = v has g(h4) = (g(w) -
-            # v)/2m integral, so g(w) = -w makes -h0/m integral; each
-            # residual is g composed with reflections in v-perp classes, so
-            # the same holds for it.  Reflect in (1, L, 1) with L primitive
-            # isotropic: the canonical class e + (m - 1) f is e at m = 1
-            x = reflect(MukaiVector(1, _canonical_tau_class(model), 1))
-            continue
-        r = x.r
-        if x.s != r * m or (r - 1) % two_m \
-                or any(ci % two_m for ci in x.c):
-            raise NotInGammaV("not in the kernel of the disc action")
-        rho = (r - 1) // two_m
-        c2m = tuple(ci // two_m for ci in x.c)
-        c, l = primitive_part(c2m)
-        l_sq = model.k3.square(l)
-        if c * c * l_sq != 2 * rho + 2 * m * rho * rho:
-            raise NotInGammaV("g(w) does not have the square of w")
-        # Each reflection class u below is a -2 vector: embed_rank2 verified
-        # A^2, so (a, A, am)^2 = A^2 - 2 a^2 m = -2, and the final class
-        # (-1, L, -m) has L^2 = 2m - 2 by the square check with c = 1,
-        # rho = -1.
-        if c != 1:
-            # drive the content of the class part to 1: pick bc - ar = 1
-            # with minimal |a| and reflect in u = (a, A, am), A.L = b.  The
-            # square check gives r^2 = 1 + 2m c^2 L^2 = 1 mod c, so r is a
-            # unit mod c, and a = -r^-1 mod c is nonzero as c >= 2
-            _, r_inv, _ = linalg.xgcd(r % c, c)
-            a = (-r_inv) % c
-            if a > c - a:
-                a -= c
-            b = (1 + a * r) // c
-            a_vec = embed_rank2(model.k3, l, (l_sq, b, 2 * a * a * m - 2))
-            x = reflect(MukaiVector(a, a_vec, a * m))
-        elif rho == -1:
-            # (x, v0) = -2m, so tau_{v0}(x) = x - 2m v0 = w
-            x = reflect(MukaiVector(-1, c2m, -m))
-        else:
-            # c = 1, rho != -1: drive rho to -1 with u = (1, A, m),
-            # A.L = 2m rho - rho, A^2 = 2m - 2
-            a_vec = embed_rank2(model.k3, l,
-                                (l_sq, two_m * rho - rho, two_m - 2))
-            x = reflect(MukaiVector(1, a_vec, m))
+        u = _reduction_class(model, x)
+        taus.append(u)
+        x = MukaiVector.from_coords(linalg.vec_add(
+            x.coords(), linalg.vec_scale(mukai_pairing(x, u), u.coords())))
 
-    # also catches a loop that ran out before x = w
-    _ensure(x == w and residual.fixes(model.v.coords()),
+    # the residual tau_N ... tau_1 g, each tau composed through its outer
+    # form; the check reads it, not x, and also catches a loop that ran out
+    # before x = w
+    residual = g
+    for u in taus:
+        residual = reflection(model.mukai, u.coords()) @ residual
+    _ensure(residual.fixes(w.coords()) and residual.fixes(v),
             "the Gamma_0 residual does not fix v and w")
     k = model.k3.rank
     h = linalg.freeze(tuple(residual.matrix[i][:k] for i in range(k)))

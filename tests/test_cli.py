@@ -99,6 +99,17 @@ class TestLattice:
         report, status = invoke(["lattice", "build", "--spec", "Leech"])
         assert status == 2
 
+    @pytest.mark.parametrize("spec, same", [
+        ("k3", "K3"), ("mukai", "Mukai"), ("vperp:2", "K3,diag(-4)")])
+    def test_spec_reads_lattice_ids(self, spec, same):
+        # --spec and --lattice share resolve_lattice's grammar
+        report, status = invoke(["lattice", "build", "--spec", spec])
+        expected, _ = invoke(["lattice", "build", "--spec", same])
+        assert status == 0
+        assert report["outputs"]["rank"] == expected["outputs"]["rank"]
+        assert report["outputs"]["lattice"]["gram"] == \
+            expected["outputs"]["lattice"]["gram"]
+
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -628,6 +639,24 @@ class TestMalformedArguments:
         report, status = invoke(argv)
         assert status == 2
         assert expected in report["error"]
+
+
+    def test_classify_rejects_a_bare_coordinate_list(self, tmp_path):
+        # a Mukai vector is read only as {"r", "c", "s"}: the coordinates
+        # [c..., r, s] of the -2 class (0, e - f, 0) of v-perp are a usage
+        # error
+        c = [0] * 22
+        c[16], c[17] = 1, -1
+        path = tmp_path / "v0.json"
+        path.write_text(json.dumps(c + [0, 0]))
+        argv = ["stab", "classify", "--m", "2", "--vector", str(path)]
+        report, status = invoke(argv)
+        assert status == 2
+        assert "expected a JSON object with key 'c'" in report["error"]
+        path.write_text(json.dumps({"r": 0, "c": c, "s": 0}))
+        report, status = invoke(argv)
+        assert status == 0
+        assert report["outputs"] == {"orbit": "AMinus"}
 
 
 class TestUnreadableFile:

@@ -262,17 +262,20 @@ class TestFallbackBranches:
         lat = build_lattice((("diag", (-2,)), ("diag", (2,))))
         assert embed_rank2(lat, (1, 0), (-2, 0, 2)) == (0, -1)
 
-    def test_gives_up_past_six_indices(self, monkeypatch):
+    def test_fills_past_six_indices_from_a_skipped_block(self, monkeypatch):
         # lam1 in <-2> and the fresh E8(-1) block would make 9 indices, so
-        # the block is skipped, though an E8 root would do: on the <-2>
-        # coordinate alone only the zero vector pairs to 0 with lam1, and it
-        # is tried and rejected at each bound up to min(64, 8)
+        # the block is skipped: on the <-2> coordinate alone only the zero
+        # vector pairs to 0 with lam1, and it is tried and rejected at each
+        # bound up to min(64, 8).  Then the first five E8 coordinates fill
+        # the set up to 6, and at bound 1 the first candidate pairing to 0
+        # is -(a1 + ... + a5), a root: a1, ..., a5 span a connected subgraph
+        # of the E8 diagram
         lat = build_lattice((("diag", (-2,)), "E8_minus"))
         checked = self.record(monkeypatch, "verify_embedding")
-        with pytest.raises(WitnessNotFound):
-            embed_rank2(lat, unit(9, 0), (-2, 0, -2))
+        root = (0, -1, -1, -1, -1, -1, 0, 0, 0)
+        assert embed_rank2(lat, unit(9, 0), (-2, 0, -2)) == root
         assert [(args[2], result) for args, result in checked] == \
-            [((0,) * 9, False)] * 8
+            [((0,) * 9, False)] * 8 + [(root, True)]
 
     def test_gives_up_when_lam1_blocks_hold_past_six_indices(
             self, monkeypatch):

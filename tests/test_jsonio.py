@@ -1,5 +1,7 @@
 """JSON entry points: lattice ids and generator words from outside."""
 
+import re
+
 import pytest
 
 from mukailat import linalg
@@ -29,6 +31,36 @@ from mukailat.stabilizer import vperp_model
 def test_lattice_name_resolves(make):
     lattice = make()
     assert resolve_lattice(lattice.name).gram == lattice.gram
+
+
+@pytest.mark.parametrize("text, spec", [
+    ("K3,diag(-6:4)", ("K3", ("diag", (-6, 4)))),
+    (" U , diag(2) ", ("U", ("diag", (2,)))),
+    ("k3,U", ("K3", "U")),
+    ("mukai,diag(-2)", ("Mukai", ("diag", (-2,)))),
+    ("E8_minus", ("E8_minus",)),
+])
+def test_spec_and_id_share_one_grammar(text, spec):
+    assert resolve_lattice(text) == build_lattice(spec)
+
+
+@pytest.mark.parametrize("text, cached", [
+    ("k3", k3_lattice), ("K3", k3_lattice), (" K3", k3_lattice),
+    ("mukai", mukai_lattice), ("Mukai", mukai_lattice),
+])
+def test_standard_id_is_the_cached_lattice(text, cached):
+    assert resolve_lattice(text) is cached()
+
+
+@pytest.mark.parametrize("identifier, message", [
+    (5, "unknown lattice id 5"),
+    ("Leech", "unknown block 'Leech'"),
+    ("vperp:3,U", "the m of lattice id 'vperp:3,U' must be an integer"),
+    ("K3,diag(-6:x)", "a diag entry must be an integer, got 'x'"),
+])
+def test_unknown_id_is_a_lattice_error(identifier, message):
+    with pytest.raises(LatticeError, match=re.escape(message)):
+        resolve_lattice(identifier)
 
 
 class TestWordFromJson:
@@ -85,6 +117,8 @@ IDENTITY = [list(r) for r in linalg.identity(24)]
     (word_at_m3, {"letters": [["tau"]]}),
     (word_at_m3,
      {"letters": [{"kind": "gamma0", "matrix": "I"}]}),
+    # a bare coordinate list [c..., r, s] is no Mukai vector
+    (mukai_vector_from_json, [0] * 24),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_wrong_shape_is_a_lattice_error(read, data):
     with pytest.raises(LatticeError):

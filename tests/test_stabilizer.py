@@ -16,7 +16,11 @@ from mukailat.lattices import (
     discriminant_group,
     is_primitive,
 )
-from mukailat.characters import general_reflection, reflection
+from mukailat.characters import (
+    ReflectionError,
+    general_reflection,
+    reflection,
+)
 from mukailat.fourier_mukai import mon_twist
 from mukailat.mukai import MukaiVector, mukai_pairing
 from mukailat.stabilizer import (
@@ -507,6 +511,47 @@ class TestGeneratorFamily:
             "both character pairs should be realized"
 
 
+class TestTauLetter:
+    def test_moves_the_class_by_formula(self, monkeypatch):
+        # each twist maps the class by rho_u(x) = s x + (G u . x) u, so no
+        # reflection and no matrix-vector product is formed; the classes
+        # are those the reflections' matrices give on the same draws
+        fam = generator_family(2)
+        expected = []
+        for seed in range(40):
+            rng = random.Random(seed)
+            cls = stabilizer._canonical_tau_class(fam.model)
+            for _ in range(rng.randrange(stabilizer.TAU_TWISTS + 1)):
+                u = fam.sample_pm2_vector(rng)
+                cls = reflection(fam.k3, u).apply(cls)
+            expected.append(TauLetter(MukaiVector(1, linalg.vec_neg(cls), 2)))
+        assert len({t.v0 for t in expected}) > 5
+
+        def fail(*args):
+            pytest.fail("tau_letter built a matrix to move its class")
+
+        monkeypatch.setattr(stabilizer, "reflection", fail)
+        monkeypatch.setattr(linalg, "mat_vec", fail)
+        letters = [fam.tau_letter(random.Random(seed)) for seed in range(40)]
+        assert letters == expected
+
+    def test_non_pm2_sample_raises(self, monkeypatch):
+        # the +-2 check of rho_u is `reflection`'s own, so a sampled vector
+        # of another square raises ReflectionError as `reflection` would
+        fam = generator_family(2)
+        e = u1_vector(fam.model, 1, 0)
+        monkeypatch.setattr(fam, "sample_pm2_vector", lambda rng: e)
+
+        class AlwaysTwist(random.Random):
+            def randrange(self, n):
+                return n - 1
+
+        with pytest.raises(ReflectionError, match=r"^\(u,u\) = 0; rho_u"):
+            fam.tau_letter(AlwaysTwist(0))
+        with pytest.raises(ReflectionError, match=r"^\(u,u\) = 0; rho_u"):
+            reflection(fam.k3, e)
+
+
 class TestFactor:
     def test_identity_empty_word(self):
         model = vperp_model(2)
@@ -553,8 +598,9 @@ class TestFactor:
         assert norm.product() == odd_g
 
     def test_residual_check_trips(self, monkeypatch, rng):
-        # with every reflection the identity, x never reaches w, so the
-        # residual g does not fix w: the one check factor's proof reads
+        # x reaches w by the formula tau_u(x) = x + (x, u) u, but with every
+        # reflection the identity the residual is g, which does not fix w:
+        # the one check factor's proof reads
         model = vperp_model(3)
         g = generator_family(3).tau_letter(rng).to_isometry(model)
         monkeypatch.setattr(stabilizer, "reflection",
@@ -565,10 +611,10 @@ class TestFactor:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7])
     def test_builds_no_tau_matrix(self, m, monkeypatch):
-        # each tau is composed into the residual through its outer form and
-        # x is read from the residual, so no reflection's matrix is built;
-        # at m = 1, tau_w h with h in Gamma_0 sends w to -w, which takes the
-        # (1, L, 1) reflection
+        # x moves by the formula tau_u(x) = x + (x, u) u, and each tau is
+        # composed into the residual once, through its outer form, so no
+        # reflection's matrix is built; at m = 1, tau_w h with h in Gamma_0
+        # sends w to -w, which takes the (1, L, 1) reflection
         fam = generator_family(m)
         model = fam.model
         rng = random.Random(m)
@@ -589,6 +635,29 @@ class TestFactor:
             factor(model, g, normalize=True)
         assert len(made) >= len(inputs)
         assert all(tau._matrix is None for tau in made)
+
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    def test_reads_four_images(self, m, monkeypatch):
+        # g(v) and g(w) on entry, the residual's images of w and v at the
+        # check, and none in between, whatever the number of taus: x moves
+        # by one pairing per tau
+        fam = generator_family(m)
+        rng = random.Random(m)
+        inputs = [fam.sample_word(rng, n).product() for n in (5, 15, 30)]
+        images = []
+        original = linalg.mat_vec
+
+        def spy(mat, vec):
+            images.append(vec)
+            return original(mat, vec)
+
+        monkeypatch.setattr(linalg, "mat_vec", spy)
+        taus = []
+        for g in inputs:
+            images.clear()
+            taus.append(len(factor(fam.model, g).tau_ranks()))
+            assert len(images) == 4
+        assert max(taus) >= 2
 
     def test_rejects_non_stabilizing(self):
         model = vperp_model(2)
